@@ -63,6 +63,16 @@ def _rat(text):
         raise argparse.ArgumentTypeError(str(e))
 
 
+def _positive_int(text):
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not an integer: %r" % (text,))
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
+    return n
+
+
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -234,7 +244,7 @@ def build_parser():
     p.add_argument("config", metavar="CONFIG",
                    help="bundled name (%s) or JSON file"
                         % ", ".join(bundled_names()))
-    p.add_argument("--trials", type=int, default=8, metavar="N",
+    p.add_argument("--trials", type=_positive_int, default=8, metavar="N",
                    help="random abscissa tuples to test (default 8)")
     p.add_argument("--deterministic", action="store_true",
                    help="exact polynomial-ring rank (needs <= 12 points)")
@@ -287,7 +297,7 @@ def build_parser():
                        help="run an experimental probe suite")
     p.add_argument("suite", choices=("tfae-qs", "tfae-grid",
                                      "decomp-qs", "decomp-grid34"))
-    p.add_argument("--trials", type=int, default=8, metavar="N",
+    p.add_argument("--trials", type=_positive_int, default=8, metavar="N",
                    help="trials to run (default 8)")
     _add_seed(p)
     p.set_defaults(func=cmd_verify)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import QMatrix, cross, det3, format_rat, parse_rat
+from .linalg import QMatrix, det3, format_rat, parse_rat
 
 
 @dataclass(frozen=True)
@@ -97,11 +97,52 @@ class Rank3Matroid:
 
 def circuits(c):
     """Rank3Matroid whose 3-circuits are the collinear triples of c."""
-    triples = set()
-    for line in c.lines:
-        for t in combinations(sorted(line), 3):
-            triples.add(t)
-    return Rank3Matroid(c.n, frozenset(triples))
+    return Rank3Matroid(c.n, frozenset(
+        t for line in c.lines for t in combinations(sorted(line), 3)))
+
+
+@dataclass(frozen=True)
+class MembershipReport:
+    in_circuit_variety: bool
+    in_v0: bool
+    realises: bool
+    violated_circuit: tuple = None
+    violated_independence: tuple = None
+
+
+def membership(r, m):
+    """Test a realisation against a rank-3 matroid.
+
+    in_circuit_variety: every circuit triple is linearly dependent.
+    in_v0: every triple is dependent (all points on one line), which
+    for a 3 x n matrix is the same as rank at most 2.
+    realises: circuits dependent and every other triple independent.
+    """
+    if r.n != m.n:
+        raise ValueError("realisation has %d points, matroid %d"
+                         % (r.n, m.n))
+    cols = r.columns()
+    in_cv = True
+    in_v0 = True
+    realises = True
+    violated_circuit = None
+    violated_independence = None
+    for t in combinations(range(1, m.n + 1), 3):
+        d = det3(cols[t[0] - 1], cols[t[1] - 1], cols[t[2] - 1])
+        if d != 0:
+            in_v0 = False
+        if m.is_circuit_triple(t):
+            if d != 0:
+                in_cv = False
+                realises = False
+                if violated_circuit is None:
+                    violated_circuit = t
+        elif d == 0:
+            realises = False
+            if violated_independence is None:
+                violated_independence = t
+    return MembershipReport(in_cv, in_v0, realises,
+                            violated_circuit, violated_independence)
 
 
 class Realisation:
@@ -143,11 +184,20 @@ class Realisation:
         return "Realisation(%r)" % (self.matrix,)
 
 
+def _proj_key(p):
+    """p divided by its first nonzero entry, so that nonzero scalar
+    multiples share one key; the zero vector keys to itself."""
+    for v in p:
+        if v != 0:
+            v = Fraction(v)
+            return tuple(u / v for u in p)
+    return tuple(p)
+
+
 def projectively_equal(u, v):
     """True when u and v are nonzero scalar multiples of each other."""
-    if all(x == 0 for x in u) or all(x == 0 for x in v):
-        return False
-    return all(x == 0 for x in cross(u, v))
+    key = _proj_key(u)
+    return any(key) and key == _proj_key(v)
 
 
 def simplify(r):
@@ -214,17 +264,19 @@ class ConfigAnalysis:
     graph_edges: tuple
 
 
-def analyze(c):
-    """Graph-theoretic summary of c.
+def _graph(c):
+    """Union-find over the graph of c.
 
-    The graph joins consecutive points along each line; omega counts
-    its connected components (isolated points included).
+    Returns (edges, is_forest, find): the sorted edges joining
+    consecutive points along each line, whether they close no cycle,
+    and a function mapping each point to the root of its component.
     """
     edges = set()
     for line in c.lines:
         pts = sorted(line)
         for a, b in zip(pts, pts[1:]):
             edges.add((a, b))
+    edges = tuple(sorted(edges))
     parent = list(range(c.n + 1))
 
     def find(x):
@@ -234,12 +286,22 @@ def analyze(c):
         return x
 
     forest = True
-    for a, b in sorted(edges):
+    for a, b in edges:
         ra, rb = find(a), find(b)
         if ra == rb:
             forest = False
         else:
             parent[ra] = rb
+    return edges, forest, find
+
+
+def analyze(c):
+    """Graph-theoretic summary of c.
+
+    The graph joins consecutive points along each line; omega counts
+    its connected components (isolated points included).
+    """
+    edges, forest, find = _graph(c)
     omega = len({find(p) for p in range(1, c.n + 1)})
     per_point = [0] * (c.n + 1)
     for line in c.lines:
@@ -248,26 +310,13 @@ def analyze(c):
     return ConfigAnalysis(omega=omega,
                           is_forest=forest,
                           max_lines_per_point=max(per_point[1:], default=0),
-                          graph_edges=tuple(sorted(edges)))
+                          graph_edges=edges)
 
 
 def components(c):
     """Connected components of the configuration graph, as increasing
     point tuples (isolated points form singleton components)."""
-    parent = list(range(c.n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for line in c.lines:
-        pts = sorted(line)
-        for a, b in zip(pts, pts[1:]):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
+    _, _, find = _graph(c)
     groups = {}
     for p in range(1, c.n + 1):
         groups.setdefault(find(p), []).append(p)

@@ -14,16 +14,16 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement, \
     permutations, product
 
-from .config import qs_config
+from .config import grid_config, qs_config
 from .lifting import build_collin
 from .linalg import det3
-from .poly import (MultiDeg, Poly, bracket, format_frac, frame_bracket,
-                   multidegree, point_bracket, poly_to_json_terms,
-                   poly_to_plain, var_name)
+from .poly import (MultiDeg, Poly, bracket, frame_bracket, multidegree,
+                   point_bracket, poly_to_json_terms, poly_to_plain,
+                   var_name)
 
 
 class FramePoint:
@@ -83,7 +83,7 @@ def _pair_value(cols, i, j, fp):
 
 # --- quadrilateral set -------------------------------------------------------
 
-QS_LINES = ((1, 2, 3), (1, 5, 6), (2, 4, 6), (3, 4, 5))
+QS_LINES = qs_config().lines
 
 
 def _qs_line(spec):
@@ -117,15 +117,16 @@ def _qs_pairing(line):
     return (p1, p2, p3), (m1, m2, m3)
 
 
-def _qs_formula(line, f1, f2, f3):
-    """The QS polynomial in its construction order (sign as built)."""
+def _qs_formula(line, f1, f2, f3, pair=_pair_poly):
+    """The QS polynomial in its construction order (sign as built).
+
+    With pair=partial(_pair_value, cols) the same formula gives its
+    value at the point columns cols.
+    """
     (p1, p2, p3), (m1, m2, m3) = _qs_pairing(line)
     f1, f2, f3 = frame_point(f1), frame_point(f2), frame_point(f3)
-    first = _pair_poly(p1, m1, f1) * _pair_poly(p2, m2, f2) \
-        * _pair_poly(p3, m3, f3)
-    second = _pair_poly(p1, m2, f1) * _pair_poly(p2, m3, f2) \
-        * _pair_poly(p3, m1, f3)
-    return first - second
+    return (pair(p1, m1, f1) * pair(p2, m2, f2) * pair(p3, m3, f3)
+            - pair(p1, m2, f1) * pair(p2, m3, f2) * pair(p3, m1, f3))
 
 
 def qs_poly(line, f1, f2, f3):
@@ -137,12 +138,8 @@ def qs_poly(line, f1, f2, f3):
 def qs_value(cols, line, f1, f2, f3):
     """Value of the QS polynomial at explicit point columns, computed
     via the bracket products (no symbolic expansion)."""
-    (p1, p2, p3), (m1, m2, m3) = _qs_pairing(_qs_line(line))
-    f1, f2, f3 = frame_point(f1), frame_point(f2), frame_point(f3)
-    return (_pair_value(cols, p1, m1, f1) * _pair_value(cols, p2, m2, f2)
-            * _pair_value(cols, p3, m3, f3)
-            - _pair_value(cols, p1, m2, f1) * _pair_value(cols, p2, m3, f2)
-            * _pair_value(cols, p3, m1, f3))
+    return _qs_formula(_qs_line(line), f1, f2, f3,
+                       partial(_pair_value, cols))
 
 
 # --- 3x4 grid ----------------------------------------------------------------
@@ -181,15 +178,17 @@ def _g34_products(ci):
     return out
 
 
-def _g34_formula(ci, frames):
+def _g34_formula(ci, frames, pair=_pair_poly):
+    """The grid polynomial of column ci (sign as built); with
+    pair=partial(_pair_value, cols) its value at the columns cols."""
     fps = [frame_point(f) for f in frames]
     if len(fps) != 6:
         raise ValueError("the grid polynomial takes 6 frame points")
-    total = Poly.zero()
+    total = 0
     for sign, pairs in _g34_products(ci):
-        prod = Poly.constant(sign)
+        prod = sign
         for (a, b), fp in zip(pairs, fps):
-            prod = prod * _pair_poly(a, b, fp)
+            prod = prod * pair(a, b, fp)
         total = total + prod
     return total
 
@@ -201,16 +200,7 @@ def g34_poly(ci, *frames):
 
 def g34_value(cols, ci, *frames):
     """Value of the grid polynomial at explicit point columns."""
-    fps = [frame_point(f) for f in frames]
-    if len(fps) != 6:
-        raise ValueError("the grid polynomial takes 6 frame points")
-    total = Fraction(0)
-    for sign, pairs in _g34_products(ci):
-        prod = Fraction(sign)
-        for (a, b), fp in zip(pairs, fps):
-            prod *= _pair_value(cols, a, b, fp)
-        total += prod
-    return total
+    return _g34_formula(ci, frames, partial(_pair_value, cols))
 
 
 # --- generating sets ---------------------------------------------------------
@@ -248,8 +238,7 @@ def qs_generators():
     return GeneratorSet("I_QS", 6, tuple(entries))
 
 
-GRID34_LINES = ((1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12),
-                (1, 4, 7, 10), (2, 5, 8, 11), (3, 6, 9, 12))
+GRID34_LINES = grid_config(3, 4).lines
 
 
 @lru_cache(maxsize=None)

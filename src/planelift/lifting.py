@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .config import (Realisation, analyze, circuits, components,
-                     delete_line, induced)
-from .linalg import QMatrix, cross, det, det3, matvec, nullspace, rank
+from .config import (Realisation, _proj_key, analyze, circuits,
+                     components, delete_line, induced, membership)
+from .linalg import QMatrix, bareiss, cross, det, matvec, nullspace, rank
 from .poly import Poly, var_id
 
 CONVENTIONAL_CENTER = (0, 0, 1)
@@ -57,10 +57,7 @@ def build_collin(c, x=None):
 
     The abscissas must be pairwise distinct.
     """
-    triples = []
-    for line in c.lines:
-        for t in combinations(sorted(line), 3):
-            triples.append(t)
+    triples = [t for line in c.lines for t in combinations(sorted(line), 3)]
     if x is None:
         return CollinMatrix(c, tuple(triples))
     xs = tuple(Fraction(v) for v in x)
@@ -124,25 +121,15 @@ def classify_lift(c, r):
     collinear points, so the realising answer takes precedence over the
     trivial one.  Trivial means all lifted points are collinear.
     """
-    m = circuits(c)
     cols = r.columns()
-    for i, col in enumerate(cols, start=1):
-        if all(v == 0 for v in col):
-            return "degenerate"
-    for i, j in combinations(range(1, c.n + 1), 2):
-        if all(v == 0 for v in cross(cols[i - 1], cols[j - 1])):
-            return "degenerate"
-    exact = True
-    for t in combinations(range(1, c.n + 1), 3):
-        d = det3(cols[t[0] - 1], cols[t[1] - 1], cols[t[2] - 1])
-        if m.is_circuit_triple(t):
-            if d != 0:
-                return "degenerate"
-        elif d == 0:
-            exact = False
-    if exact:
+    if any(all(v == 0 for v in col) for col in cols):
+        return "degenerate"
+    if len({_proj_key(col) for col in cols}) < len(cols):
+        return "degenerate"
+    rep = membership(r, circuits(c))
+    if rep.realises:
         return "realising"
-    if rank(r.matrix) <= 2:
+    if rep.in_v0:
         return "trivial"
     return "degenerate"
 
@@ -402,8 +389,11 @@ def is_liftable_generic(c, trials=8, seed=0, assume_maximal=True,
     assume_maximal=False such components are reported inconclusive,
     since the bound then only guarantees a non-trivial lift.  With
     deterministic=True (n <= 12) the generic rank is computed exactly
-    over the polynomial ring instead of sampled.
+    over the polynomial ring instead of sampled; sampling needs
+    trials >= 1.
     """
+    if not deterministic and trials < 1:
+        raise ValueError("trials must be at least 1, got %d" % trials)
     full_omega = analyze(c).omega
     active = []
     for comp in components(c):
@@ -483,31 +473,7 @@ def is_quasi_liftable(c, trials=8, seed=0, assume_maximal=True):
 def poly_matrix_rank(a):
     """Rank of a matrix of Poly entries over the rational function
     field, by fraction-free elimination with exact division."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    a = [row[:] for row in a]
-    prev = Poly.constant(1)
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
-            break
-        piv = None
-        for i in range(r, nrows):
-            if not a[i][col].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pivot = a[r][col]
-        for i in range(r + 1, nrows):
-            f = a[i][col]
-            for j in range(col + 1, ncols):
-                a[i][j] = (pivot * a[i][j] - f * a[r][j]).exact_div(prev)
-            a[i][col] = Poly.zero()
-        prev = pivot
-        r += 1
-    return r
+    return len(bareiss([row[:] for row in a])[0])
 
 
 def symbolic_collin_rank(c):

@@ -3,9 +3,9 @@
 Everything in this package reduces to exact linear algebra over the
 rationals: ranks and kernels of collinearity matrices, determinants of
 coordinate triples, and enumeration of minors.  Entries are represented
-with fractions.Fraction, and elimination is done Bareiss-style on
-denominator-cleared integer rows so intermediate values stay integral
-and bounded.
+with fractions.Fraction where data enters and leaves; every elimination
+runs on one fraction-free kernel, bareiss(), over denominator-cleared
+integer rows, so intermediate values stay integral and bounded.
 
 Row and column index sets passed to minor() / all_minors() are 1-based,
 matching the point labels used throughout the package.  Raw entry access
@@ -26,8 +26,8 @@ def parse_rat(text):
 
 
 def format_rat(q):
-    """Render a Fraction as 'p' or 'p/q' with positive denominator."""
-    q = Fraction(q)
+    """Render a Fraction (or int) as 'p' or 'p/q' with positive
+    denominator."""
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)
@@ -93,160 +93,134 @@ class QMatrix:
 
 
 def _int_rows(rows):
-    """Scale each row of Fractions to integers; return (int rows, scales).
+    """Scale each row of Fractions to integers.
 
-    Row i of the result equals scales[i] * rows[i] entrywise, with
-    scales[i] a positive integer (the lcm of the denominators).
+    Returns (int rows, denominator): row i of the result is rows[i]
+    times the lcm of its denominators, and denominator is the product
+    of those scales, so a determinant of the integer rows divided by it
+    is the determinant of the input.
     """
     out = []
-    scales = []
+    denom = 1
     for row in rows:
         m = 1
         for e in row:
             m = m * e.denominator // gcd(m, e.denominator)
         out.append([int(e * m) for e in row])
-        scales.append(m)
-    return out, scales
+        denom *= m
+    return out, denom
 
 
-def _bareiss_det_int(a):
-    """Determinant of a square integer matrix by fraction-free elimination.
+def bareiss(a, reduce=False):
+    """Fraction-free Gaussian elimination of the rows a, in place.
 
-    Mutates a.  The division in the inner loop is exact by Sylvester's
-    determinant identity, which is the whole point of the method: the
-    intermediate entries are themselves minors of the input.
+    Works over any integral domain whose elements support + - * and an
+    exact //, such as int or Poly.  Returns (pivots, sign): the pivot
+    columns in order, and the sign of the row permutation applied.
+    Afterwards the first len(pivots) rows are in echelon form and the
+    rest are zero.  Each update divides by the previous pivot, and the
+    division is exact by Sylvester's determinant identity: every
+    intermediate entry is itself a minor of the input (Bareiss 1968),
+    so entries grow linearly instead of exponentially.
+
+    With reduce=True the rows above each pivot are cleared as well, and
+    the result is d times the reduced row echelon form, where d is the
+    last pivot.
     """
-    n = len(a)
-    if n == 0:
-        return 1
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    pivots = []
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        for i in range(r, nrows):
+            if a[i][c]:
+                break
+        else:
+            continue
+        if i != r:
+            a[r], a[i] = a[i], a[r]
+            sign = -sign
+        rowr = a[r]
+        pivot = rowr[c]
+        zero = pivot - pivot
+        for i in range(0 if reduce else r + 1, nrows):
+            if i == r:
+                continue
             rowi = a[i]
-            rowk = a[k]
-            for j in range(k + 1, n):
-                rowi[j] = (pivot * rowi[j] - aik * rowk[j]) // prev
-            rowi[k] = 0
+            aic = rowi[c]
+            # Rows above the pivot may carry entries left of column c.
+            for j in range(c + 1 if i > r else 0, ncols):
+                rowi[j] = (pivot * rowi[j] - aic * rowr[j]) // prev
+            rowi[c] = zero
         prev = pivot
-    return sign * a[n - 1][n - 1]
+        pivots.append(c)
+    return pivots, sign
+
+
+def _det(a, denom):
+    """Determinant of the square integer rows a, divided by denom.
+
+    Mutates a.
+    """
+    pivots, sign = bareiss(a)
+    if len(pivots) < len(a):
+        return Fraction(0)
+    return Fraction(sign * a[-1][-1] if a else 1, denom)
 
 
 def det(m):
     """Exact determinant of a square QMatrix."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    ints, scales = _int_rows(m.to_lists())
-    d = _bareiss_det_int(ints)
-    denom = 1
-    for s in scales:
-        denom *= s
-    return Fraction(d, denom)
+    return _det(*_int_rows(m.to_lists()))
 
 
 def rank(m):
-    """Exact rank over the rationals, by fraction-free elimination.
+    """Exact rank over the rationals.
 
     Row scaling does not change the rank, so the matrix is first cleared
     to integers row by row.
     """
     a, _ = _int_rows(m.to_lists())
-    nrows, ncols = m.rows, m.cols
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = None
-        for i in range(r, nrows):
-            if a[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        pivot = a[r][c]
-        for i in range(r + 1, nrows):
-            aic = a[i][c]
-            rowi = a[i]
-            rowr = a[r]
-            for j in range(c + 1, ncols):
-                rowi[j] = (pivot * rowi[j] - aic * rowr[j]) // prev
-            rowi[c] = 0
-        prev = pivot
-        r += 1
-    return r
-
-
-def _rref(rows):
-    """Reduced row echelon form over Fractions.
-
-    Returns (rref rows, pivot column list).  Input is not mutated.
-    """
-    a = [list(row) for row in rows]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = None
-        for i in range(r, nrows):
-            if a[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = a[r][c]
-        a[r] = [e / inv for e in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [e - f * p for e, p in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return a, pivots
+    return len(bareiss(a)[0])
 
 
 def nullspace(m):
     """Canonical exact basis of the right kernel {z : m z = 0}.
 
-    The basis is unique: the raw kernel vectors read off the reduced
-    echelon form are themselves row-reduced, so every basis vector has
-    its first nonzero entry equal to 1 and the result does not depend
-    on elimination order.  Basis size is cols - rank(m).
+    Reading the kernel off the reduced echelon form of m gives one
+    vector per free column, with a 1 there and zeros at the other free
+    columns; but its first nonzero entry may sit in an earlier pivot
+    column, so that basis is not yet row-reduced.  A second reduction
+    of the basis yields the reduced echelon form of the kernel, which
+    is unique: every vector has its first nonzero entry equal to 1 and
+    the result does not depend on elimination order.  Basis size is
+    cols - rank(m).  Both passes run on integers.
     """
-    if m.cols == 0:
-        return []
-    if m.rows == 0:
-        return [[Fraction(1 if i == j else 0) for j in range(m.cols)]
-                for i in range(m.cols)]
-    rref_rows, pivots = _rref(m.to_lists())
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
+    a, _ = _int_rows(m.to_lists())
+    pivots, _ = bareiss(a, reduce=True)
+    d = a[len(pivots) - 1][pivots[-1]] if pivots else 1
     basis = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        v = [0] * m.cols
+        v[f] = d
         for prow, pcol in enumerate(pivots):
-            v[pcol] = -rref_rows[prow][f]
-        basis.append(v)
+            v[pcol] = -a[prow][f]
+        # Dividing out the content keeps the second pass on small
+        # integers; it does not change the row space.
+        g = gcd(*v)
+        basis.append([x // g for x in v])
     if not basis:
         return []
-    canon, _ = _rref(basis)
-    return canon
+    pivots, _ = bareiss(basis, reduce=True)
+    d = basis[-1][pivots[-1]]
+    return [[Fraction(x, d) for x in v] for v in basis]
 
 
 def _check_index_set(idx, bound, what):
@@ -274,47 +248,7 @@ def minor(m, row_idx, col_idx):
     if not row_idx:
         return Fraction(1)
     sub = [[m.entry(i - 1, j - 1) for j in col_idx] for i in row_idx]
-    ints, scales = _int_rows(sub)
-    d = _bareiss_det_int(ints)
-    denom = 1
-    for s in scales:
-        denom *= s
-    return Fraction(d, denom)
-
-
-def _laplace_det(rows):
-    """Determinant of a small square Fraction matrix.
-
-    Repeatedly expands along columns with at most one nonzero entry
-    (cheap after row reduction upstream), then falls back to Bareiss for
-    whatever dense core remains.
-    """
-    a = [list(r) for r in rows]
-    factor = Fraction(1)
-    while a:
-        n = len(a)
-        expanded = False
-        for j in range(n):
-            nz = [i for i in range(n) if a[i][j] != 0]
-            if not nz:
-                return Fraction(0)
-            if len(nz) == 1:
-                i = nz[0]
-                factor *= a[i][j] * (-1) ** (i + j)
-                a = [row[:j] + row[j + 1:]
-                     for k, row in enumerate(a) if k != i]
-                expanded = True
-                break
-        if not expanded:
-            break
-    if not a:
-        return factor
-    ints, scales = _int_rows(a)
-    d = _bareiss_det_int(ints)
-    denom = 1
-    for s in scales:
-        denom *= s
-    return factor * Fraction(d, denom)
+    return _det(*_int_rows(sub))
 
 
 def all_minors(m, k):
@@ -324,12 +258,11 @@ def all_minors(m, k):
     set), with 1-based index tuples, so output is reproducible no
     matter how the work is scheduled.
 
-    For each row set the submatrix is row-reduced once.  If it has
-    fewer than k pivots every minor of the row set is zero and is
-    emitted as such without further arithmetic; otherwise each column
-    selection costs only a small complementary determinant, because
-    det(S_C) = det(S_P) * det(R_C) for R the reduced form of S and P
-    its pivot columns.
+    Each row set is cleared to integer rows once, and one integer
+    elimination decides whether it has rank k.  If not, every minor of
+    the row set is zero and is emitted as such without further
+    arithmetic; otherwise each column selection costs one k x k
+    fraction-free determinant of the integer rows.
     """
     if k < 0 or k > min(m.rows, m.cols):
         raise ValueError("minor size %d out of range for %d x %d"
@@ -340,26 +273,15 @@ def all_minors(m, k):
             yield rows_sel, (), Fraction(1)
         return
     for rows_sel in combinations(range(1, m.rows + 1), k):
-        sub = [m.row(i - 1) for i in rows_sel]
-        rref_rows, pivots = _rref(sub)
-        if len(pivots) < k:
+        ints, denom = _int_rows([m.row(i - 1) for i in rows_sel])
+        if len(bareiss([row[:] for row in ints])[0]) < k:
             zero = Fraction(0)
             for cols_sel in col_sets:
                 yield rows_sel, cols_sel, zero
             continue
-        det_p = minor(m, rows_sel, tuple(p + 1 for p in pivots))
         for cols_sel in col_sets:
-            rc = [[rref_rows[i][c - 1] for c in cols_sel] for i in range(k)]
-            yield rows_sel, cols_sel, det_p * _laplace_det(rc)
-
-
-def matmul(a, b):
-    """Product of two QMatrix values."""
-    if a.cols != b.rows:
-        raise ValueError("shape mismatch")
-    bt = b.transpose()
-    return QMatrix([[sum(x * y for x, y in zip(a.row(i), bt.row(j)))
-                     for j in range(b.cols)] for i in range(a.rows)])
+            sub = [[row[c - 1] for c in cols_sel] for row in ints]
+            yield rows_sel, cols_sel, _det(sub, denom)
 
 
 def matvec(a, v):

@@ -13,6 +13,8 @@ generators is graded reverse lexicographic over that variable order.
 
 from fractions import Fraction
 
+from .linalg import format_rat
+
 LETTERS = "xyz"
 
 
@@ -90,6 +92,9 @@ class Poly:
     def is_zero(self):
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.terms == other.terms
@@ -111,6 +116,8 @@ class Poly:
             else:
                 out.pop(mono, None)
         return Poly(out, max(self.npoints, other.npoints))
+
+    __radd__ = __add__
 
     def __neg__(self):
         return Poly({m: -c for m, c in self.terms.items()}, self.npoints)
@@ -241,6 +248,13 @@ class Poly:
             rem = rem - Poly({qmono: qc}) * divisor
         return Poly(quot_terms, max(self.npoints, divisor.npoints))
 
+    def __floordiv__(self, other):
+        """Exact quotient, so that fraction-free elimination runs over
+        polynomials as it does over integers."""
+        if isinstance(other, (int, Fraction)):
+            other = Poly.constant(other)
+        return self.exact_div(other)
+
     def __repr__(self):
         return "Poly(%s)" % (poly_to_plain(self),)
 
@@ -352,13 +366,7 @@ def _coeff_prefix(coeff, first):
         sign = "" if first else " + "
     if coeff == 1:
         return sign, ""
-    return sign, format_frac(coeff) + "*"
-
-
-def format_frac(q):
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
+    return sign, format_rat(coeff) + "*"
 
 
 def mono_to_plain(mono):
@@ -380,7 +388,7 @@ def poly_to_plain(p):
         sign, cpart = _coeff_prefix(coeff, first)
         body = mono_to_plain(mono)
         if not mono:
-            body = format_frac(abs(coeff))
+            body = format_rat(abs(coeff))
             cpart = ""
         out.append(sign + cpart + body)
         first = False
@@ -391,7 +399,7 @@ def poly_to_json_terms(p):
     """List of {'coeff': 'p/q', 'exps': {'x_1': e, ...}} in canonical order."""
     out = []
     for mono, coeff in p.terms_sorted():
-        out.append({"coeff": format_frac(coeff),
+        out.append({"coeff": format_rat(coeff),
                     "exps": {var_name(v): e for v, e in mono}})
     return out
 

@@ -10,14 +10,14 @@ negative controls record how often genericity delivered a witness.
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
-from .config import (Config, Realisation, circuits, config_of_realisation,
-                     grid_config, qs_config)
+from .config import (Realisation, _proj_key, circuits, config_of_realisation,
+                     grid_config, membership, qs_config)
 from .ideals import g34_value, qs_generators, g34_generators, qs_value, QS_LINES
 from .lifting import (build_collin, classify_lift, epsilon_scale, lift,
                       forest_lift, project, random_distinct_abscissas)
-from .linalg import all_minors, cross, det3, rank
+from .linalg import all_minors, cross, rank
 from .poly import assignment_from_columns
 
 
@@ -30,23 +30,6 @@ RETRY_BUDGET = 64
 
 class SampleError(RuntimeError):
     """Raised when rejection sampling exhausts its retry budget."""
-
-
-@dataclass(frozen=True)
-class SampleSpec:
-    """What to sample: 'quadset', 'grid', 'forest' or 'collinear'.
-
-    rows/cols apply to grids, config to forests, n to collinear tuples.
-    The same spec always produces the same realisation.
-    """
-
-    kind: str
-    seed: int = 0
-    coeff_range: int = DEFAULT_COEFF_RANGE
-    rows: int = 3
-    cols: int = 4
-    config: Config = None
-    n: int = 6
 
 
 def _rand_vec(rng, bound):
@@ -156,87 +139,9 @@ def sample_collinear(rng, n, bound=DEFAULT_COEFF_RANGE):
                for t in sorted(params)]
         if any(all(v == 0 for v in p) for p in pts):
             continue
-        seen = set()
-        distinct = True
-        for p in pts:
-            key = _proj_key(p)
-            if key in seen:
-                distinct = False
-                break
-            seen.add(key)
-        if distinct:
+        if len({_proj_key(p) for p in pts}) == n:
             return Realisation.from_columns(pts)
     raise SampleError("retry budget exhausted sampling collinear points")
-
-
-def _proj_key(p):
-    for v in p:
-        if v != 0:
-            return tuple(u / v for u in p)
-    return p
-
-
-def sample(spec):
-    """Dispatch on spec.kind; deterministic for a fixed spec."""
-    rng = random.Random(spec.seed)
-    if spec.kind == "quadset":
-        return sample_quadset(rng, spec.coeff_range)
-    if spec.kind == "grid":
-        return sample_grid(rng, spec.rows, spec.cols, spec.coeff_range)
-    if spec.kind == "forest":
-        if spec.config is None:
-            raise ValueError("forest sampling needs a config")
-        return sample_forest(rng, spec.config, spec.coeff_range)
-    if spec.kind == "collinear":
-        return sample_collinear(rng, spec.n, spec.coeff_range)
-    raise ValueError("unknown sample kind: %r" % (spec.kind,))
-
-
-# --- membership ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MembershipReport:
-    in_circuit_variety: bool
-    in_v0: bool
-    realises: bool
-    violated_circuit: tuple = None
-    violated_independence: tuple = None
-
-
-def membership(r, m):
-    """Test a realisation against a rank-3 matroid.
-
-    in_circuit_variety: every circuit triple is linearly dependent.
-    in_v0: every triple is dependent (all points on one line).
-    realises: circuits dependent and every other triple independent.
-    """
-    if r.n != m.n:
-        raise ValueError("realisation has %d points, matroid %d"
-                         % (r.n, m.n))
-    cols = r.columns()
-    in_cv = True
-    in_v0 = True
-    realises = True
-    violated_circuit = None
-    violated_independence = None
-    for t in combinations(range(1, m.n + 1), 3):
-        d = det3(cols[t[0] - 1], cols[t[1] - 1], cols[t[2] - 1])
-        if m.is_circuit_triple(t):
-            if d != 0:
-                in_cv = False
-                realises = False
-                if violated_circuit is None:
-                    violated_circuit = t
-        else:
-            if d != 0:
-                in_v0 = False
-            else:
-                realises = False
-                if violated_independence is None:
-                    violated_independence = t
-    return MembershipReport(in_cv, in_v0, realises,
-                            violated_circuit, violated_independence)
 
 
 # --- probe reports ------------------------------------------------------------
@@ -307,6 +212,18 @@ def _project_generic(r, rng, bound=256):
     raise SampleError("retry budget exhausted projecting to a line")
 
 
+def _check_lift(report, conf, xs, t):
+    """lift() at xs must realise conf and project back to xs exactly."""
+    lifted = lift(conf, xs, seed=t)
+    ok = lifted.kind == "realising"
+    if ok:
+        ok = project(lifted.realisation).abscissas == tuple(xs)
+    report.check(ok, "trial %d lift" % t, "lift kind %s" % lifted.kind)
+
+
+_FRAME_TRIPLES = tuple(product(_FRAMES, repeat=3))
+
+
 def probe_tfae_qs(trials, seed):
     """Exercise the quadrilateral-set equivalences on random samples.
 
@@ -329,29 +246,17 @@ def probe_tfae_qs(trials, seed):
         report.check(rank(cm.numeric) <= 3, "trial %d rank" % t,
                      "rank(Lambda_QS) > 3 at projected abscissas")
         image = [res.chart.to_point(x) for x in xs]
-        zeros = 0
-        for line in QS_LINES:
-            for f1 in _FRAMES:
-                for f2 in _FRAMES:
-                    for f3 in _FRAMES:
-                        if qs_value(image, line, f1, f2, f3) == 0:
-                            zeros += 1
+        zeros = sum(1 for line in QS_LINES for f in _FRAME_TRIPLES
+                    if qs_value(image, line, *f) == 0)
         report.check(zeros == 108, "trial %d vanishing" % t,
                      "%d of 108 QS values vanish" % zeros)
         report.bump("qs-values-checked", 108)
-        lifted = lift(conf, xs, seed=t)
-        ok = lifted.kind == "realising"
-        if ok:
-            back = project(lifted.realisation)
-            ok = back.abscissas == tuple(xs)
-        report.check(ok, "trial %d lift" % t,
-                     "lift kind %s" % lifted.kind)
+        _check_lift(report, conf, xs, t)
         # negative control
         nxs, npts = _line_points(rng, 6)
         nrank = rank(build_collin(conf, nxs).numeric)
-        witness = any(qs_value(npts, line, f1, f2, f3) != 0
-                      for line in QS_LINES
-                      for f1 in _FRAMES for f2 in _FRAMES for f3 in _FRAMES)
+        witness = any(qs_value(npts, line, *f) != 0
+                      for line in QS_LINES for f in _FRAME_TRIPLES)
         if nrank == 4:
             report.bump("negative-rank-4")
         if witness:
@@ -412,23 +317,13 @@ def probe_tfae_grid(trials, seed, minors_on_first_trial=True):
         report.check(zeros == checked, "trial %d vanishing" % t,
                      "%d of %d grid values vanish" % (zeros, checked))
         report.bump("grid-values-checked", checked)
-        lifted = lift(conf, xs, seed=t)
-        ok = lifted.kind == "realising"
-        if ok:
-            back = project(lifted.realisation)
-            ok = back.abscissas == tuple(xs)
-        report.check(ok, "trial %d lift" % t, "lift kind %s" % lifted.kind)
+        _check_lift(report, conf, xs, t)
         # negative control
         nxs, npts = _line_points(rng, 12)
         nrank = rank(build_collin(conf, nxs).numeric)
-        witness = False
-        for ci in (1, 2, 3, 4):
-            for frames in _WEAKLY_INCREASING_6:
-                if g34_value(npts, ci, *frames) != 0:
-                    witness = True
-                    break
-            if witness:
-                break
+        witness = any(g34_value(npts, ci, *frames) != 0
+                      for ci in (1, 2, 3, 4)
+                      for frames in _WEAKLY_INCREASING_6)
         if nrank == 10:
             report.bump("negative-rank-10")
         if witness:
@@ -520,7 +415,9 @@ PROBES = {
 
 def run_probe(name, trials, seed):
     """Run a named probe suite: tfae-qs, tfae-grid, decomp-qs or
-    decomp-grid34."""
+    decomp-grid34, with trials >= 1."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1, got %d" % trials)
     if name in PROBES:
         return PROBES[name](trials, seed)
     if name.startswith("decomp-"):

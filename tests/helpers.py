@@ -67,6 +67,20 @@ def rand_matrix(rng, rows, cols, bound=20):
             for _ in range(rows)]
 
 
+def rand_product(rng, rows, cols, inner, bound=20):
+    """A rows x cols matrix of rank at most inner: the product of random
+    rows x inner and inner x cols matrices."""
+    left = rand_matrix(rng, rows, inner, bound)
+    right = rand_matrix(rng, inner, cols, bound)
+    return [[sum((left[i][t] * right[t][j] for t in range(inner)),
+                 Fraction(0))
+             for j in range(cols)] for i in range(rows)]
+
+
+# Bound for random entries of about 300 bits, to exercise big integers.
+BIG = 2 ** 300
+
+
 def rand_poly(rng, npoints=3, nterms=4, maxdeg=2):
     """A random sparse polynomial in the package's representation."""
     p = Poly.zero()

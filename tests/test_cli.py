@@ -205,7 +205,12 @@ def test_invalid_config_file(tmp_path, capsys):
 def test_usage_errors_exit_64(capsys):
     for argv in ([], ["frobnicate"], ["qs-check", "1", "2"],
                  ["qs-check", "a", "b", "c", "d", "e", "f"],
-                 ["gens", "qs", "--format", "xml"]):
+                 ["gens", "qs", "--format", "xml"],
+                 ["check", "qs", "--trials", "0"],
+                 ["check", "qs", "--trials", "-3"],
+                 ["check", "qs", "--trials", "two"],
+                 ["verify", "tfae-qs", "--trials", "0"],
+                 ["verify", "decomp-qs", "--trials", "-3"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 64

@@ -124,6 +124,9 @@ def test_classify_lift():
     generic = Realisation.from_columns(
         [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 4), (1, 3, 9)])
     assert classify_lift(c, generic) == "degenerate"
+    # a violated circuit is degenerate even when no other triple exists
+    triangle = Realisation.from_columns([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert classify_lift(Config(3, ((1, 2, 3),)), triangle) == "degenerate"
 
 
 def test_lift_qs_generic_has_no_nontrivial():
@@ -324,6 +327,15 @@ def test_liftable_deterministic_mode():
         assert exact.deterministic and exact.trials == 0
     with pytest.raises(ValueError):
         is_liftable_generic(Config(13, ((1, 2, 3),)), deterministic=True)
+
+
+def test_liftable_needs_trials():
+    # zero trials would observe rank 0 and call anything liftable
+    for trials in (0, -3):
+        with pytest.raises(ValueError):
+            is_liftable_generic(qs_config(), trials=trials)
+    exact = is_liftable_generic(qs_config(), trials=0, deterministic=True)
+    assert exact.verdict == "not-liftable"
 
 
 def test_liftable_without_maximality():

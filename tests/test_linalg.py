@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import gauss_rank, leibniz_det, rand_matrix
+from helpers import (BIG, gauss_rank, leibniz_det, rand_matrix,
+                     rand_product)
 from planelift.linalg import (QMatrix, all_minors, cross, det, det3,
-                              format_rat, matmul, matvec, minor, nullspace,
+                              format_rat, matvec, minor, nullspace,
                               parse_rat, rank)
 
 # The quadrilateral-set collinearity matrix evaluated at abscissas
@@ -75,6 +76,13 @@ def test_det_matches_permutation_expansion():
         n = rng.randint(1, 5)
         rows = rand_matrix(rng, n, n, bound=9)
         assert det(QMatrix(rows)) == leibniz_det(rows)
+    # 300-bit entries, and singular products n x r times r x n
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        for rows in (rand_matrix(rng, n, n, bound=BIG),
+                     rand_product(rng, n, n, rng.randint(0, n - 1),
+                                  bound=9)):
+            assert det(QMatrix(rows)) == leibniz_det(rows)
 
 
 def test_det_rejects_non_square():
@@ -89,6 +97,14 @@ def test_rank_matches_gauss():
         c = rng.randint(1, 5)
         rows = rand_matrix(rng, r, c, bound=6)
         assert rank(QMatrix(rows, cols=c)) == gauss_rank(rows or [[]])
+    # 300-bit entries, and rank-deficient products r x k times k x c
+    for _ in range(60):
+        r = rng.randint(1, 6)
+        c = rng.randint(1, 6)
+        for rows in (rand_matrix(rng, r, c, bound=BIG),
+                     rand_product(rng, r, c, rng.randint(0, min(r, c)),
+                                  bound=BIG)):
+            assert rank(QMatrix(rows)) == gauss_rank(rows)
 
 
 def test_rank_of_low_rank_products():
@@ -119,11 +135,24 @@ def test_nullspace_vectors_are_in_kernel():
             assert all(x == 0 for x in matvec(m, v))
 
 
+def _nullspace_inputs(rng):
+    for _ in range(100):
+        yield rand_matrix(rng, 3, 6, bound=4)
+    for _ in range(30):
+        r = rng.randint(1, 6)
+        c = rng.randint(1, 6)
+        yield rand_matrix(rng, r, c, bound=BIG)
+        yield rand_product(rng, r, c, rng.randint(0, min(r, c)), bound=BIG)
+
+
 def test_nullspace_is_canonical():
     rng = random.Random(23)
-    for _ in range(100):
-        m = QMatrix(rand_matrix(rng, 3, 6, bound=4))
+    for rows in _nullspace_inputs(rng):
+        m = QMatrix(rows)
         basis = nullspace(m)
+        assert len(basis) == m.cols - gauss_rank(rows)
+        for v in basis:
+            assert all(x == 0 for x in matvec(m, v))
         leads = []
         for v in basis:
             nz = [i for i, x in enumerate(v) if x != 0]
@@ -187,6 +216,14 @@ def test_all_minors_against_direct_minor():
             count += 1
         from math import comb
         assert count == comb(4, k) * comb(5, k)
+    # against the permutation expansion, on a full-rank and on a rank-2
+    # 5 x 6 matrix (the latter takes the all-zero short cut throughout)
+    for entries in (rand_matrix(rng, 5, 6, bound=6),
+                    rand_product(rng, 5, 6, 2, bound=6)):
+        m = QMatrix(entries)
+        for rows, cols, value in all_minors(m, 3):
+            sub = [[entries[i - 1][j - 1] for j in cols] for i in rows]
+            assert value == leibniz_det(sub)
 
 
 def test_all_minors_deterministic_order():
@@ -214,10 +251,11 @@ def test_all_minors_low_rank_fast_path():
 def test_matmul_matvec():
     a = QMatrix([[1, 2], [3, 4]])
     b = QMatrix([[0, 1], [1, 0]])
-    assert matmul(a, b).to_lists() == [[2, 1], [4, 3]]
+    # the columns of the product a * b
+    assert [matvec(a, b.column(j)) for j in range(2)] == [[2, 4], [1, 3]]
     assert matvec(a, (1, 1)) == [3, 7]
     with pytest.raises(ValueError):
-        matmul(a, QMatrix([[1, 2, 3]]))
+        matvec(a, (1, 2, 3))
 
 
 def test_cross_and_det3():
@@ -231,17 +269,38 @@ def test_cross_and_det3():
     assert det3(a, b, a) == 0
 
 
+# Small entries, or entries of about 300 bits.
+_ENTRY = st.one_of(st.integers(-9, 9), st.integers(-BIG, BIG))
+
+
+def _matrices(rows, cols):
+    return st.lists(st.lists(_ENTRY, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def _products(draw):
+    """(rows, k): a random integer matrix of rank at most k, the product
+    of an n x k and a k x m factor."""
+    n, m, k = (draw(st.integers(1, 5)), draw(st.integers(1, 5)),
+               draw(st.integers(0, 5)))
+    left = draw(_matrices(n, k))
+    right = draw(_matrices(k, m))
+    return [[sum(left[i][t] * right[t][j] for t in range(k))
+             for j in range(m)] for i in range(n)], k
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
-                min_size=3, max_size=3))
+@given(st.integers(1, 4).flatmap(lambda n: _matrices(n, n)))
 def test_det_transpose_property(rows):
     m = QMatrix(rows)
-    assert det(m) == det(m.transpose())
+    assert det(m) == det(m.transpose()) == leibniz_det(rows)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4),
-                min_size=2, max_size=5))
-def test_rank_transpose_property(rows):
+@given(_products())
+def test_rank_transpose_property(case):
+    rows, k = case
     m = QMatrix(rows)
-    assert rank(m) == rank(m.transpose())
+    assert rank(m) == rank(m.transpose()) == gauss_rank(rows)
+    assert rank(m) <= k

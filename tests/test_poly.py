@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import leibniz_det, rand_fraction, rand_poly
+from planelift.linalg import format_rat
 from planelift.poly import (MultiDeg, Poly, assignment_from_columns, bracket,
-                            format_frac, frame_bracket, multidegree,
+                            frame_bracket, multidegree,
                             point_bracket, poly_to_json_terms, poly_to_plain,
                             var_id, var_letter, var_name, var_point)
 
@@ -34,6 +35,8 @@ def test_var_id_round_trip():
 def test_constructors():
     assert Poly.zero().is_zero()
     assert Poly.constant(0).is_zero()
+    assert not Poly.zero() and Poly.constant(5)
+    assert sum([Poly.constant(2), Poly.constant(3)]) == 5
     assert Poly.constant(5) == 5
     v = var_id("y", 2)
     p = Poly.variable(v)
@@ -175,9 +178,12 @@ def test_exact_div_round_trip():
     while done < 40:
         p = rand_poly(rng)
         q = rand_poly(rng)
-        if q.is_zero():
+        if not q:
             continue
         assert (p * q).exact_div(q) == p
+        # // is the same exact division, also by a plain number
+        assert (p * q) // q == p
+        assert (p * 3) // 3 == p
         done += 1
 
 
@@ -206,8 +212,8 @@ def test_poly_to_json_terms():
     rec = poly_to_json_terms(p)
     assert rec == [{"coeff": "-3/2", "exps": {"x_1": 2}},
                    {"coeff": "1", "exps": {}}]
-    assert format_frac(Fraction(7)) == "7"
-    assert format_frac(Fraction(-7, 3)) == "-7/3"
+    assert format_rat(Fraction(7)) == "7"
+    assert format_rat(Fraction(-7, 3)) == "-7/3"
 
 
 def test_assignment_from_columns():

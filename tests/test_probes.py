@@ -3,13 +3,13 @@ import random
 
 import pytest
 
-from planelift.config import (bundled_config, circuits,
-                              config_of_realisation, grid_config, qs_config)
+from planelift.config import (Config, MembershipReport, Realisation,
+                              bundled_config, circuits, config_of_realisation,
+                              grid_config, membership, qs_config)
 from planelift.lifting import classify_lift
-from planelift.probes import (MembershipReport, ProbeReport, SampleError,
-                              SampleSpec, membership, probe_decomposition,
+from planelift.probes import (ProbeReport, SampleError, probe_decomposition,
                               probe_tfae_grid, probe_tfae_qs, run_probe,
-                              sample, sample_collinear, sample_grid,
+                              sample_collinear, sample_forest, sample_grid,
                               sample_quadset)
 
 
@@ -23,18 +23,18 @@ class ConstantRandom(random.Random):
 
 
 def test_sample_is_deterministic():
-    for spec in (SampleSpec("quadset", seed=5),
-                 SampleSpec("grid", seed=5, rows=3, cols=3),
-                 SampleSpec("collinear", seed=5, n=7),
-                 SampleSpec("forest", seed=5,
-                            config=bundled_config("forest_path10"))):
-        assert sample(spec) == sample(spec)
-    assert sample(SampleSpec("quadset", seed=1)) != \
-        sample(SampleSpec("quadset", seed=2))
+    forest = bundled_config("forest_path10")
+    for make in (sample_quadset,
+                 lambda rng: sample_grid(rng, 3, 3),
+                 lambda rng: sample_collinear(rng, 7),
+                 lambda rng: sample_forest(rng, forest)):
+        assert make(random.Random(5)) == make(random.Random(5))
+    assert sample_quadset(random.Random(1)) != \
+        sample_quadset(random.Random(2))
 
 
 def test_sample_quadset_matches_config():
-    r = sample(SampleSpec("quadset", seed=3))
+    r = sample_quadset(random.Random(3))
     assert r.n == 6
     found = config_of_realisation(r)
     assert set(found.lines) == set(qs_config().lines)
@@ -47,17 +47,17 @@ def test_sample_quadset_matches_config():
 
 
 def test_sample_grid_matches_config():
-    r = sample(SampleSpec("grid", seed=3))
+    r = sample_grid(random.Random(3))
     assert r.n == 12
     found = config_of_realisation(r)
     assert set(found.lines) == set(grid_config(3, 4).lines)
-    r = sample(SampleSpec("grid", seed=4, rows=3, cols=3))
+    r = sample_grid(random.Random(4), 3, 3)
     found = config_of_realisation(r)
     assert set(found.lines) == set(grid_config(3, 3).lines)
 
 
 def test_sample_collinear_lands_in_v0():
-    r = sample(SampleSpec("collinear", seed=9, n=6))
+    r = sample_collinear(random.Random(9), 6)
     rep = membership(r, circuits(qs_config()))
     assert rep.in_v0
     assert rep.in_circuit_variety
@@ -67,15 +67,8 @@ def test_sample_collinear_lands_in_v0():
 
 def test_sample_forest_realises():
     c = bundled_config("forest_path10")
-    r = sample(SampleSpec("forest", seed=2, config=c))
+    r = sample_forest(random.Random(2), c)
     assert classify_lift(c, r) == "realising"
-
-
-def test_sample_errors():
-    with pytest.raises(ValueError):
-        sample(SampleSpec("forest", seed=1))
-    with pytest.raises(ValueError):
-        sample(SampleSpec("hexagon"))
 
 
 def test_samplers_give_up_on_degenerate_randomness():
@@ -88,10 +81,9 @@ def test_samplers_give_up_on_degenerate_randomness():
 
 
 def test_membership_detects_swapped_points():
-    r = sample(SampleSpec("quadset", seed=7))
+    r = sample_quadset(random.Random(7))
     cols = r.columns()
     cols[0], cols[3] = cols[3], cols[0]
-    from planelift.config import Realisation
     swapped = Realisation.from_columns(cols)
     rep = membership(swapped, circuits(qs_config()))
     assert not rep.in_circuit_variety
@@ -100,7 +92,7 @@ def test_membership_detects_swapped_points():
 
 
 def test_membership_size_mismatch():
-    r = sample(SampleSpec("collinear", seed=1, n=5))
+    r = sample_collinear(random.Random(1), 5)
     with pytest.raises(ValueError):
         membership(r, circuits(qs_config()))
 
@@ -109,13 +101,17 @@ def test_membership_report_implications():
     # spot check the logical shape on a batch of assorted samples
     m = circuits(qs_config())
     for seed in range(6):
-        for kind, kwargs in (("quadset", {}), ("collinear", {"n": 6})):
-            r = sample(SampleSpec(kind, seed=seed, **kwargs))
+        for make in (sample_quadset, lambda rng: sample_collinear(rng, 6)):
+            r = make(random.Random(seed))
             rep = membership(r, m)
             if rep.realises:
                 assert rep.in_circuit_variety
             if rep.in_v0:
                 assert rep.in_circuit_variety
+    # in_v0 means every triple is dependent, circuits included
+    triangle = Realisation.from_columns([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    rep = membership(triangle, circuits(Config(3, ((1, 2, 3),))))
+    assert not rep.in_v0 and not rep.in_circuit_variety
 
 
 def test_probe_report_bookkeeping():
@@ -182,6 +178,9 @@ def test_run_probe_dispatch():
     assert rep.failed == 0
     with pytest.raises(ValueError):
         run_probe("tfae-heptad", 1, 0)
+    for trials in (0, -3):
+        with pytest.raises(ValueError):
+            run_probe("tfae-qs", trials, 0)
 
 
 def test_membership_report_is_plain_data():

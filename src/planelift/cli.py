@@ -227,7 +227,8 @@ def _add_seed(p, attempts=False):
     p.add_argument("--seed", type=int, default=0, metavar="S",
                    help="random seed (default 0)")
     if attempts:
-        p.add_argument("--attempts", type=int, default=32, metavar="N",
+        p.add_argument("--attempts", type=_positive_int, default=32,
+                       metavar="N",
                        help="random lift candidates to try (default 32)")
 
 
@@ -247,7 +248,9 @@ def build_parser():
     p.add_argument("--trials", type=_positive_int, default=8, metavar="N",
                    help="random abscissa tuples to test (default 8)")
     p.add_argument("--deterministic", action="store_true",
-                   help="exact polynomial-ring rank (needs <= 12 points)")
+                   help="exact rank (<= 12 points): a sampled rank that "
+                        "meets the bound min(n-2, sum of |L|-2), else "
+                        "the polynomial-ring rank")
     _add_seed(p)
     p.set_defaults(func=cmd_check)
 

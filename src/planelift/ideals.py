@@ -21,9 +21,9 @@ from itertools import combinations, combinations_with_replacement, \
 from .config import grid_config, qs_config
 from .lifting import build_collin
 from .linalg import det3
-from .poly import (MultiDeg, Poly, bracket, frame_bracket, multidegree,
-                   point_bracket, poly_to_json_terms, poly_to_plain,
-                   var_name)
+from .poly import (FRAME_COFACTORS, MultiDeg, Poly, bracket, frame_bracket,
+                   multidegree, point_bracket, poly_to_json_terms,
+                   poly_to_plain, var_name)
 
 
 class FramePoint:
@@ -60,7 +60,7 @@ def frame_point(spec):
     if isinstance(spec, FramePoint):
         return spec
     if spec in (1, 2, 3):
-        return FramePoint(spec)
+        return (R1, R2, R3)[spec - 1]
     return FramePoint(vector=spec)
 
 
@@ -72,13 +72,24 @@ def _pair_poly(i, j, fp):
 
 def _pair_value(cols, i, j, fp):
     a, b = cols[i - 1], cols[j - 1]
-    if fp.frame_index == 1:
-        return a[1] * b[2] - b[1] * a[2]
-    if fp.frame_index == 2:
-        return b[0] * a[2] - a[0] * b[2]
-    if fp.frame_index == 3:
-        return a[0] * b[1] - b[0] * a[1]
+    if fp.frame_index:
+        u, w = FRAME_COFACTORS[fp.frame_index]
+        return a[u] * b[w] - b[u] * a[w]
     return det3(a, b, fp.vector)
+
+
+def _bracket_sum(products, frames, pair=_pair_poly):
+    """Sum over products = [(sign, ((a1, b1), ..., (ak, bk))), ...] of
+    sign * [a1 b1 F1] * ... * [ak bk Fk] for the frame points F = frames;
+    with pair=partial(_pair_value, cols), its value at the columns cols.
+    """
+    total = 0
+    for sign, pairs in products:
+        prod = sign
+        for (a, b), fp in zip(pairs, frames):
+            prod = prod * pair(a, b, fp)
+        total = total + prod
+    return total
 
 
 # --- quadrilateral set -------------------------------------------------------
@@ -124,9 +135,10 @@ def _qs_formula(line, f1, f2, f3, pair=_pair_poly):
     value at the point columns cols.
     """
     (p1, p2, p3), (m1, m2, m3) = _qs_pairing(line)
-    f1, f2, f3 = frame_point(f1), frame_point(f2), frame_point(f3)
-    return (pair(p1, m1, f1) * pair(p2, m2, f2) * pair(p3, m3, f3)
-            - pair(p1, m2, f1) * pair(p2, m3, f2) * pair(p3, m1, f3))
+    products = ((1, ((p1, m1), (p2, m2), (p3, m3))),
+                (-1, ((p1, m2), (p2, m3), (p3, m1))))
+    return _bracket_sum(products, [frame_point(f) for f in (f1, f2, f3)],
+                        pair)
 
 
 def qs_poly(line, f1, f2, f3):
@@ -184,13 +196,7 @@ def _g34_formula(ci, frames, pair=_pair_poly):
     fps = [frame_point(f) for f in frames]
     if len(fps) != 6:
         raise ValueError("the grid polynomial takes 6 frame points")
-    total = 0
-    for sign, pairs in _g34_products(ci):
-        prod = sign
-        for (a, b), fp in zip(pairs, fps):
-            prod = prod * pair(a, b, fp)
-        total = total + prod
-    return total
+    return _bracket_sum(_g34_products(ci), fps, pair)
 
 
 def g34_poly(ci, *frames):
@@ -256,6 +262,29 @@ def g34_generators():
     return GeneratorSet("I_G34", 12, tuple(entries))
 
 
+def _minor_products(cm, rows, cols):
+    """The signed Leibniz products (sign, ((a1, b1), ..., (ak, bk))) of
+    the minor of cm on the 1-based rows and cols whose entries
+    x_{a_t} - x_{b_t} are all nonzero, in permutation order."""
+    k = len(rows)
+    out = []
+    for perm in permutations(range(k)):
+        pairs = tuple(cm.pair(rows[t], cols[perm[t]]) for t in range(k))
+        if None in pairs:
+            continue
+        inv = sum(1 for a, b in combinations(range(k), 2)
+                  if perm[a] > perm[b])
+        out.append((-1 if inv % 2 else 1, pairs))
+    return out
+
+
+def _extension(products, frames):
+    """The bracket sum of a minor's products as a Poly, also when it is
+    the int 0 (no products) or 1 (the 0 x 0 minor)."""
+    return Poly.zero() + _bracket_sum(products,
+                                      [frame_point(f) for f in frames])
+
+
 def extend_minor(cm, row_idx, col_idx, frame_tuple):
     """Extension of a minor of the symbolic collinearity matrix.
 
@@ -273,20 +302,7 @@ def extend_minor(cm, row_idx, col_idx, frame_tuple):
     if len(cols) != k or len(frames) != k:
         raise ValueError("rows, columns and frame tuple must have equal "
                          "length")
-    total = Poly.zero()
-    for perm in permutations(range(k)):
-        inv = sum(1 for a, b in combinations(range(k), 2)
-                  if perm[a] > perm[b])
-        prod = Poly.constant(-1 if inv % 2 else 1)
-        for t in range(k):
-            pair = cm.pair(rows[t], cols[perm[t]])
-            if pair is None:
-                prod = None
-                break
-            prod = prod * frame_bracket(pair[0], pair[1], frames[t])
-        if prod is not None:
-            total = total + prod
-    return total
+    return _extension(_minor_products(cm, rows, cols), frames)
 
 
 def radical_ideal_generators(c, minor_size=None):
@@ -317,8 +333,11 @@ def radical_ideal_generators(c, minor_size=None):
     if k <= nrows and k <= c.n:
         for rows in combinations(range(1, nrows + 1), k):
             for cols in combinations(range(1, c.n + 1), k):
+                products = _minor_products(cm, rows, cols)
+                if not products:
+                    continue
                 for frames in product((1, 2, 3), repeat=k):
-                    p = extend_minor(cm, rows, cols, frames)
+                    p = _extension(products, frames)
                     if p.is_zero():
                         continue
                     p = p.canonical()

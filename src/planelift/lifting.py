@@ -20,6 +20,27 @@ from .poly import Poly, var_id
 
 CONVENTIONAL_CENTER = (0, 0, 1)
 CONVENTIONAL_LINE = (0, 0, 1)
+ABSCISSA_RANGE = 65536
+FOREST_RETRY_BUDGET = 64
+
+
+def _row_pairs(triple):
+    """The nonzero entries of the collinearity row of triple i1 < i2 < i3,
+    as (column, (a, b)) for the entry x_a - x_b."""
+    i1, i2, i3 = triple
+    return ((i1, (i2, i3)), (i2, (i3, i1)), (i3, (i1, i2)))
+
+
+def _collin_rows(triples, xs, zero):
+    """Collinearity rows of the triples over any ring, with xs[p - 1]
+    standing for x_p and zero for the ring's zero."""
+    rows = []
+    for t in triples:
+        row = [zero] * len(xs)
+        for col, (a, b) in _row_pairs(t):
+            row[col - 1] = xs[a - 1] - xs[b - 1]
+        rows.append(row)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -42,14 +63,7 @@ class CollinMatrix:
     def pair(self, row, col):
         """Ordered point pair (a, b) such that the entry at 1-based
         (row, col) is x_a - x_b, or None where the entry is zero."""
-        i1, i2, i3 = self.row_triples[row - 1]
-        if col == i1:
-            return (i2, i3)
-        if col == i2:
-            return (i3, i1)
-        if col == i3:
-            return (i1, i2)
-        return None
+        return dict(_row_pairs(self.row_triples[row - 1])).get(col)
 
 
 def build_collin(c, x=None):
@@ -69,14 +83,9 @@ def build_collin(c, x=None):
             raise ValueError("duplicate abscissa: points %d and %d both "
                              "sit at %s" % (seen[v], i, v))
         seen[v] = i
-    rows = []
-    for i1, i2, i3 in triples:
-        row = [Fraction(0)] * c.n
-        row[i1 - 1] = xs[i2 - 1] - xs[i3 - 1]
-        row[i2 - 1] = -(xs[i1 - 1] - xs[i3 - 1])
-        row[i3 - 1] = xs[i1 - 1] - xs[i2 - 1]
-        rows.append(row)
-    return CollinMatrix(c, tuple(triples), xs, QMatrix(rows, cols=c.n))
+    return CollinMatrix(c, tuple(triples), xs,
+                        QMatrix(_collin_rows(triples, xs, Fraction(0)),
+                                cols=c.n))
 
 
 @dataclass(frozen=True)
@@ -141,8 +150,11 @@ def lift(c, x, attempts=32, seed=0):
     space is at most the trivial plane; otherwise tries random integer
     combinations of the kernel basis (coefficients in [-10000, 10000])
     and returns the first realising candidate, or the first degenerate
-    one if the attempt budget runs out.  Deterministic for a given seed.
+    one if the attempt budget runs out.  Deterministic for a given seed;
+    attempts must be at least 1.
     """
+    if attempts < 1:
+        raise ValueError("attempts must be at least 1, got %d" % attempts)
     cm = build_collin(c, x)
     space = lift_space(cm)
     if space.dimension <= 2:
@@ -176,7 +188,7 @@ def lift(c, x, attempts=32, seed=0):
     raise RuntimeError("kernel basis spans only the trivial plane")
 
 
-def forest_lift(c, x, retry_budget=64):
+def forest_lift(c, x):
     """Constructive realising lift of a forest configuration.
 
     Walks the lines of each component outward, assigning each line a
@@ -193,7 +205,7 @@ def forest_lift(c, x, retry_budget=64):
     if len(set(xs)) != c.n:
         raise ValueError("duplicate abscissa")
     rng = random.Random(0x1f2e3d)
-    for _ in range(retry_budget):
+    for _ in range(FOREST_RETRY_BUDGET):
         z = [None] * (c.n + 1)
         unprocessed = set(range(len(c.lines)))
         while unprocessed:
@@ -227,7 +239,7 @@ def forest_lift(c, x, retry_budget=64):
         if classify_lift(c, r) == "realising":
             return LiftResult("realising", r)
     raise RuntimeError("degenerate parameter collision: retry budget of %d "
-                       "exhausted" % retry_budget)
+                       "exhausted" % FOREST_RETRY_BUDGET)
 
 
 def epsilon_scale(l, eps):
@@ -369,9 +381,10 @@ class LiftabilityVerdict:
     components: tuple
 
 
-def random_distinct_abscissas(n, rng, low=-65536, high=65536):
+def random_distinct_abscissas(n, rng):
     while True:
-        xs = [Fraction(rng.randint(low, high)) for _ in range(n)]
+        xs = [Fraction(rng.randint(-ABSCISSA_RANGE, ABSCISSA_RANGE))
+              for _ in range(n)]
         if len(set(xs)) == n:
             return xs
 
@@ -387,10 +400,12 @@ def is_liftable_generic(c, trials=8, seed=0, assume_maximal=True,
     n_comp - 3 certifies non-liftability, and a rank within the bound
     means the component is liftable when its matroid is maximal.  With
     assume_maximal=False such components are reported inconclusive,
-    since the bound then only guarantees a non-trivial lift.  With
-    deterministic=True (n <= 12) the generic rank is computed exactly
-    over the polynomial ring instead of sampled; sampling needs
-    trials >= 1.
+    since the bound then only guarantees a non-trivial lift.  Sampling
+    needs trials >= 1.  With deterministic=True (n <= 12) the generic
+    rank is certified instead: the exact rank at one tuple drawn with
+    seed bounds it below, min(n_comp - 2, sum over lines of |L| - 2)
+    above (1 and x lie in the kernel; every height affine on L solves
+    L's rows), and when the bounds differ symbolic_collin_rank decides.
     """
     if not deterministic and trials < 1:
         raise ValueError("trials must be at least 1, got %d" % trials)
@@ -406,8 +421,12 @@ def is_liftable_generic(c, trials=8, seed=0, assume_maximal=True,
     if deterministic:
         if c.n > 12:
             raise ValueError("deterministic mode supports n <= 12 only")
+        rng = random.Random(seed)
         for ci, (comp, sub) in enumerate(active):
-            comp_rank[ci] = symbolic_collin_rank(sub)
+            low = rank(build_collin(
+                sub, random_distinct_abscissas(sub.n, rng)).numeric)
+            high = min(sub.n - 2, sum(len(line) - 2 for line in sub.lines))
+            comp_rank[ci] = low if low == high else symbolic_collin_rank(sub)
         witness = sum(comp_rank)
     else:
         for t in range(trials):
@@ -478,14 +497,6 @@ def poly_matrix_rank(a):
 
 def symbolic_collin_rank(c):
     """Exact generic rank of the collinearity matrix of c."""
-    cm = build_collin(c)
-
-    def xvar(p):
-        return Poly.variable(var_id("x", p))
-
-    a = [[Poly.zero()] * c.n for _ in cm.row_triples]
-    for ri, (i1, i2, i3) in enumerate(cm.row_triples):
-        a[ri][i1 - 1] = xvar(i2) - xvar(i3)
-        a[ri][i2 - 1] = xvar(i3) - xvar(i1)
-        a[ri][i3 - 1] = xvar(i1) - xvar(i2)
-    return poly_matrix_rank(a)
+    xs = [Poly.variable(var_id("x", p)) for p in range(1, c.n + 1)]
+    return poly_matrix_rank(_collin_rows(build_collin(c).row_triples, xs,
+                                         Poly.zero()))

@@ -6,9 +6,10 @@ contributes x_i, y_i, z_i.  Internally a variable is the integer
 variable order x_1 < y_1 < z_1 < x_2 < ... is just integer order.
 
 A monomial is a tuple of (variable, exponent) pairs sorted by variable;
-a Poly maps monomials to nonzero Fraction coefficients.  The canonical
-term order used for printing and for the sign normalisation of
-generators is graded reverse lexicographic over that variable order.
+a Poly maps monomials to nonzero exact coefficients: int, or Fraction
+where rational data enters.  The canonical term order used for printing
+and for the sign normalisation of generators is graded reverse
+lexicographic over that variable order.
 """
 
 from fractions import Fraction
@@ -50,26 +51,24 @@ def _mono_deg(m):
     return sum(e for _, e in m)
 
 
+def _order_key(m):
+    """Grevlex sort key of monomial m: keys compare as the dense grevlex
+    comparison does (higher degree wins; at equal degree the highest
+    variable whose exponents differ decides, the smaller exponent
+    winning), because a variable absent from m has exponent 0."""
+    return (_mono_deg(m), tuple((-v, -e) for v, e in reversed(m)))
+
+
 class Poly:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with exact coefficients: the int or
+    Fraction values the arithmetic produced.  Equal int and Fraction
+    values compare and hash alike, so equality does not depend on the
+    coefficient type."""
 
-    __slots__ = ("terms", "npoints")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms=None, npoints=0):
-        clean = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff:
-                    clean[mono] = coeff
-        self.terms = clean
-        n = npoints
-        for mono in clean:
-            for v, _ in mono:
-                p = var_point(v)
-                if p > n:
-                    n = p
-        self.npoints = n
+    def __init__(self, terms=None):
+        self.terms = {m: c for m, c in terms.items() if c} if terms else {}
 
     @classmethod
     def zero(cls):
@@ -77,17 +76,16 @@ class Poly:
 
     @classmethod
     def constant(cls, c):
-        c = Fraction(c)
-        return cls({(): c} if c else {})
+        return cls({(): c})
 
     @classmethod
     def variable(cls, v):
-        return cls({((v, 1),): Fraction(1)})
+        return cls({((v, 1),): 1})
 
     @classmethod
     def monomial(cls, coeff, pairs):
         mono = tuple(sorted((v, e) for v, e in pairs if e))
-        return cls({mono: Fraction(coeff)})
+        return cls({mono: coeff})
 
     def is_zero(self):
         return not self.terms
@@ -115,12 +113,12 @@ class Poly:
                 out[mono] = s
             else:
                 out.pop(mono, None)
-        return Poly(out, max(self.npoints, other.npoints))
+        return Poly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()}, self.npoints)
+        return Poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -129,11 +127,7 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            if not other:
-                return Poly.zero()
-            return Poly({m: c * other for m, c in self.terms.items()},
-                        self.npoints)
+            return Poly({m: c * other for m, c in self.terms.items()})
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -143,7 +137,7 @@ class Poly:
                     out[mono] = s
                 else:
                     out.pop(mono, None)
-        return Poly(out, max(self.npoints, other.npoints))
+        return Poly(out)
 
     __rmul__ = __mul__
 
@@ -160,27 +154,15 @@ class Poly:
                 out.add(v)
         return out
 
-    def _grevlex_keys(self):
-        vars_desc = sorted(self.support_vars(), reverse=True)
-        keys = {}
-        for mono in self.terms:
-            exps = dict(mono)
-            keys[mono] = (_mono_deg(mono),
-                          tuple(-exps.get(v, 0) for v in vars_desc))
-        return keys
-
     def terms_sorted(self):
         """Terms as (monomial, coeff) pairs, leading term first."""
-        keys = self._grevlex_keys()
-        return [(m, self.terms[m])
-                for m in sorted(self.terms, key=keys.__getitem__,
-                                reverse=True)]
+        return sorted(self.terms.items(), key=lambda t: _order_key(t[0]),
+                      reverse=True)
 
     def least_monomial(self):
         if not self.terms:
             return None
-        keys = self._grevlex_keys()
-        return min(self.terms, key=keys.__getitem__)
+        return min(self.terms, key=_order_key)
 
     def canonical(self):
         """Sign-normalised copy: the grevlex-least monomial gets a
@@ -218,35 +200,22 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
             return Poly.zero()
-        div_lead = max(divisor.terms, key=divisor._grevlex_keys().__getitem__)
+        div_lead = max(divisor.terms, key=_order_key)
         div_lead_c = divisor.terms[div_lead]
-        div_lead_exps = dict(div_lead)
         rem = self
         quot_terms = {}
         while not rem.is_zero():
-            keys = rem._grevlex_keys()
-            lead = max(rem.terms, key=keys.__getitem__)
+            lead = max(rem.terms, key=_order_key)
             exps = dict(lead)
-            qm = {}
-            ok = True
-            for v, e in div_lead_exps.items():
-                d = exps.get(v, 0) - e
-                if d < 0:
-                    ok = False
-                    break
-                if d:
-                    qm[v] = d
-            if ok:
-                for v, e in exps.items():
-                    if v not in div_lead_exps and e:
-                        qm[v] = e
-            if not ok:
-                raise ArithmeticError("inexact polynomial division")
-            qmono = tuple(sorted(qm.items()))
-            qc = rem.terms[lead] / div_lead_c
+            for v, e in div_lead:
+                exps[v] = exps.get(v, 0) - e
+                if exps[v] < 0:
+                    raise ArithmeticError("inexact polynomial division")
+            qmono = tuple((v, e) for v, e in sorted(exps.items()) if e)
+            qc = Fraction(rem.terms[lead]) / div_lead_c
             quot_terms[qmono] = quot_terms.get(qmono, 0) + qc
             rem = rem - Poly({qmono: qc}) * divisor
-        return Poly(quot_terms, max(self.npoints, divisor.npoints))
+        return Poly(quot_terms)
 
     def __floordiv__(self, other):
         """Exact quotient, so that fraction-free elimination runs over
@@ -260,56 +229,41 @@ class Poly:
 
 
 def bracket(i, j, k):
-    """The 3x3 determinant of the coordinate columns of points i, j, k."""
-    terms = {}
-    cols = (i, j, k)
-    # Leibniz expansion over the 6 permutations of rows x, y, z.
-    for (a, b, c), sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                            ((0, 2, 1), -1), ((2, 1, 0), -1),
-                            ((1, 0, 2), -1)):
-        mono = _mono_mul(_mono_mul(((3 * (cols[0] - 1) + a, 1),),
-                                   ((3 * (cols[1] - 1) + b, 1),)),
-                         ((3 * (cols[2] - 1) + c, 1),))
-        s = terms.get(mono, 0) + sign
-        if s:
-            terms[mono] = s
-        else:
-            terms.pop(mono, None)
-    return Poly(terms)
+    """The 3x3 determinant of the coordinate columns of points i, j, k,
+    expanded along the column of k by point_bracket."""
+    return point_bracket(i, j, [Poly.variable(3 * (k - 1) + off)
+                                for off in range(3)])
+
+
+# [i j R_f] is the cofactor u_i w_j - u_j w_i of the unit column R_f,
+# where (u, w) are the coordinate offsets FRAME_COFACTORS[f].
+FRAME_COFACTORS = {1: (1, 2), 2: (2, 0), 3: (0, 1)}
 
 
 def frame_bracket(i, j, f):
     """[i j R_f]: bracket of points i, j and the f-th standard frame point.
 
     f = 1 gives y_i z_j - y_j z_i, f = 2 gives x_j z_i - x_i z_j and
-    f = 3 gives x_i y_j - x_j y_i (the cofactors of the unit column).
+    f = 3 gives x_i y_j - x_j y_i.
     """
-    if f == 1:
-        a, b = var_id("y", i), var_id("z", j)
-        c, d = var_id("y", j), var_id("z", i)
-    elif f == 2:
-        a, b = var_id("x", j), var_id("z", i)
-        c, d = var_id("x", i), var_id("z", j)
-    elif f == 3:
-        a, b = var_id("x", i), var_id("y", j)
-        c, d = var_id("x", j), var_id("y", i)
-    else:
+    if f not in FRAME_COFACTORS:
         raise ValueError("frame index must be 1, 2 or 3")
-    return (Poly.monomial(1, [(a, 1), (b, 1)])
-            - Poly.monomial(1, [(c, 1), (d, 1)]))
+    u, w = FRAME_COFACTORS[f]
+    return (Poly.monomial(1, [(3 * (i - 1) + u, 1), (3 * (j - 1) + w, 1)])
+            - Poly.monomial(1, [(3 * (j - 1) + u, 1), (3 * (i - 1) + w, 1)]))
 
 
 def point_bracket(i, j, vec):
-    """Bracket of points i, j and an explicit column vector.
+    """Bracket of points i, j and a column vector, whose entries may be
+    numbers or polynomials.
 
     By multilinearity this is the frame-bracket combination
     vec_1*[i j R_1] + vec_2*[i j R_2] + vec_3*[i j R_3].
     """
     out = Poly.zero()
     for f in (1, 2, 3):
-        c = Fraction(vec[f - 1])
-        if c:
-            out = out + frame_bracket(i, j, f) * c
+        if vec[f - 1]:
+            out = out + frame_bracket(i, j, f) * vec[f - 1]
     return out
 
 
@@ -337,9 +291,13 @@ class MultiDeg:
 def multidegree(p, npoints=None):
     """MultiDeg shared by all terms, or None if p is not multihomogeneous.
 
-    The zero polynomial is multihomogeneous of degree zero.
+    The point multidegree has npoints entries, by default as many as
+    the largest point index among p's variables.  The zero polynomial
+    is multihomogeneous of degree zero.
     """
-    n = npoints if npoints is not None else p.npoints
+    n = npoints
+    if n is None:
+        n = max(map(var_point, p.support_vars()), default=0)
     if not p.terms:
         return MultiDeg((0, 0, 0), (0,) * n)
     found = None

@@ -24,7 +24,10 @@ from .poly import assignment_from_columns
 def _trial_rng(seed, t):
     return random.Random(seed * 1000003 + t)
 
-DEFAULT_COEFF_RANGE = 65536
+# Bounds on random integer coordinates: of sampled points and lines, and
+# of projection centres and target lines.
+COEFF_RANGE = 65536
+PROJECTION_RANGE = 256
 RETRY_BUDGET = 64
 
 
@@ -50,7 +53,7 @@ def _meet(l1, l2):
     return w
 
 
-def sample_quadset(rng, bound=DEFAULT_COEFF_RANGE):
+def sample_quadset(rng):
     """Four random lines in general position and their six intersection
     points, labelled so that the configuration is exactly qs_config().
 
@@ -59,7 +62,7 @@ def sample_quadset(rng, bound=DEFAULT_COEFF_RANGE):
     lines 123, 156, 246 and 345.
     """
     for _ in range(RETRY_BUDGET):
-        a, b, c, d = (_rand_line(rng, bound) for _ in range(4))
+        a, b, c, d = (_rand_line(rng, COEFF_RANGE) for _ in range(4))
         pts = [_meet(a, b), _meet(a, c), _meet(a, d),
                _meet(c, d), _meet(b, d), _meet(b, c)]
         if any(p is None for p in pts):
@@ -80,7 +83,7 @@ def _same_config(r, target):
     return found.n == target.n and set(found.lines) == set(target.lines)
 
 
-def sample_grid(rng, rows=3, cols=4, bound=DEFAULT_COEFF_RANGE):
+def sample_grid(rng, rows=3, cols=4):
     """Two pencils of concurrent lines and their grid of intersections.
 
     One pencil of `cols` lines through a random apex plays the columns,
@@ -89,13 +92,13 @@ def sample_grid(rng, rows=3, cols=4, bound=DEFAULT_COEFF_RANGE):
     """
     target = grid_config(rows, cols)
     for _ in range(RETRY_BUDGET):
-        apex_c = _rand_vec(rng, bound)
-        apex_r = _rand_vec(rng, bound)
+        apex_c = _rand_vec(rng, COEFF_RANGE)
+        apex_r = _rand_vec(rng, COEFF_RANGE)
         if all(v == 0 for v in apex_c) or all(v == 0 for v in apex_r):
             continue
-        col_lines = [cross(apex_c, _rand_vec(rng, bound))
+        col_lines = [cross(apex_c, _rand_vec(rng, COEFF_RANGE))
                      for _ in range(cols)]
-        row_lines = [cross(apex_r, _rand_vec(rng, bound))
+        row_lines = [cross(apex_r, _rand_vec(rng, COEFF_RANGE))
                      for _ in range(rows)]
         if any(all(v == 0 for v in l) for l in col_lines + row_lines):
             continue
@@ -118,23 +121,23 @@ def sample_grid(rng, rows=3, cols=4, bound=DEFAULT_COEFF_RANGE):
     raise SampleError("retry budget exhausted sampling a grid")
 
 
-def sample_forest(rng, config, bound=DEFAULT_COEFF_RANGE):
+def sample_forest(rng, config):
     """Realise a forest configuration at random distinct abscissas."""
-    xs = random_distinct_abscissas(config.n, rng, -bound, bound)
+    xs = random_distinct_abscissas(config.n, rng)
     return forest_lift(config, xs).realisation
 
 
-def sample_collinear(rng, n, bound=DEFAULT_COEFF_RANGE):
+def sample_collinear(rng, n):
     """n distinct points on a random line, in full homogeneous
     coordinates (generically no zero coordinates)."""
     for _ in range(RETRY_BUDGET):
-        a = _rand_vec(rng, bound)
-        b = _rand_vec(rng, bound)
+        a = _rand_vec(rng, COEFF_RANGE)
+        b = _rand_vec(rng, COEFF_RANGE)
         if all(v == 0 for v in cross(a, b)):
             continue
         params = set()
         while len(params) < n:
-            params.add(rng.randint(-bound, bound))
+            params.add(rng.randint(-COEFF_RANGE, COEFF_RANGE))
         pts = [tuple(Fraction(t) * u + v for u, v in zip(a, b))
                for t in sorted(params)]
         if any(all(v == 0 for v in p) for p in pts):
@@ -179,15 +182,15 @@ class ProbeReport:
 _FRAMES = (1, 2, 3)
 
 
-def _line_points(rng, n, bound=DEFAULT_COEFF_RANGE):
+def _line_points(rng, n):
     """Embed n random distinct abscissas on a random generic line,
     returning (abscissas, full homogeneous columns)."""
     for _ in range(RETRY_BUDGET):
-        a = _rand_vec(rng, bound)
-        b = _rand_vec(rng, bound)
+        a = _rand_vec(rng, COEFF_RANGE)
+        b = _rand_vec(rng, COEFF_RANGE)
         if all(v == 0 for v in cross(a, b)):
             continue
-        xs = random_distinct_abscissas(n, rng, -bound, bound)
+        xs = random_distinct_abscissas(n, rng)
         pts = [tuple(x * u + v for u, v in zip(a, b)) for x in xs]
         if any(all(v == 0 for v in p) for p in pts):
             continue
@@ -197,12 +200,12 @@ def _line_points(rng, n, bound=DEFAULT_COEFF_RANGE):
     raise SampleError("retry budget exhausted embedding points on a line")
 
 
-def _project_generic(r, rng, bound=256):
+def _project_generic(r, rng):
     """Project r from a random center onto a random generic line,
     rejecting draws with coincident images or chart accidents."""
     for _ in range(RETRY_BUDGET):
-        ln = _rand_line(rng, bound)
-        cen = _rand_vec(rng, bound)
+        ln = _rand_line(rng, PROJECTION_RANGE)
+        cen = _rand_vec(rng, PROJECTION_RANGE)
         try:
             res = project(r, cen, ln)
         except ValueError:

@@ -153,7 +153,7 @@ def test_lift_accepts_bare_list_and_config_file(tmp_path, capsys):
     cfg.write_text(json.dumps(config_to_dict(grid_config(3, 3))))
     absf = tmp_path / "xs.json"
     rng = random.Random(29)
-    xs = random_distinct_abscissas(9, rng, -50, 50)
+    xs = rng.sample(range(-50, 51), 9)
     absf.write_text(json.dumps([format_rat(x) for x in xs]))
     code, out, _ = run_cli(capsys, "lift", str(cfg), str(absf))
     assert code == 0
@@ -210,7 +210,12 @@ def test_usage_errors_exit_64(capsys):
                  ["check", "qs", "--trials", "-3"],
                  ["check", "qs", "--trials", "two"],
                  ["verify", "tfae-qs", "--trials", "0"],
-                 ["verify", "decomp-qs", "--trials", "-3"]):
+                 ["verify", "decomp-qs", "--trials", "-3"],
+                 ["lift", "qs", "xs.json", "--attempts", "0"],
+                 ["qs-lift", "-4", "-3", "-2", "1", "0", "-1",
+                  "--attempts", "-5"],
+                 ["grid-lift"] + ["%d" % i for i in range(12)]
+                 + ["--attempts", "two"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 64

@@ -40,6 +40,13 @@ GOLDEN = (
      "0f547212c5550e94f499d2b23521bc7ae167f10f057ee8f538133852e365cc7b"),
     ("check qs --deterministic", 2,
      "da91c1db21fcb9a30bc26d7dcc66a97b65d932d8826abc9f81a30f242dd991f4"),
+    ("check forest_two_lines --deterministic", 0,
+     "ed7344d50fc1b12f52da7ca1b7ba55f856599e78045179d8ad53f95a14f5c917"),
+    ("check forest_single_line --deterministic", 0,
+     "a1bf0ae13e26ea344eceae3f241877bfeaf910c762cccd98e0668b5661845519"),
+    # The same bytes as `check grid3x4`: the deterministic rank is exact.
+    ("check grid3x4 --deterministic", 2,
+     "4a628d7c46f08cf6e07fbcc7c8d1bb983de1831e32d7c37097d2f50fd0826688"),
     ("qs-check 0 1 2 3 4 5", 2,
      "ba2606c405481bc14c9dcc7d582de5d36fc997207416531666d74bce0067376f"),
     ("qs-check " + QS_LIFTABLE, 0,
@@ -70,6 +77,13 @@ GOLDEN = (
      "83fd9df82f9e24732f67813d64d7cc74a39a0abc0a99fd89c809b7a8db6ad2f0"),
     ("gens radical:qs --minor-size 3 --format json", 0,
      "d25c8cc33458ee1621be9b1a5f0235783c87a5c4ce9e4d57bcf717bdfc1c60f0"),
+    ("gens radical:qs --minor-size 2 --format cas", 0,
+     "82395e6d30776cfbde8313f52002fa5a2d45ccfb7f4d810799406f756f68e7be"),
+    # Pins the generator labels, which follow the bundled line order.
+    ("gens radical:grid3x3 --minor-size 2", 0,
+     "d660f1f04516a05df66398875604e6a2798de005f78b0b942d7f54f686b77372"),
+    ("gens radical:forest_two_lines --minor-size 2", 0,
+     "a8a799f7f2fb8fa0cd94f795fdb493067822959515602ec47e7bb2e690f99caa"),
     ("verify tfae-qs --trials 2", 0,
      "822b1c6237b6bc9229657b63485ee0204ad3f34f49c387526f0290281968f44a"),
     ("verify decomp-qs --trials 1", 0,

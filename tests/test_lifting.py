@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from planelift import lifting
 from planelift.config import (Config, Realisation, bundled_config,
                               grid_config, qs_config)
 from planelift.lifting import (apply_projectivity, build_collin,
@@ -177,6 +178,12 @@ def test_lift_special_tuple_is_degenerate():
     assert res.kind == "degenerate"
 
 
+def test_lift_needs_attempts():
+    for attempts in (0, -5):
+        with pytest.raises(ValueError):
+            lift(qs_config(), [-4, -3, -2, 1, 0, -1], attempts=attempts)
+
+
 def test_forest_lift_round_trip():
     rng = random.Random(13)
     for name in ("forest_single_line", "forest_two_lines", "forest_path10"):
@@ -327,6 +334,24 @@ def test_liftable_deterministic_mode():
         assert exact.deterministic and exact.trials == 0
     with pytest.raises(ValueError):
         is_liftable_generic(Config(13, ((1, 2, 3),)), deterministic=True)
+
+
+def test_deterministic_rank_below_the_structural_bound(monkeypatch):
+    # The Fano plane plus the two-point line (1, 8): n - 2 = 6 bounds
+    # the rank, but the generic rank is 5, so the sampled rank cannot
+    # certify it and the symbolic rank decides.  On the 3x4 grid the
+    # sampled rank meets the bound and no symbolic rank is computed.
+    calls = []
+    monkeypatch.setattr(lifting, "symbolic_collin_rank",
+                        lambda c: calls.append(c) or symbolic_collin_rank(c))
+    fano = ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7),
+            (3, 4, 7), (3, 5, 6))
+    c = Config(8, fano + ((1, 8),))
+    assert is_liftable_generic(c, deterministic=True).witness_rank == 5
+    assert calls == [c]
+    v = is_liftable_generic(grid_config(3, 4), deterministic=True)
+    assert v.witness_rank == 10 and v.verdict == "not-liftable"
+    assert calls == [c]
 
 
 def test_liftable_needs_trials():

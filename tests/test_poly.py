@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import leibniz_det, rand_fraction, rand_poly
 from planelift.linalg import format_rat
-from planelift.poly import (MultiDeg, Poly, assignment_from_columns, bracket,
-                            frame_bracket, multidegree,
-                            point_bracket, poly_to_json_terms, poly_to_plain,
-                            var_id, var_letter, var_name, var_point)
+from planelift.poly import (MultiDeg, Poly, _order_key,
+                            assignment_from_columns, bracket, frame_bracket,
+                            multidegree, point_bracket, poly_to_json_terms,
+                            poly_to_plain, var_id, var_letter, var_name,
+                            var_point)
 
 BRACKET_123_PLAIN = ("-z_1*y_2*x_3 + y_1*z_2*x_3 + z_1*x_2*y_3"
                      " - x_1*z_2*y_3 - y_1*x_2*z_3 + x_1*y_2*z_3")
@@ -44,7 +45,6 @@ def test_constructors():
     # monomial sorts its pairs and drops zero exponents
     q = Poly.monomial(3, [(7, 2), (1, 0), (4, 1)])
     assert q.terms == {((4, 1), (7, 2)): Fraction(3)}
-    assert q.npoints == 3
     assert q.total_degree() == 3
 
 
@@ -185,6 +185,73 @@ def test_exact_div_round_trip():
         assert (p * q) // q == p
         assert (p * 3) // 3 == p
         done += 1
+
+
+def test_exact_div_keeps_coefficients_exact():
+    x1 = Poly.variable(var_id("x", 1))
+    y2 = Poly.variable(var_id("y", 2))
+    p = 6 * x1 * x1 - 4 * x1 * y2
+    q = p.exact_div(2 * x1)
+    assert q == 3 * x1 - 2 * y2
+    assert all(isinstance(c, (int, Fraction)) for c in q.terms.values())
+    assert (p // 4).terms[((var_id("x", 1), 2),)] == Fraction(3, 2)
+    assert isinstance((p // 4).terms[((var_id("x", 1), 2),)], Fraction)
+
+
+def test_int_and_fraction_coefficients_are_interchangeable():
+    b = bracket(1, 2, 3)
+    assert all(type(c) is int for c in b.terms.values())
+    f = Poly({m: Fraction(c) for m, c in b.terms.items()})
+    assert f == b and hash(f) == hash(b)
+    assert len({b, f}) == 1
+    assert f.canonical() == b.canonical()
+    assert poly_to_plain(f) == poly_to_plain(b)
+    assert Poly.constant(Fraction(4, 2)) == Poly.constant(2) == 2
+    assert hash(Poly.constant(Fraction(4, 2))) == hash(Poly.constant(2))
+
+
+def _dense_grevlex_cmp(a, b, nvars):
+    """-1, 0 or 1 as monomial a is below, equal to or above b in the
+    dense-exponent graded reverse lexicographic comparison."""
+    ea, eb = dict(a), dict(b)
+    da, db = sum(ea.values()), sum(eb.values())
+    if da != db:
+        return -1 if da < db else 1
+    for v in reversed(range(nvars)):
+        if ea.get(v, 0) != eb.get(v, 0):
+            return -1 if ea.get(v, 0) > eb.get(v, 0) else 1
+    return 0
+
+
+def test_order_key_matches_dense_grevlex():
+    rng = random.Random(41)
+    nvars = 12
+
+    def rand_mono(support, degree):
+        exps = dict.fromkeys(support, 1)
+        for _ in range(degree - len(support)):
+            v = rng.choice(support)
+            exps[v] += 1
+        return tuple(sorted(exps.items()))
+
+    cases = 0
+    for _ in range(4000):
+        da = rng.randint(0, 6)
+        db = da if rng.random() < 0.7 else rng.randint(0, 6)
+        a = rand_mono(rng.sample(range(nvars), rng.randint(min(1, da),
+                                                          min(da, 4))), da)
+        if rng.random() < 0.2:
+            b = a
+        else:
+            b = rand_mono(rng.sample(range(nvars), rng.randint(min(1, db),
+                                                              min(db, 4))), db)
+        ka, kb = _order_key(a), _order_key(b)
+        assert ((ka > kb) - (ka < kb)) == _dense_grevlex_cmp(a, b, nvars), \
+            (a, b)
+        if da == db and set(dict(a)) != set(dict(b)):
+            cases += 1
+    # pairs of equal degree and different supports were exercised
+    assert cases > 1000
 
 
 def test_exact_div_errors():

@@ -73,11 +73,11 @@ def test_sample_forest_realises():
 
 def test_samplers_give_up_on_degenerate_randomness():
     with pytest.raises(SampleError):
-        sample_quadset(ConstantRandom(), bound=3)
+        sample_quadset(ConstantRandom())
     with pytest.raises(SampleError):
-        sample_grid(ConstantRandom(), bound=3)
+        sample_grid(ConstantRandom())
     with pytest.raises(SampleError):
-        sample_collinear(ConstantRandom(), 4, bound=3)
+        sample_collinear(ConstantRandom(), 4)
 
 
 def test_membership_detects_swapped_points():

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import QMatrix, det3, format_rat, parse_rat
+from .linalg import QMatrix, _int_rows, cross, det3, format_rat, parse_rat
 
 
 @dataclass(frozen=True)
@@ -117,16 +117,14 @@ def membership(r, m):
     in_v0: every triple is dependent (all points on one line), which
     for a 3 x n matrix is the same as rank at most 2.
     realises: circuits dependent and every other triple independent.
+    The brackets are multihomogeneous, so they are taken on r.int_columns().
     """
     if r.n != m.n:
         raise ValueError("realisation has %d points, matroid %d"
                          % (r.n, m.n))
-    cols = r.columns()
-    in_cv = True
-    in_v0 = True
-    realises = True
-    violated_circuit = None
-    violated_independence = None
+    cols = r.int_columns()
+    in_cv = in_v0 = realises = True
+    violated_circuit = violated_independence = None
     for t in combinations(range(1, m.n + 1), 3):
         d = det3(cols[t[0] - 1], cols[t[1] - 1], cols[t[2] - 1])
         if d != 0:
@@ -176,6 +174,12 @@ class Realisation:
 
     def columns(self):
         return [self.column(i) for i in range(1, self.n + 1)]
+
+    def int_columns(self):
+        """Columns, each scaled to integers by the lcm of its
+        denominators; a multihomogeneous polynomial, such as a bracket,
+        vanishes on these exactly when it vanishes on the columns."""
+        return _int_rows(self.columns())[0]
 
     def __eq__(self, other):
         return isinstance(other, Realisation) and self.matrix == other.matrix
@@ -230,22 +234,32 @@ def simplify(r):
     return loops, tuple(tuple(cl) for cl in classes), simple, index_map
 
 
+def _non_simple(cols):
+    """Why integer columns are not simple: the first zero column or the
+    first projectively equal pair (zero cross product), or None."""
+    for i, col in enumerate(cols, start=1):
+        if not any(col):
+            return "point %d is a loop" % i
+    for (i, u), (j, v) in combinations(enumerate(cols, start=1), 2):
+        if not any(cross(u, v)):
+            return "points %d and %d coincide" % (i, j)
+    return None
+
+
 def config_of_realisation(r):
     """Configuration whose lines are the maximal collinear sets of size
     at least 3 among the columns of r.
 
     Requires a simple realisation: raises ValueError on zero or
-    projectively-equal columns (run simplify first).
+    projectively-equal columns (run simplify first).  All zero tests
+    run on r.int_columns(), which is valid because brackets and cross
+    products are multihomogeneous in the columns.
     """
-    cols = r.columns()
+    cols = r.int_columns()
     n = len(cols)
-    for i, col in enumerate(cols, start=1):
-        if all(x == 0 for x in col):
-            raise ValueError("non-simple input: point %d is a loop" % i)
-    for i, j in combinations(range(1, n + 1), 2):
-        if projectively_equal(cols[i - 1], cols[j - 1]):
-            raise ValueError("non-simple input: points %d and %d coincide"
-                             % (i, j))
+    why = _non_simple(cols)
+    if why:
+        raise ValueError("non-simple input: " + why)
     lines = set()
     for i, j in combinations(range(1, n + 1), 2):
         flat = [k for k in range(1, n + 1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .config import (Realisation, _proj_key, analyze, circuits,
+from .config import (Realisation, _non_simple, analyze, circuits,
                      components, delete_line, induced, membership)
 from .linalg import QMatrix, bareiss, cross, det, matvec, nullspace, rank
 from .poly import Poly, var_id
@@ -128,12 +128,10 @@ def classify_lift(c, r):
     no column vanishes and no two columns coincide projectively.  A
     configuration whose every triple is collinear is realised by
     collinear points, so the realising answer takes precedence over the
-    trivial one.  Trivial means all lifted points are collinear.
+    trivial one.  Trivial means all lifted points are collinear.  The
+    zero tests run on r.int_columns(), as brackets are multihomogeneous.
     """
-    cols = r.columns()
-    if any(all(v == 0 for v in col) for col in cols):
-        return "degenerate"
-    if len({_proj_key(col) for col in cols}) < len(cols):
+    if _non_simple(r.int_columns()):
         return "degenerate"
     rep = membership(r, circuits(c))
     if rep.realises:

@@ -293,10 +293,9 @@ def matvec(a, v):
 
 
 def cross(u, v):
-    """Cross product of two 3-vectors; also the line through two points
-    of the projective plane (and dually the intersection of two lines)."""
-    u = [Fraction(x) for x in u]
-    v = [Fraction(x) for x in v]
+    """Cross product of two 3-vectors, in the ring of their entries;
+    also the line through two points of the projective plane (and
+    dually the intersection of two lines)."""
     return [u[1] * v[2] - u[2] * v[1],
             u[2] * v[0] - u[0] * v[2],
             u[0] * v[1] - u[1] * v[0]]

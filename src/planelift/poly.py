@@ -174,18 +174,20 @@ class Poly:
         return -self
 
     def evaluate(self, assignment):
-        """Exact value at a {variable id: Fraction} assignment.
+        """Exact value at a {variable id: int or Fraction} assignment.
 
-        Every variable in the support must be assigned.
+        The value stays in the ring of the coefficients and the values:
+        an integer polynomial at integers gives an int.  Every variable
+        in the support must be assigned.
         """
-        total = Fraction(0)
+        total = 0
         for mono, coeff in self.terms.items():
             val = coeff
             for v, e in mono:
                 if v not in assignment:
                     raise ValueError("no value for variable %s"
                                      % var_name(v))
-                val *= Fraction(assignment[v]) ** e
+                val *= assignment[v] ** e
             total += val
         return total
 
@@ -363,10 +365,11 @@ def poly_to_json_terms(p):
 
 
 def assignment_from_columns(columns):
-    """Assignment mapping the variables of points 1..n to the given
-    3-vector columns."""
+    """Assignment {variable id: entry} mapping the variables of points
+    1..n to the entries of the given 3-vector columns, kept as given
+    (int columns give an integer assignment)."""
     assign = {}
     for idx, col in enumerate(columns, start=1):
         for off in range(3):
-            assign[3 * (idx - 1) + off] = Fraction(col[off])
+            assign[3 * (idx - 1) + off] = col[off]
     return assign

@@ -184,7 +184,7 @@ _FRAMES = (1, 2, 3)
 
 def _line_points(rng, n):
     """Embed n random distinct abscissas on a random generic line,
-    returning (abscissas, full homogeneous columns)."""
+    returning (abscissas, full homogeneous integer columns)."""
     for _ in range(RETRY_BUDGET):
         a = _rand_vec(rng, COEFF_RANGE)
         b = _rand_vec(rng, COEFF_RANGE)
@@ -196,7 +196,7 @@ def _line_points(rng, n):
             continue
         keys = {_proj_key(p) for p in pts}
         if len(keys) == n:
-            return xs, pts
+            return xs, Realisation.from_columns(pts).int_columns()
     raise SampleError("retry budget exhausted embedding points on a line")
 
 
@@ -248,7 +248,8 @@ def probe_tfae_qs(trials, seed):
         cm = build_collin(conf, xs)
         report.check(rank(cm.numeric) <= 3, "trial %d rank" % t,
                      "rank(Lambda_QS) > 3 at projected abscissas")
-        image = [res.chart.to_point(x) for x in xs]
+        image = Realisation.from_columns(
+            [res.chart.to_point(x) for x in xs]).int_columns()
         zeros = sum(1 for line in QS_LINES for f in _FRAME_TRIPLES
                     if qs_value(image, line, *f) == 0)
         report.check(zeros == 108, "trial %d vanishing" % t,
@@ -303,7 +304,8 @@ def probe_tfae_grid(trials, seed, minors_on_first_trial=True):
                          "trial 0 ten-minors",
                          "%d minors, allzero=%s" % (count, allzero))
             report.bump("ten-minors-enumerated", count)
-        image = [res.chart.to_point(x) for x in xs]
+        image = Realisation.from_columns(
+            [res.chart.to_point(x) for x in xs]).int_columns()
         zeros = 0
         checked = 0
         for ci in (1, 2, 3, 4):
@@ -336,7 +338,10 @@ def probe_tfae_grid(trials, seed, minors_on_first_trial=True):
 
 
 def _all_generators_vanish(gens, r):
-    assignment = assignment_from_columns(r.columns())
+    """(True, None), or (False, label of the first generator that does
+    not vanish at r); the generators are multihomogeneous, so
+    r.int_columns() gives the same answer as r's own columns."""
+    assignment = assignment_from_columns(r.int_columns())
     for e in gens.entries:
         if e.poly.evaluate(assignment) != 0:
             return False, e.label

@@ -6,8 +6,9 @@ between the two is meaningful.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
+from planelift.config import Config, MembershipReport
 from planelift.poly import Poly, var_id
 
 
@@ -101,3 +102,100 @@ def golden_poly(terms):
         mono = tuple((var_id(letter, point), 1) for letter, point in vs)
         p = p + Poly.monomial(Fraction(coeff), mono)
     return p
+
+
+# --- Fraction oracles for the projective zero tests --------------------------
+#
+# The package runs these tests on integer-scaled columns.  The oracles
+# below take the columns exactly as given, as Fractions, and decide
+# dependence with leibniz_det and coincidence with gauss_rank.
+
+
+def frac_dependent(*cols):
+    """True when the Fraction 3-vectors cols (two or three of them) are
+    linearly dependent."""
+    if len(cols) == 3:
+        return leibniz_det([[Fraction(c[i]) for c in cols]
+                            for i in range(3)]) == 0
+    return gauss_rank(cols) < len(cols)
+
+
+def frac_membership(cols, m):
+    """MembershipReport of the columns against the Rank3Matroid m."""
+    in_cv = in_v0 = realises = True
+    circuit = independence = None
+    for t in combinations(range(1, m.n + 1), 3):
+        dep = frac_dependent(*(cols[i - 1] for i in t))
+        in_v0 = in_v0 and dep
+        if m.is_circuit_triple(t) and not dep:
+            in_cv = realises = False
+            circuit = circuit or t
+        elif not m.is_circuit_triple(t) and dep:
+            realises = False
+            independence = independence or t
+    return MembershipReport(in_cv, in_v0, realises, circuit, independence)
+
+
+def frac_non_simple(cols):
+    """Message naming the first zero column or coincident pair, or None."""
+    for i, col in enumerate(cols, start=1):
+        if all(Fraction(x) == 0 for x in col):
+            return "point %d is a loop" % i
+    for (i, u), (j, v) in combinations(enumerate(cols, start=1), 2):
+        if frac_dependent(u, v):
+            return "points %d and %d coincide" % (i, j)
+    return None
+
+
+def frac_config_of_realisation(cols):
+    """Config of the maximal collinear sets of size >= 3; raises
+    ValueError on non-simple columns, with the package's message."""
+    why = frac_non_simple(cols)
+    if why:
+        raise ValueError("non-simple input: " + why)
+    n = len(cols)
+    lines = set()
+    for i, j in combinations(range(n), 2):
+        flat = tuple(k + 1 for k in range(n) if k in (i, j)
+                     or frac_dependent(cols[i], cols[j], cols[k]))
+        if len(flat) >= 3:
+            lines.add(flat)
+    return Config(n, tuple(sorted(lines)))
+
+
+def frac_classify_lift(c, cols):
+    """'realising', 'trivial' or 'degenerate', as classify_lift."""
+    if frac_non_simple(cols):
+        return "degenerate"
+    circuits3 = {t for line in c.lines for t in combinations(line, 3)}
+    realising = trivial = True
+    for t in combinations(range(1, c.n + 1), 3):
+        dep = frac_dependent(*(cols[i - 1] for i in t))
+        trivial = trivial and dep
+        realising = realising and dep == (t in circuits3)
+    if realising:
+        return "realising"
+    return "trivial" if trivial else "degenerate"
+
+
+def frac_evaluate(p, assignment):
+    """Value of the Poly p with every coefficient and value taken as a
+    Fraction."""
+    total = Fraction(0)
+    for mono, coeff in p.terms.items():
+        val = Fraction(coeff)
+        for v, e in mono:
+            val *= Fraction(assignment[v]) ** e
+        total += val
+    return total
+
+
+def frac_generators_vanish(gens, cols):
+    """(True, None), or (False, label of the first generator that does
+    not vanish at the columns)."""
+    assignment = {3 * i + off: Fraction(col[off])
+                  for i, col in enumerate(cols) for off in range(3)}
+    for e in gens.entries:
+        if frac_evaluate(e.poly, assignment) != 0:
+            return False, e.label
+    return True, None

@@ -1,16 +1,30 @@
 import json
+import os
 import random
 import subprocess
 import sys
 
 import pytest
 
+import planelift
 from planelift.cli import main
 from planelift.config import config_to_dict, grid_config
 from planelift.lifting import random_distinct_abscissas
 from planelift.linalg import format_rat
 from planelift.probes import _project_generic, _trial_rng, sample_grid, \
     sample_quadset
+
+
+def subprocess_env():
+    """The environment with PYTHONPATH led by the directory planelift
+    was imported from, so that `python -m planelift` in a child process
+    finds the same package (pytest's own pythonpath setting does not
+    reach child processes)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        planelift.__file__)))
+    rest = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=src + (os.pathsep + rest if rest else ""))
 
 
 def run_cli(capsys, *argv):
@@ -293,7 +307,8 @@ def test_table1(capsys):
 
 def test_module_entrypoint():
     proc = subprocess.run([sys.executable, "-m", "planelift", "table1"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=subprocess_env())
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[-1] == "17/17 rewriting identities hold"
 
@@ -303,7 +318,8 @@ def test_gens_survives_broken_pipe():
     script = ("%s -m planelift gens grid34 | head -1; exit ${PIPESTATUS[0]}"
               % sys.executable)
     proc = subprocess.run(["bash", "-c", script],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=subprocess_env())
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "# I_G34: 44 generators"
     assert proc.stderr == ""

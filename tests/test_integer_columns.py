@@ -1,0 +1,156 @@
+"""The projective zero tests run on integer-scaled columns; each must
+agree with a Fraction oracle that takes the columns as given."""
+
+import random
+import re
+from fractions import Fraction
+
+import pytest
+
+from helpers import (BIG, frac_classify_lift, frac_config_of_realisation,
+                     frac_generators_vanish, frac_membership, rand_fraction)
+from planelift.config import (Config, Realisation, circuits,
+                              config_of_realisation, grid_config, membership,
+                              qs_config)
+from planelift.ideals import g34_generators, qs_generators
+from planelift.lifting import classify_lift, epsilon_scale, lift
+from planelift.probes import (_all_generators_vanish, _project_generic,
+                              sample_collinear, sample_grid, sample_quadset)
+
+
+def _scaled(cols, rng, bound):
+    """Each column times its own random nonzero rational with numerator
+    and denominator up to bound."""
+    out = []
+    for col in cols:
+        lam = Fraction(rng.choice((-1, 1)) * rng.randint(1, bound),
+                       rng.randint(1, bound))
+        out.append(tuple(lam * x for x in col))
+    return out
+
+
+def _epsilon_lift(conf, r, rng):
+    """An epsilon-scaled lift of a generic projection of r (realising,
+    as test_cases_reach_every_outcome checks)."""
+    res = _project_generic(r, rng)
+    lifted = lift(conf, res.abscissas, seed=1)
+    return epsilon_scale(lifted, Fraction(1, 1000)).realisation.columns()
+
+
+def _cases():
+    """(name, columns, reference configuration) triples covering random
+    rational columns, 300-bit entries, rational column scales, zero and
+    coincident columns, and epsilon-scaled lifts."""
+    rng = random.Random(2024)
+    qs, g33, g34 = qs_config(), grid_config(3, 3), grid_config(3, 4)
+    out = []
+    for k in range(3):
+        quad = sample_quadset(rng).columns()
+        out.append(("quadset %d" % k, _scaled(quad, rng, 97), qs))
+        out.append(("quadset big %d" % k, _scaled(quad, rng, BIG), qs))
+        swapped = [quad[3]] + quad[1:3] + [quad[0]] + quad[4:]
+        out.append(("swapped %d" % k, _scaled(swapped, rng, 97), qs))
+        zero = quad[:2] + [(0, 0, 0)] + quad[3:]
+        out.append(("zero column %d" % k, _scaled(zero, rng, 97), qs))
+        twin = quad[:4] + [tuple(Fraction(-3, 7) * x for x in quad[1])] \
+            + quad[5:]
+        out.append(("coincident %d" % k, _scaled(twin, rng, BIG), qs))
+        out.append(("random %d" % k,
+                    [[rand_fraction(rng) for _ in range(3)]
+                     for _ in range(6)], qs))
+        out.append(("random big %d" % k,
+                    [[Fraction(rng.randint(-BIG, BIG), rng.randint(1, BIG))
+                      for _ in range(3)] for _ in range(6)], qs))
+        line = sample_collinear(rng, 6).columns()
+        out.append(("collinear %d" % k, _scaled(line, rng, BIG), qs))
+    out.append(("grid3x3", _scaled(sample_grid(rng, 3, 3).columns(),
+                                   rng, 97), g33))
+    out.append(("grid3x4", _scaled(sample_grid(rng, 3, 4).columns(),
+                                   rng, BIG), g34))
+    out.append(("epsilon qs", _epsilon_lift(qs, sample_quadset(rng), rng),
+                qs))
+    out.append(("epsilon grid3x3",
+                _epsilon_lift(g33, sample_grid(rng, 3, 3), rng), g33))
+    return out
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("name,cols,conf", CASES,
+                         ids=[name for name, _, _ in CASES])
+def test_zero_tests_match_fraction_oracles(name, cols, conf):
+    r = Realisation.from_columns(cols)
+    everything = Config(conf.n, (tuple(range(1, conf.n + 1)),))
+    for m in (circuits(conf), circuits(everything),
+              circuits(Config(conf.n))):
+        assert membership(r, m) == frac_membership(cols, m)
+    try:
+        expected = frac_config_of_realisation(cols)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match="^%s$" % re.escape(str(exc))):
+            config_of_realisation(r)
+    else:
+        assert config_of_realisation(r) == expected
+    assert classify_lift(conf, r) == frac_classify_lift(conf, cols)
+    if conf.n == 6:
+        gens = qs_generators()
+        assert _all_generators_vanish(gens, r) == \
+            frac_generators_vanish(gens, cols)
+
+
+def test_cases_reach_every_outcome():
+    """The cases above see every flag and violated triple both set and
+    unset, every classification, and both simple and non-simple input."""
+    seen = set()
+    for name, cols, conf in CASES:
+        if name.startswith("epsilon"):
+            assert frac_classify_lift(conf, cols) == "realising"
+        rep = frac_membership(cols, circuits(conf))
+        seen.update(("flag", i, v) for i, v in enumerate(
+            (rep.in_circuit_variety, rep.in_v0, rep.realises)))
+        seen.add(("circuit", rep.violated_circuit is None))
+        seen.add(("independence", rep.violated_independence is None))
+        seen.add(("kind", frac_classify_lift(conf, cols)))
+        try:
+            frac_config_of_realisation(cols)
+            seen.add(("simple", True))
+        except ValueError:
+            seen.add(("simple", False))
+        if conf.n == 6:
+            seen.add(("vanish", frac_generators_vanish(qs_generators(),
+                                                       cols)[0]))
+    want = {("flag", i, v) for i in range(3) for v in (True, False)}
+    want |= {(k, v) for k in ("circuit", "independence", "simple", "vanish")
+             for v in (True, False)}
+    want |= {("kind", k) for k in ("realising", "trivial", "degenerate")}
+    assert want <= seen
+
+
+def test_grid_generators_match_fraction_oracle():
+    rng = random.Random(77)
+    gens = g34_generators()
+    member = _scaled(sample_grid(rng, 3, 4).columns(), rng, BIG)
+    nonmember = [[rand_fraction(rng) for _ in range(3)] for _ in range(12)]
+    for cols in (member, nonmember):
+        got = _all_generators_vanish(gens, Realisation.from_columns(cols))
+        assert got == frac_generators_vanish(gens, cols)
+    assert _all_generators_vanish(
+        gens, Realisation.from_columns(member)) == (True, None)
+
+
+def test_int_columns_are_integer_multiples():
+    rng = random.Random(5)
+    cols = [[rand_fraction(rng) for _ in range(3)] for _ in range(5)]
+    cols.append([0, 0, 0])
+    cols.append([Fraction(1, BIG), Fraction(-BIG, 3), Fraction(7)])
+    ints = Realisation.from_columns(cols).int_columns()
+    for col, icol in zip(cols, ints):
+        assert all(type(x) is int for x in icol)
+        k = next((i for i, x in enumerate(col) if x), None)
+        if k is None:
+            assert icol == [0, 0, 0]
+            continue
+        scale = Fraction(icol[k]) / col[k]
+        assert scale > 0
+        assert [scale * x for x in col] == icol

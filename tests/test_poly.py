@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import leibniz_det, rand_fraction, rand_poly
+from helpers import BIG, frac_evaluate, leibniz_det, rand_fraction, rand_poly
 from planelift.linalg import format_rat
 from planelift.poly import (MultiDeg, Poly, _order_key,
                             assignment_from_columns, bracket, frame_bracket,
@@ -80,6 +80,24 @@ def test_evaluate_missing_variable():
     p = Poly.variable(var_id("z", 2))
     with pytest.raises(ValueError):
         p.evaluate({0: Fraction(1)})
+    with pytest.raises(ValueError):
+        (p * 3 + 1).evaluate({v: 1 for v in range(5)})
+
+
+def test_evaluate_stays_in_the_ring_of_its_inputs():
+    rng = random.Random(29)
+    for _ in range(60):
+        p = rand_poly(rng)
+        ints = Poly({m: rng.randint(-BIG, BIG) for m in p.terms})
+        a = {v: rng.randint(-BIG, BIG) for v in range(9)}
+        value = ints.evaluate(a)
+        assert type(value) is int
+        assert value == frac_evaluate(ints, a)
+        fa = rand_assignment(rng, 3)
+        assert type(p.evaluate(fa)) is Fraction or p.is_zero()
+        assert p.evaluate(fa) == frac_evaluate(p, fa)
+        assert ints.evaluate(fa) == frac_evaluate(ints, fa)
+    assert Poly.zero().evaluate({}) == 0
 
 
 def test_canonical_sign():
@@ -292,6 +310,12 @@ def test_assignment_from_columns():
     assert a[var_id("x", 2)] == 4
     assert a[var_id("z", 2)] == 6
     assert len(a) == 6
+    # entries are kept as given: no coercion to Fraction
+    cols = [(1, Fraction(1, 2), 3), (Fraction(4), 5, BIG)]
+    a = assignment_from_columns(cols)
+    for i, col in enumerate(cols):
+        for off in range(3):
+            assert a[3 * i + off] is col[off]
 
 
 @settings(max_examples=50, deadline=None)

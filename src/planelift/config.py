@@ -8,10 +8,9 @@ liftability results.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
-from .linalg import QMatrix, _int_rows, cross, det3, format_rat, parse_rat
+from .linalg import _exact, _int_rows, cross, det3, format_rat, parse_rat
 
 
 @dataclass(frozen=True)
@@ -144,64 +143,51 @@ def membership(r, m):
 
 
 class Realisation:
-    """A 3 x n matrix of homogeneous point coordinates.
+    """Homogeneous coordinates of n points: a tuple of n exact
+    3-tuples, one column per point, built by from_columns().
 
     Zero columns are allowed; they encode loops of the matroid.
     """
 
-    __slots__ = ("matrix",)
+    __slots__ = ("cols",)
 
-    def __init__(self, matrix):
-        if matrix.rows != 3:
-            raise ValueError("realisation matrix must have 3 rows")
-        self.matrix = matrix
+    def __init__(self, cols):
+        self.cols = cols
 
     @classmethod
     def from_columns(cls, columns):
-        cols = [tuple(Fraction(x) for x in col) for col in columns]
+        cols = tuple(_exact(col) for col in columns)
         if any(len(col) != 3 for col in cols):
             raise ValueError("columns must have 3 entries")
-        rows = [[col[r] for col in cols] for r in range(3)]
-        return cls(QMatrix(rows)) if cols else cls(QMatrix([[], [], []]))
+        return cls(cols)
 
     @property
     def n(self):
-        return self.matrix.cols
+        return len(self.cols)
 
     def column(self, i):
-        """Column of point i (1-based) as a Fraction 3-tuple."""
-        return tuple(self.matrix.column(i - 1))
+        """Column of point i (1-based), a 3-tuple."""
+        return self.cols[i - 1]
 
     def columns(self):
-        return [self.column(i) for i in range(1, self.n + 1)]
+        return list(self.cols)
 
     def int_columns(self):
         """Columns, each scaled to integers by the lcm of its
         denominators; a multihomogeneous polynomial, such as a bracket,
         vanishes on these exactly when it vanishes on the columns."""
-        return _int_rows(self.columns())[0]
+        return _int_rows(self.cols)[0]
 
     def __eq__(self, other):
-        return isinstance(other, Realisation) and self.matrix == other.matrix
+        return isinstance(other, Realisation) and self.cols == other.cols
 
     def __repr__(self):
-        return "Realisation(%r)" % (self.matrix,)
-
-
-def _proj_key(p):
-    """p divided by its first nonzero entry, so that nonzero scalar
-    multiples share one key; the zero vector keys to itself."""
-    for v in p:
-        if v != 0:
-            v = Fraction(v)
-            return tuple(u / v for u in p)
-    return tuple(p)
+        return "Realisation(%r)" % (self.cols,)
 
 
 def projectively_equal(u, v):
     """True when u and v are nonzero scalar multiples of each other."""
-    key = _proj_key(u)
-    return any(key) and key == _proj_key(v)
+    return any(u) and any(v) and not any(cross(u, v))
 
 
 def simplify(r):
@@ -214,8 +200,7 @@ def simplify(r):
     column of its representative in the simple realisation.
     """
     cols = r.columns()
-    loops = tuple(i for i, col in enumerate(cols, start=1)
-                  if all(x == 0 for x in col))
+    loops = tuple(i for i, col in enumerate(cols, start=1) if not any(col))
     classes = []
     for i, col in enumerate(cols, start=1):
         if i in loops:
@@ -377,11 +362,12 @@ def config_from_dict(d):
         raise ValueError("config must be {\"points\": n, \"lines\": [...]}")
     n = d["points"]
     lines = d["lines"]
-    if not isinstance(n, int) or n < 0:
+    # JSON true and false load as bools, which isinstance() takes as ints.
+    if type(n) is not int or n < 0:
         raise ValueError("\"points\" must be a nonnegative integer")
     if not isinstance(lines, list) or any(
             not isinstance(line, list)
-            or any(not isinstance(p, int) for p in line) for line in lines):
+            or any(type(p) is not int for p in line) for line in lines):
         raise ValueError("\"lines\" must be a list of integer lists")
     return Config(n, tuple(tuple(line) for line in lines))
 

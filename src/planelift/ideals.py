@@ -13,14 +13,13 @@ The fixed frame is R_1 = (1,0,0), R_2 = (0,1,0), R_3 = (0,0,1).
 import json
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement, \
     permutations, product
 
 from .config import grid_config, qs_config
 from .lifting import build_collin
-from .linalg import det3
+from .linalg import _exact, det3
 from .poly import (FRAME_COFACTORS, MultiDeg, Poly, bracket, frame_bracket,
                    multidegree, point_bracket, poly_to_json_terms,
                    poly_to_plain, var_name)
@@ -35,10 +34,9 @@ class FramePoint:
         if frame_index is not None:
             if frame_index not in (1, 2, 3):
                 raise ValueError("frame index must be 1, 2 or 3")
-            vector = tuple(Fraction(1 if t == frame_index else 0)
-                           for t in (1, 2, 3))
+            vector = tuple(1 if t == frame_index else 0 for t in (1, 2, 3))
         else:
-            vector = tuple(Fraction(v) for v in vector)
+            vector = _exact(vector)
             if len(vector) != 3:
                 raise ValueError("frame point needs 3 coordinates")
         self.frame_index = frame_index

@@ -74,7 +74,7 @@ def build_collin(c, x=None):
     triples = [t for line in c.lines for t in combinations(sorted(line), 3)]
     if x is None:
         return CollinMatrix(c, tuple(triples))
-    xs = tuple(Fraction(v) for v in x)
+    xs = tuple(x)
     if len(xs) != c.n:
         raise ValueError("expected %d abscissas, got %d" % (c.n, len(xs)))
     seen = {}
@@ -84,7 +84,7 @@ def build_collin(c, x=None):
                              "sit at %s" % (seen[v], i, v))
         seen[v] = i
     return CollinMatrix(c, tuple(triples), xs,
-                        QMatrix(_collin_rows(triples, xs, Fraction(0)),
+                        QMatrix(_collin_rows(triples, xs, 0),
                                 cols=c.n))
 
 
@@ -109,9 +109,8 @@ def lift_space(cm):
     if cm.numeric is None:
         raise ValueError("collinearity matrix has no numeric instance")
     basis = nullspace(cm.numeric)
-    ones = tuple(Fraction(1) for _ in range(cm.config.n))
     return LiftSpace(tuple(tuple(v) for v in basis), len(basis),
-                     (ones, cm.abscissas))
+                     ((1,) * cm.config.n, cm.abscissas))
 
 
 @dataclass(frozen=True)
@@ -159,13 +158,13 @@ def lift(c, x, attempts=32, seed=0):
         return LiftResult("no-nontrivial-lift")
     rng = random.Random(seed)
     xs = cm.abscissas
-    ones = [Fraction(1)] * c.n
+    ones = [1] * c.n
     best = None
     for _ in range(attempts):
         coeffs = [rng.randint(-10000, 10000) for _ in space.basis]
         z = [sum(cv * bv[i] for cv, bv in zip(coeffs, space.basis))
              for i in range(c.n)]
-        if rank(QMatrix([ones, list(xs), z])) < 3:
+        if rank(QMatrix([ones, xs, z])) < 3:
             continue
         r = Realisation.from_columns(
             [(xs[i], 1, z[i]) for i in range(c.n)])
@@ -179,7 +178,7 @@ def lift(c, x, attempts=32, seed=0):
     # Every random draw hit the trivial plane; fall back to a basis
     # vector outside it, which exists because the dimension is >= 3.
     for b in space.basis:
-        if rank(QMatrix([ones, list(xs), list(b)])) == 3:
+        if rank(QMatrix([ones, xs, b])) == 3:
             r = Realisation.from_columns(
                 [(xs[i], 1, b[i]) for i in range(c.n)])
             return LiftResult(classify_lift(c, r), r)
@@ -197,7 +196,7 @@ def forest_lift(c, x):
     """
     if not analyze(c).is_forest:
         raise ValueError("not a forest configuration")
-    xs = tuple(Fraction(v) for v in x)
+    xs = tuple(x)
     if len(xs) != c.n:
         raise ValueError("expected %d abscissas, got %d" % (c.n, len(xs)))
     if len(set(xs)) != c.n:
@@ -220,18 +219,18 @@ def forest_lift(c, x):
             if len(anchored) > 1:
                 raise RuntimeError("forest invariant violated on line %d"
                                    % (pick + 1))
-            b = Fraction(rng.randint(-999, 999))
+            b = rng.randint(-999, 999)
             if anchored:
                 p = anchored[0]
                 a = z[p] - b * xs[p - 1]
             else:
-                a = Fraction(rng.randint(-999, 999))
+                a = rng.randint(-999, 999)
             for q in line:
                 if z[q] is None:
                     z[q] = a + b * xs[q - 1]
         for p in range(1, c.n + 1):
             if z[p] is None:
-                z[p] = Fraction(rng.randint(-999, 999))
+                z[p] = rng.randint(-999, 999)
         r = Realisation.from_columns(
             [(xs[i - 1], 1, z[i]) for i in range(1, c.n + 1)])
         if classify_lift(c, r) == "realising":
@@ -276,13 +275,13 @@ class ChartMap:
 
     def to_point(self, t):
         a, b = self.basis
-        return tuple(Fraction(t) * u + v for u, v in zip(a, b))
+        return tuple(t * u + v for u, v in zip(a, b))
 
     def abscissa(self, w):
         i, j = self.coords
         if w[j] == 0:
             raise ValueError("point at the chart's infinity")
-        return Fraction(w[i]) / Fraction(w[j])
+        return Fraction(w[i], w[j])
 
 
 @dataclass(frozen=True)
@@ -301,32 +300,32 @@ def project(r, center=CONVENTIONAL_CENTER, target_line=CONVENTIONAL_LINE):
     flag rather than as an error.  The default center (0,0,1) and line
     z = 0 invert lift(): projecting a lift recovers its abscissas.
     """
-    ln = tuple(Fraction(v) for v in target_line)
-    cen = tuple(Fraction(v) for v in center)
-    if all(v == 0 for v in ln):
+    ln = tuple(target_line)
+    cen = tuple(center)
+    if not any(ln):
         raise ValueError("target line must have a nonzero coefficient")
     if sum(a * b for a, b in zip(cen, ln)) == 0:
         raise ValueError("projection center lies on the target line")
     m = max(range(3), key=lambda k: abs(ln[k]))
     i, j = (k for k in range(3) if k != m)
-    a = [Fraction(0)] * 3
-    a[i] = Fraction(1)
-    a[m] = -ln[i] / ln[m]
-    b = [Fraction(0)] * 3
-    b[j] = Fraction(1)
-    b[m] = -ln[j] / ln[m]
+    a = [0] * 3
+    a[i] = 1
+    a[m] = Fraction(-ln[i], ln[m])
+    b = [0] * 3
+    b[j] = 1
+    b[m] = Fraction(-ln[j], ln[m])
     chart = ChartMap(ln, (tuple(a), tuple(b)), (i, j))
     out = []
     for idx in range(1, r.n + 1):
-        col = r.column(idx)
-        if all(v == 0 for v in cross(cen, col)):
+        through = cross(cen, r.column(idx))
+        if not any(through):
             raise ValueError("point %d coincides with the projection center"
                              % idx)
-        w = cross(cross(cen, col), ln)
+        w = cross(through, ln)
         if w[j] == 0:
             raise ValueError("point %d projects to the chart's infinity"
                              % idx)
-        out.append(Fraction(w[i]) / Fraction(w[j]))
+        out.append(Fraction(w[i], w[j]))
     return ProjectionResult(tuple(out), chart,
                             len(set(out)) == len(out))
 
@@ -337,7 +336,7 @@ def apply_projectivity(r, t, scales):
         raise ValueError("projectivity matrix must be 3x3")
     if det(t) == 0:
         raise ValueError("projectivity matrix is singular")
-    ss = [Fraction(s) for s in scales]
+    ss = list(scales)
     if len(ss) != r.n:
         raise ValueError("expected %d scales" % r.n)
     if any(s == 0 for s in ss):
@@ -381,7 +380,7 @@ class LiftabilityVerdict:
 
 def random_distinct_abscissas(n, rng):
     while True:
-        xs = [Fraction(rng.randint(-ABSCISSA_RANGE, ABSCISSA_RANGE))
+        xs = [rng.randint(-ABSCISSA_RANGE, ABSCISSA_RANGE)
               for _ in range(n)]
         if len(set(xs)) == n:
             return xs

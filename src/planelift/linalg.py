@@ -2,8 +2,8 @@
 
 Everything in this package reduces to exact linear algebra over the
 rationals: ranks and kernels of collinearity matrices, determinants of
-coordinate triples, and enumeration of minors.  Entries are represented
-with fractions.Fraction where data enters and leaves; every elimination
+coordinate triples, and enumeration of minors.  Entries are ints or
+Fractions, as their inputs and arithmetic left them; every elimination
 runs on one fraction-free kernel, bareiss(), over denominator-cleared
 integer rows, so intermediate values stay integral and bounded.
 
@@ -33,17 +33,27 @@ def format_rat(q):
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-class QMatrix:
-    """Dense matrix of Fractions, immutable by convention.
+def _exact(values):
+    """values as a tuple, after checking that each is an int or a
+    Fraction: a float has no exact value to keep, so it is rejected."""
+    values = tuple(values)
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError("not an int or Fraction: %r" % (v,))
+    return values
 
-    The constructor copies its input rows and normalises every entry to
-    Fraction, so instances can be shared freely.
+
+class QMatrix:
+    """Dense matrix of ints and Fractions, immutable by convention.
+
+    The constructor copies its input rows and checks that every entry
+    is exact, so instances can be shared freely.
     """
 
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, rows_of_entries, cols=None):
-        data = [[Fraction(e) for e in row] for row in rows_of_entries]
+        data = [_exact(row) for row in rows_of_entries]
         self.rows = len(data)
         if data:
             self.cols = len(data[0])
@@ -93,7 +103,7 @@ class QMatrix:
 
 
 def _int_rows(rows):
-    """Scale each row of Fractions to integers.
+    """Scale each row of ints and Fractions to integers.
 
     Returns (int rows, denominator): row i of the result is rows[i]
     times the lcm of its denominators, and denominator is the product
@@ -285,10 +295,9 @@ def all_minors(m, k):
 
 
 def matvec(a, v):
-    """Matrix times column vector, as a plain list of Fractions."""
+    """Matrix times column vector, as a plain list."""
     if a.cols != len(v):
         raise ValueError("shape mismatch")
-    v = [Fraction(x) for x in v]
     return [sum(x * y for x, y in zip(a.row(i), v)) for i in range(a.rows)]
 
 

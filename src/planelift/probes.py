@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
-from .config import (Realisation, _proj_key, circuits, config_of_realisation,
-                     grid_config, membership, qs_config)
+from .config import (Realisation, _non_simple, circuits,
+                     config_of_realisation, grid_config, membership, qs_config)
 from .ideals import g34_value, qs_generators, g34_generators, qs_value, QS_LINES
 from .lifting import (build_collin, classify_lift, epsilon_scale, lift,
                       forest_lift, project, random_distinct_abscissas)
@@ -36,21 +36,19 @@ class SampleError(RuntimeError):
 
 
 def _rand_vec(rng, bound):
-    return tuple(Fraction(rng.randint(-bound, bound)) for _ in range(3))
+    return tuple(rng.randint(-bound, bound) for _ in range(3))
 
 
 def _rand_line(rng, bound):
     while True:
         v = _rand_vec(rng, bound)
-        if any(x != 0 for x in v):
+        if any(v):
             return v
 
 
 def _meet(l1, l2):
     w = cross(l1, l2)
-    if all(v == 0 for v in w):
-        return None
-    return w
+    return w if any(w) else None
 
 
 def sample_quadset(rng):
@@ -94,13 +92,13 @@ def sample_grid(rng, rows=3, cols=4):
     for _ in range(RETRY_BUDGET):
         apex_c = _rand_vec(rng, COEFF_RANGE)
         apex_r = _rand_vec(rng, COEFF_RANGE)
-        if all(v == 0 for v in apex_c) or all(v == 0 for v in apex_r):
+        if not any(apex_c) or not any(apex_r):
             continue
         col_lines = [cross(apex_c, _rand_vec(rng, COEFF_RANGE))
                      for _ in range(cols)]
         row_lines = [cross(apex_r, _rand_vec(rng, COEFF_RANGE))
                      for _ in range(rows)]
-        if any(all(v == 0 for v in l) for l in col_lines + row_lines):
+        if any(not any(l) for l in col_lines + row_lines):
             continue
         pts = []
         ok = True
@@ -133,16 +131,14 @@ def sample_collinear(rng, n):
     for _ in range(RETRY_BUDGET):
         a = _rand_vec(rng, COEFF_RANGE)
         b = _rand_vec(rng, COEFF_RANGE)
-        if all(v == 0 for v in cross(a, b)):
+        if not any(cross(a, b)):
             continue
         params = set()
         while len(params) < n:
             params.add(rng.randint(-COEFF_RANGE, COEFF_RANGE))
-        pts = [tuple(Fraction(t) * u + v for u, v in zip(a, b))
+        pts = [tuple(t * u + v for u, v in zip(a, b))
                for t in sorted(params)]
-        if any(all(v == 0 for v in p) for p in pts):
-            continue
-        if len({_proj_key(p) for p in pts}) == n:
+        if not _non_simple(pts):
             return Realisation.from_columns(pts)
     raise SampleError("retry budget exhausted sampling collinear points")
 
@@ -188,15 +184,12 @@ def _line_points(rng, n):
     for _ in range(RETRY_BUDGET):
         a = _rand_vec(rng, COEFF_RANGE)
         b = _rand_vec(rng, COEFF_RANGE)
-        if all(v == 0 for v in cross(a, b)):
+        if not any(cross(a, b)):
             continue
         xs = random_distinct_abscissas(n, rng)
         pts = [tuple(x * u + v for u, v in zip(a, b)) for x in xs]
-        if any(all(v == 0 for v in p) for p in pts):
-            continue
-        keys = {_proj_key(p) for p in pts}
-        if len(keys) == n:
-            return xs, Realisation.from_columns(pts).int_columns()
+        if not _non_simple(pts):
+            return xs, pts
     raise SampleError("retry budget exhausted embedding points on a line")
 
 
@@ -405,7 +398,7 @@ def probe_decomposition(matroid, trials, seed):
         pts = []
         while len(pts) < conf.n:
             p = _rand_vec(rng, 64)
-            if any(v != 0 for v in p):
+            if any(p):
                 pts.append(p)
         rnd = Realisation.from_columns(pts)
         ok, _ = _all_generators_vanish(gens, rnd)

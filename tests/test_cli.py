@@ -229,7 +229,9 @@ def test_usage_errors_exit_64(capsys):
                  ["qs-lift", "-4", "-3", "-2", "1", "0", "-1",
                   "--attempts", "-5"],
                  ["grid-lift"] + ["%d" % i for i in range(12)]
-                 + ["--attempts", "two"]):
+                 + ["--attempts", "two"],
+                 ["gens", "radical:qs", "--minor-size", "-1"],
+                 ["gens", "radical:qs", "--minor-size", "two"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 64

@@ -88,6 +88,10 @@ GOLDEN = (
      "822b1c6237b6bc9229657b63485ee0204ad3f34f49c387526f0290281968f44a"),
     ("verify decomp-qs --trials 1", 0,
      "a0d1551225d1aec29b31d5a05853fa1f9419a16732d1f2273dc2cd774e9548f0"),
+    # The integer grid sampler, a generic projection, the lift of the
+    # projected grid, epsilon scaling and all 44 grid generators.
+    ("verify decomp-grid34 --trials 1 --seed 0", 0,
+     "495ed6d3f9da6ec06461ba109c8587f9bedd9316706d011364ec76abc293e69e"),
     ("table1", 0,
      "6f82bde06de3a4894c9dcdf15c1537477da23d57f1cec8670f23ff1e6124dae4"),
 )

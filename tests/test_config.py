@@ -196,6 +196,11 @@ def test_config_from_dict_errors():
         config_from_dict({"points": 3, "lines": [["a"]]})
     with pytest.raises(ValueError):
         config_from_dict({"points": "3", "lines": []})
+    # JSON booleans are not integers.
+    with pytest.raises(ValueError):
+        config_from_dict({"points": True, "lines": []})
+    with pytest.raises(ValueError):
+        config_from_dict({"points": 3, "lines": [[True, 2, 3]]})
 
 
 def test_realisation_dict_round_trip():

@@ -413,3 +413,39 @@ def test_symbolic_collin_rank():
     assert symbolic_collin_rank(qs_config()) == 4
     assert symbolic_collin_rank(bundled_config("grid3x3")) == 6
     assert symbolic_collin_rank(bundled_config("forest_two_lines")) == 2
+
+
+def test_values_keep_the_ring_of_their_inputs():
+    from planelift.ideals import FramePoint
+    from planelift.probes import sample_grid, sample_quadset
+
+    def ints(cols):
+        return all(type(x) is int for col in cols for x in col)
+
+    rng = random.Random(29)
+    xs = random_distinct_abscissas(12, rng)
+    assert all(type(x) is int for x in xs)
+    cm = build_collin(grid_config(3, 4), xs)
+    assert ints(cm.numeric.to_lists())
+    quad = sample_quadset(rng)
+    assert ints(quad.columns())
+    assert ints(sample_grid(rng, 3, 4).columns())
+    forest = forest_lift(bundled_config("forest_path10"), xs[:10])
+    assert ints(forest.realisation.columns())
+    # Quotients are Fractions, never floats.
+    res = project(quad, [3, -1, 2], [1, 4, -7])
+    assert all(type(t) is Fraction for t in res.abscissas)
+    w = res.chart.to_point(res.abscissas[0])
+    assert type(res.chart.abscissa(w)) is Fraction
+    assert type(res.chart.abscissa((2, 3, 0))) is Fraction
+    scaled = epsilon_scale(forest, 1)
+    assert all(type(col[2]) is Fraction
+               for col in scaled.realisation.columns())
+    # Inexact entries are rejected, not converted.
+    for bad in (0.5, "1/2"):
+        with pytest.raises(TypeError):
+            QMatrix([[1, bad]])
+        with pytest.raises(TypeError):
+            Realisation.from_columns([(1, 0, bad)])
+        with pytest.raises(TypeError):
+            FramePoint(vector=(bad, 1, 0))

@@ -63,21 +63,15 @@ def _rat(text):
         raise argparse.ArgumentTypeError(str(e))
 
 
-def _int_at_least(low):
-    """An argparse type for integers no smaller than low."""
-    def parse(text):
-        try:
-            n = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError("not an integer: %r" % (text,))
-        if n < low:
-            raise argparse.ArgumentTypeError("must be at least %d, got %d"
-                                             % (low, n))
-        return n
-    return parse
-
-
-_positive_int = _int_at_least(1)
+def _positive_int(text):
+    """An argparse type for integers of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not an integer: %r" % (text,))
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
+    return n
 
 
 def _load_json(path):
@@ -299,7 +293,7 @@ def build_parser():
                    help="qs, grid34 or radical:CONFIG")
     p.add_argument("--format", choices=("plain", "cas", "json"),
                    default="plain", help="output format (default plain)")
-    p.add_argument("--minor-size", type=_int_at_least(0), metavar="K",
+    p.add_argument("--minor-size", type=_positive_int, metavar="K",
                    help="minor size for radical targets (default n-2)")
     p.set_defaults(func=cmd_gens)
 

@@ -9,6 +9,7 @@ liftability results.
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .linalg import _exact, _int_rows, cross, det3, format_rat, parse_rat
 
@@ -80,7 +81,8 @@ def validate(c):
 
 @dataclass(frozen=True)
 class Rank3Matroid:
-    """Rank-3 matroid on 1..n whose 3-element circuits are given.
+    """Rank-3 matroid on 1..n whose 3-element circuits are given, as
+    increasing triples.
 
     Every 4-subset not containing a listed triple is implicitly a
     circuit as well; rank is fixed at 3.
@@ -109,6 +111,13 @@ class MembershipReport:
     violated_independence: tuple = None
 
 
+def _dependent(cols):
+    """The increasing 1-based triples of linearly dependent columns,
+    from one det3 pass over the columns cols."""
+    return {t for t in combinations(range(1, len(cols) + 1), 3)
+            if not det3(cols[t[0] - 1], cols[t[1] - 1], cols[t[2] - 1])}
+
+
 def membership(r, m):
     """Test a realisation against a rank-3 matroid.
 
@@ -116,30 +125,22 @@ def membership(r, m):
     in_v0: every triple is dependent (all points on one line), which
     for a 3 x n matrix is the same as rank at most 2.
     realises: circuits dependent and every other triple independent.
-    The brackets are multihomogeneous, so they are taken on r.int_columns().
+    One scan of r.int_columns() finds the dependent triples (brackets
+    are multihomogeneous, so the scaling does not matter); the flags
+    and the first violated triples, the lexicographically least, come
+    from its set differences with the circuit triples.
     """
     if r.n != m.n:
         raise ValueError("realisation has %d points, matroid %d"
                          % (r.n, m.n))
-    cols = r.int_columns()
-    in_cv = in_v0 = realises = True
-    violated_circuit = violated_independence = None
-    for t in combinations(range(1, m.n + 1), 3):
-        d = det3(cols[t[0] - 1], cols[t[1] - 1], cols[t[2] - 1])
-        if d != 0:
-            in_v0 = False
-        if m.is_circuit_triple(t):
-            if d != 0:
-                in_cv = False
-                realises = False
-                if violated_circuit is None:
-                    violated_circuit = t
-        elif d == 0:
-            realises = False
-            if violated_independence is None:
-                violated_independence = t
-    return MembershipReport(in_cv, in_v0, realises,
-                            violated_circuit, violated_independence)
+    dep = _dependent(r.int_columns())
+    independent_circuits = m.circuits3 - dep
+    dependent_others = dep - m.circuits3
+    return MembershipReport(not independent_circuits,
+                            len(dep) == comb(m.n, 3),
+                            not independent_circuits and not dependent_others,
+                            min(independent_circuits, default=None),
+                            min(dependent_others, default=None))
 
 
 class Realisation:
@@ -236,23 +237,22 @@ def config_of_realisation(r):
     at least 3 among the columns of r.
 
     Requires a simple realisation: raises ValueError on zero or
-    projectively-equal columns (run simplify first).  All zero tests
-    run on r.int_columns(), which is valid because brackets and cross
-    products are multihomogeneous in the columns.
+    projectively-equal columns (run simplify first).  The line through
+    two points is the union of the dependent triples containing both.
+    All zero tests run on r.int_columns(), which is valid because
+    brackets and cross products are multihomogeneous in the columns.
     """
     cols = r.int_columns()
     n = len(cols)
     why = _non_simple(cols)
     if why:
         raise ValueError("non-simple input: " + why)
-    lines = set()
-    for i, j in combinations(range(1, n + 1), 2):
-        flat = [k for k in range(1, n + 1)
-                if k in (i, j)
-                or det3(cols[i - 1], cols[j - 1], cols[k - 1]) == 0]
-        if len(flat) >= 3:
-            lines.add(tuple(flat))
-    return Config(n, tuple(sorted(lines)))
+    through = {}
+    for t in _dependent(cols):
+        for pair in combinations(t, 2):
+            through.setdefault(pair, set()).update(t)
+    return Config(n, tuple(sorted({tuple(sorted(flat))
+                                   for flat in through.values()})))
 
 
 @dataclass(frozen=True)

@@ -308,15 +308,17 @@ def radical_ideal_generators(c, minor_size=None):
     extensions of all minor_size x minor_size minors of its symbolic
     collinearity matrix over every frame tuple.
 
-    minor_size defaults to n - 2.  Zero extensions are dropped and
-    duplicates (after sign canonicalisation) are kept once.  The number
-    of extensions grows as 3^k times the minor count, so large
-    configurations need a deliberate minor_size choice.
+    minor_size defaults to n - 2 and must be at least 1: the 0 x 0
+    minor is 1, whose ideal is the whole ring.  Zero extensions are
+    dropped and duplicates (after sign canonicalisation) are kept once.
+    The number of extensions grows as 3^k times the minor count, so
+    large configurations need a deliberate minor_size choice.
     """
     if minor_size is None:
         minor_size = c.n - 2
-    if minor_size < 0:
-        raise ValueError("minor size must be nonnegative")
+    if minor_size < 1:
+        raise ValueError("minor size must be at least 1, got %d"
+                         % minor_size)
     entries = []
     seen = set()
     for line in c.lines:

@@ -15,7 +15,8 @@ from itertools import combinations
 
 from .config import (Realisation, _non_simple, analyze, circuits,
                      components, delete_line, induced, membership)
-from .linalg import QMatrix, bareiss, cross, det, matvec, nullspace, rank
+from .linalg import (QMatrix, _exact, bareiss, cross, det, matvec, nullspace,
+                     rank)
 from .poly import Poly, var_id
 
 CONVENTIONAL_CENTER = (0, 0, 1)
@@ -147,8 +148,11 @@ def lift(c, x, attempts=32, seed=0):
     space is at most the trivial plane; otherwise tries random integer
     combinations of the kernel basis (coefficients in [-10000, 10000])
     and returns the first realising candidate, or the first degenerate
-    one if the attempt budget runs out.  Deterministic for a given seed;
-    attempts must be at least 1.
+    one if the attempt budget runs out.  Each candidate is judged once,
+    by classify_lift; trivial ones (all points collinear) are skipped.
+    A lift space of dimension >= 3 means c is not one line through
+    every point, so no trivial candidate realises c.  Deterministic for
+    a given seed; attempts must be at least 1.
     """
     if attempts < 1:
         raise ValueError("attempts must be at least 1, got %d" % attempts)
@@ -158,31 +162,27 @@ def lift(c, x, attempts=32, seed=0):
         return LiftResult("no-nontrivial-lift")
     rng = random.Random(seed)
     xs = cm.abscissas
-    ones = [1] * c.n
     best = None
     for _ in range(attempts):
         coeffs = [rng.randint(-10000, 10000) for _ in space.basis]
         z = [sum(cv * bv[i] for cv, bv in zip(coeffs, space.basis))
              for i in range(c.n)]
-        if rank(QMatrix([ones, xs, z])) < 3:
-            continue
         r = Realisation.from_columns(
             [(xs[i], 1, z[i]) for i in range(c.n)])
         kind = classify_lift(c, r)
         if kind == "realising":
             return LiftResult("realising", r)
-        if best is None:
+        if best is None and kind != "trivial":
             best = LiftResult(kind, r)
     if best is not None:
         return best
-    # Every random draw hit the trivial plane; fall back to a basis
-    # vector outside it, which exists because the dimension is >= 3.
-    for b in space.basis:
-        if rank(QMatrix([ones, xs, b])) == 3:
-            r = Realisation.from_columns(
-                [(xs[i], 1, b[i]) for i in range(c.n)])
-            return LiftResult(classify_lift(c, r), r)
-    raise RuntimeError("kernel basis spans only the trivial plane")
+    # Every random draw hit the trivial plane.  The first basis vector
+    # lies outside it: the basis is in reduced echelon form, so it is
+    # zero at the other dimension - 1 >= 2 pivot columns, and a nonzero
+    # a + b*x has at most one zero at distinct abscissas.
+    b = space.basis[0]
+    r = Realisation.from_columns([(xs[i], 1, b[i]) for i in range(c.n)])
+    return LiftResult(classify_lift(c, r), r)
 
 
 def forest_lift(c, x):
@@ -244,9 +244,10 @@ def epsilon_scale(l, eps):
 
     Every 3x3 minor is multiplied by a fixed power of the common factor
     (one per lifted point involved), so the zero pattern of the minors,
-    and with it the classification, is unchanged.
+    and with it the classification, is unchanged.  eps must be a
+    positive int or Fraction; a float raises TypeError.
     """
-    eps = Fraction(eps)
+    _exact([eps])
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     r = l.realisation
@@ -256,7 +257,7 @@ def epsilon_scale(l, eps):
     zmax = max(abs(col[2]) for col in cols)
     if zmax == 0:
         raise ValueError("all-zero lift cannot be rescaled")
-    f = eps / (r.n * zmax)
+    f = Fraction(eps, r.n * zmax)
     return LiftResult(l.kind, Realisation.from_columns(
         [(col[0], col[1], col[2] * f) for col in cols]))
 
@@ -300,8 +301,8 @@ def project(r, center=CONVENTIONAL_CENTER, target_line=CONVENTIONAL_LINE):
     flag rather than as an error.  The default center (0,0,1) and line
     z = 0 invert lift(): projecting a lift recovers its abscissas.
     """
-    ln = tuple(target_line)
-    cen = tuple(center)
+    ln = _exact(target_line)
+    cen = _exact(center)
     if not any(ln):
         raise ValueError("target line must have a nonzero coefficient")
     if sum(a * b for a, b in zip(cen, ln)) == 0:
@@ -392,19 +393,25 @@ def is_liftable_generic(c, trials=8, seed=0, assume_maximal=True,
 
     Forest components are liftable outright (a constructive lift always
     exists).  For the others the rank of the component's collinearity
-    matrix is sampled at `trials` random distinct integer abscissa
-    tuples (seeds seed+0 .. seed+trials-1): an observed rank above
-    n_comp - 3 certifies non-liftability, and a rank within the bound
-    means the component is liftable when its matroid is maximal.  With
-    assume_maximal=False such components are reported inconclusive,
-    since the bound then only guarantees a non-trivial lift.  Sampling
-    needs trials >= 1.  With deterministic=True (n <= 12) the generic
-    rank is certified instead: the exact rank at one tuple drawn with
-    seed bounds it below, min(n_comp - 2, sum over lines of |L| - 2)
-    above (1 and x lie in the kernel; every height affine on L solves
-    L's rows), and when the bounds differ symbolic_collin_rank decides.
+    matrix is taken at random distinct integer abscissa tuples, trial t
+    drawn with seed seed+t: an observed rank above n_comp - 3 certifies
+    non-liftability, and a rank within the bound means the component is
+    liftable when its matroid is maximal.  With assume_maximal=False
+    such components are reported inconclusive, since the bound then
+    only guarantees a non-trivial lift.  The rank at every tuple is at
+    most min(n_comp - 2, sum over lines of |L| - 2) (1 and x lie in the
+    kernel; every height affine on L solves L's rows), so sampling
+    stops at the first trial whose ranks all meet their bounds, and
+    after `trials` trials otherwise; it needs trials >= 1.  With
+    deterministic=True (n <= 12) only trial 0 is drawn and the generic
+    rank is certified: a component below its bound there is handed to
+    symbolic_collin_rank.
     """
-    if not deterministic and trials < 1:
+    if deterministic:
+        if c.n > 12:
+            raise ValueError("deterministic mode supports n <= 12 only")
+        trials = 1
+    elif trials < 1:
         raise ValueError("trials must be at least 1, got %d" % trials)
     full_omega = analyze(c).omega
     active = []
@@ -412,29 +419,26 @@ def is_liftable_generic(c, trials=8, seed=0, assume_maximal=True,
         sub, _ = induced(c, comp)
         if sub.lines:
             active.append((comp, sub))
-    comp_forest = []
+    bounds = [min(sub.n - 2, sum(len(line) - 2 for line in sub.lines))
+              for _, sub in active]
     comp_rank = [0] * len(active)
     witness = 0
-    if deterministic:
-        if c.n > 12:
-            raise ValueError("deterministic mode supports n <= 12 only")
-        rng = random.Random(seed)
+    for t in range(trials):
+        rng = random.Random(seed + t)
+        total = 0
         for ci, (comp, sub) in enumerate(active):
-            low = rank(build_collin(
-                sub, random_distinct_abscissas(sub.n, rng)).numeric)
-            high = min(sub.n - 2, sum(len(line) - 2 for line in sub.lines))
-            comp_rank[ci] = low if low == high else symbolic_collin_rank(sub)
+            xs = random_distinct_abscissas(sub.n, rng)
+            r = rank(build_collin(sub, xs).numeric)
+            comp_rank[ci] = max(comp_rank[ci], r)
+            total += r
+        witness = max(witness, total)
+        if total == sum(bounds):
+            break
+    if deterministic:
+        for ci, (comp, sub) in enumerate(active):
+            if comp_rank[ci] < bounds[ci]:
+                comp_rank[ci] = symbolic_collin_rank(sub)
         witness = sum(comp_rank)
-    else:
-        for t in range(trials):
-            rng = random.Random(seed + t)
-            total = 0
-            for ci, (comp, sub) in enumerate(active):
-                xs = random_distinct_abscissas(sub.n, rng)
-                r = rank(build_collin(sub, xs).numeric)
-                comp_rank[ci] = max(comp_rank[ci], r)
-                total += r
-            witness = max(witness, total)
     verdicts = []
     threshold = 0
     for ci, (comp, sub) in enumerate(active):

@@ -278,10 +278,6 @@ def all_minors(m, k):
         raise ValueError("minor size %d out of range for %d x %d"
                          % (k, m.rows, m.cols))
     col_sets = list(combinations(range(1, m.cols + 1), k))
-    if k == 0:
-        for rows_sel in combinations(range(1, m.rows + 1), 0):
-            yield rows_sel, (), Fraction(1)
-        return
     for rows_sel in combinations(range(1, m.rows + 1), k):
         ints, denom = _int_rows([m.row(i - 1) for i in rows_sel])
         if len(bareiss([row[:] for row in ints])[0]) < k:

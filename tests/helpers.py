@@ -5,10 +5,14 @@ Gaussian elimination, permutation-sum determinants) so that agreement
 between the two is meaningful.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from planelift.config import Config, MembershipReport
+from planelift import lifting
+from planelift.config import (Config, MembershipReport, Realisation, analyze,
+                              components, induced)
+from planelift.linalg import QMatrix
 from planelift.poly import Poly, var_id
 
 
@@ -199,3 +203,158 @@ def frac_generators_vanish(gens, cols):
         if frac_evaluate(e.poly, assignment) != 0:
             return False, e.label
     return True, None
+
+
+# --- reference decide loops --------------------------------------------------
+#
+# The liftability check and the lift search the long way: every sampled
+# trial is drawn, the deterministic mode has a branch of its own, and a
+# rank tests each lift candidate against the trivial plane before
+# classify_lift judges it.  The package must give the same answers.
+# Package functions are looked up on the lifting module at call time,
+# so a test that patches them patches both.
+
+
+def full_trial_is_liftable_generic(c, trials=8, seed=0, assume_maximal=True,
+                                   deterministic=False):
+    """is_liftable_generic without the early stop at the rank bound."""
+    if not deterministic and trials < 1:
+        raise ValueError("trials must be at least 1, got %d" % trials)
+    full_omega = analyze(c).omega
+    active = []
+    for comp in components(c):
+        sub, _ = induced(c, comp)
+        if sub.lines:
+            active.append((comp, sub))
+    comp_rank = [0] * len(active)
+    witness = 0
+    if deterministic:
+        if c.n > 12:
+            raise ValueError("deterministic mode supports n <= 12 only")
+        rng = random.Random(seed)
+        for ci, (comp, sub) in enumerate(active):
+            low = lifting.rank(lifting.build_collin(
+                sub, lifting.random_distinct_abscissas(sub.n, rng)).numeric)
+            high = min(sub.n - 2, sum(len(line) - 2 for line in sub.lines))
+            comp_rank[ci] = (low if low == high
+                             else lifting.symbolic_collin_rank(sub))
+        witness = sum(comp_rank)
+    else:
+        for t in range(trials):
+            rng = random.Random(seed + t)
+            total = 0
+            for ci, (comp, sub) in enumerate(active):
+                xs = lifting.random_distinct_abscissas(sub.n, rng)
+                r = lifting.rank(lifting.build_collin(sub, xs).numeric)
+                comp_rank[ci] = max(comp_rank[ci], r)
+                total += r
+            witness = max(witness, total)
+    verdicts = []
+    threshold = 0
+    for ci, (comp, sub) in enumerate(active):
+        thr = sub.n - 3
+        threshold += thr
+        forest = analyze(sub).is_forest
+        if forest:
+            v = "liftable"
+        elif comp_rank[ci] > thr:
+            v = "not-liftable"
+        elif assume_maximal:
+            v = "liftable"
+        else:
+            v = "inconclusive"
+        verdicts.append(lifting.ComponentVerdict(tuple(comp), v,
+                                                 comp_rank[ci], thr, forest))
+    if any(cv.verdict == "not-liftable" for cv in verdicts):
+        overall = "not-liftable"
+    elif any(cv.verdict == "inconclusive" for cv in verdicts):
+        overall = "inconclusive"
+    else:
+        overall = "liftable"
+    return lifting.LiftabilityVerdict(
+        overall, witness, threshold, full_omega,
+        0 if deterministic else trials, assume_maximal, deterministic,
+        tuple(verdicts))
+
+
+def rank_check_lift(c, x, attempts=32, seed=0):
+    """lift with a trivial-plane rank test before classify_lift."""
+    if attempts < 1:
+        raise ValueError("attempts must be at least 1, got %d" % attempts)
+    cm = lifting.build_collin(c, x)
+    space = lifting.lift_space(cm)
+    if space.dimension <= 2:
+        return lifting.LiftResult("no-nontrivial-lift")
+    rng = lifting.random.Random(seed)
+    xs = cm.abscissas
+    ones = [1] * c.n
+    best = None
+    for _ in range(attempts):
+        coeffs = [rng.randint(-10000, 10000) for _ in space.basis]
+        z = [sum(cv * bv[i] for cv, bv in zip(coeffs, space.basis))
+             for i in range(c.n)]
+        if lifting.rank(QMatrix([ones, xs, z])) < 3:
+            continue
+        r = Realisation.from_columns(
+            [(xs[i], 1, z[i]) for i in range(c.n)])
+        kind = lifting.classify_lift(c, r)
+        if kind == "realising":
+            return lifting.LiftResult("realising", r)
+        if best is None:
+            best = lifting.LiftResult(kind, r)
+    if best is not None:
+        return best
+    for b in space.basis:
+        if lifting.rank(QMatrix([ones, xs, b])) == 3:
+            r = Realisation.from_columns(
+                [(xs[i], 1, b[i]) for i in range(c.n)])
+            return lifting.LiftResult(lifting.classify_lift(c, r), r)
+    raise RuntimeError("kernel basis spans only the trivial plane")
+
+
+# Dense linear configurations: the Fano plane, the Pappus and Desargues
+# configurations and the affine plane of order 3.
+DENSE_CONFIGS = (
+    Config(7, ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7),
+               (3, 4, 7), (3, 5, 6))),
+    Config(9, ((1, 2, 3), (4, 5, 6), (7, 8, 9), (1, 5, 9), (1, 6, 8),
+               (2, 4, 9), (2, 6, 7), (3, 4, 8), (3, 5, 7))),
+    Config(10, ((1, 2, 5), (1, 3, 6), (1, 4, 7), (2, 3, 8), (5, 6, 8),
+                (2, 4, 9), (5, 7, 9), (3, 4, 10), (6, 7, 10), (8, 9, 10))),
+    Config(9, ((1, 2, 3), (4, 5, 6), (7, 8, 9), (1, 4, 7), (2, 5, 8),
+               (3, 6, 9), (1, 5, 9), (2, 6, 7), (3, 4, 8), (1, 6, 8),
+               (2, 4, 9), (3, 5, 7))),
+)
+
+
+def random_linear_config(rng, max_points=11):
+    """A seeded random linear configuration on at most max_points
+    points, with its labels shuffled.  Half of them are random lines of
+    2 to 5 points with no point pair on two lines; the other half keep
+    most lines of a dense configuration and hang up to two pendant
+    lines, each through one old point, on it."""
+    if rng.random() < 0.5:
+        n = rng.randint(4, max_points)
+        lines = []
+        covered = set()
+        for _ in range(rng.randint(1, 16)):
+            size = min(n, rng.choice((2, 3, 3, 3, 3, 4, 4, 5)))
+            line = tuple(sorted(rng.sample(range(1, n + 1), size)))
+            pairs = set(combinations(line, 2))
+            if not pairs & covered:
+                covered |= pairs
+                lines.append(line)
+    else:
+        base = rng.choice(DENSE_CONFIGS)
+        n = base.n
+        lines = [line for line in base.lines if rng.random() < 0.85]
+        for _ in range(rng.randint(0, 2)):
+            if n == max_points:
+                break
+            new = rng.randint(1, min(2, max_points - n))
+            lines.append((rng.randint(1, base.n),)
+                         + tuple(range(n + 1, n + new + 1)))
+            n += new
+    perm = rng.sample(range(1, n + 1), n)
+    return Config(n, tuple(sorted(tuple(sorted(perm[p - 1] for p in line))
+                                  for line in lines)))

@@ -230,6 +230,7 @@ def test_usage_errors_exit_64(capsys):
                   "--attempts", "-5"],
                  ["grid-lift"] + ["%d" % i for i in range(12)]
                  + ["--attempts", "two"],
+                 ["gens", "radical:qs", "--minor-size", "0"],
                  ["gens", "radical:qs", "--minor-size", "-1"],
                  ["gens", "radical:qs", "--minor-size", "two"]):
         with pytest.raises(SystemExit) as exc:

@@ -328,8 +328,9 @@ def test_radical_generators_forest_has_only_brackets():
     g = radical_ideal_generators(c)
     assert [e.label for e in g.entries] == ["bracket(1,2,3)",
                                             "bracket(3,4,5)"]
-    with pytest.raises(ValueError):
-        radical_ideal_generators(c, minor_size=-1)
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            radical_ideal_generators(c, minor_size=k)
 
 
 def test_emit_plain():

@@ -449,3 +449,9 @@ def test_values_keep_the_ring_of_their_inputs():
             Realisation.from_columns([(1, 0, bad)])
         with pytest.raises(TypeError):
             FramePoint(vector=(bad, 1, 0))
+        with pytest.raises(TypeError):
+            epsilon_scale(forest, bad)
+        with pytest.raises(TypeError):
+            project(quad, center=(bad, 0, 1))
+        with pytest.raises(TypeError):
+            project(quad, target_line=(0, bad, 1))

@@ -207,7 +207,7 @@ def test_minor_validates_indices():
 def test_all_minors_against_direct_minor():
     rng = random.Random(31)
     m = QMatrix(rand_matrix(rng, 4, 5, bound=6))
-    for k in (1, 2, 3, 4):
+    for k in (0, 1, 2, 3, 4):
         count = 0
         for rows, cols, value in all_minors(m, k):
             assert value == minor(m, rows, cols)

@@ -247,11 +247,10 @@ def build_parser():
                    help="bundled name (%s) or JSON file"
                         % ", ".join(bundled_names()))
     p.add_argument("--trials", type=_positive_int, default=8, metavar="N",
-                   help="random abscissa tuples to test (default 8)")
+                   help="test at most N random abscissa tuples (default 8)")
     p.add_argument("--deterministic", action="store_true",
-                   help="exact rank (<= 12 points): a sampled rank that "
-                        "meets the bound min(n-2, sum of |L|-2), else "
-                        "the polynomial-ring rank")
+                   help="certified rank: sample until the rank meets the "
+                        "incidence count, which is the generic rank")
     _add_seed(p)
     p.set_defaults(func=cmd_check)
 

@@ -23,6 +23,7 @@ CONVENTIONAL_CENTER = (0, 0, 1)
 CONVENTIONAL_LINE = (0, 0, 1)
 ABSCISSA_RANGE = 65536
 FOREST_RETRY_BUDGET = 64
+GENERIC_RANK_BUDGET = 64
 
 
 def _row_pairs(triple):
@@ -366,7 +367,7 @@ class LiftabilityVerdict:
     matrix (summed over components, which is exact because the matrix
     is block diagonal across them); threshold is n' - 3*omega' over the
     components that carry lines.  Isolated points impose no conditions
-    and are excluded from both.
+    and are excluded from both.  trials counts the tuples drawn.
     """
 
     verdict: str
@@ -387,6 +388,64 @@ def random_distinct_abscissas(n, rng):
             return xs
 
 
+def _fetch_pebble(x, blocked, pebbles, out):
+    """Bring a free pebble to x along out-edges avoiding the blocked
+    vertices, reversing the path; False when none is reachable."""
+    parent = {x: None}
+    stack = [x]
+    while stack:
+        a = stack.pop()
+        for b in out[a]:
+            if b in parent or b in blocked:
+                continue
+            parent[b] = a
+            if pebbles[b]:
+                pebbles[b] -= 1
+                pebbles[x] += 1
+                while b != x:
+                    a = parent[b]
+                    out[a].remove(b)
+                    out[b].append(a)
+                    b = a
+                return True
+            stack.append(b)
+    return False
+
+
+def generic_rank_bound(c):
+    """Upper bound on the rank of the collinearity matrix of c at every
+    tuple, equal to its generic rank (Whiteley, Discrete Comput. Geom.
+    4, 1989).
+
+    One row z_p - a_L - b_L*x_p per incidence (p, L) gives, at distinct
+    abscissas, a matrix of rank 2*#lines + rank of the collinearity
+    matrix.  The affine heights
+    lie in the kernel of any set I of these rows, so its rank is at most
+    |points of I| + 2|lines of I| - 2.  The rank r of the matroid of the
+    incidence sets that meet this count on every subset bounds the
+    rank by r - 2*#lines.  r comes from a pebble game (Lee-Streinu,
+    Discrete Math. 308, 2008): a point holds 1 pebble, a line 2, and an
+    incidence is kept when all 3 pebbles of its ends can be gathered.
+    """
+    cap = [1] * c.n + [2] * len(c.lines)
+    pebbles = cap[:]
+    out = [[] for _ in cap]
+    kept = 0
+    for f, line in enumerate(c.lines, start=c.n):
+        for p in line:
+            ends = (p - 1, f)
+            while pebbles[p - 1] + pebbles[f] < 3:
+                if not any(pebbles[x] < cap[x]
+                           and _fetch_pebble(x, ends, pebbles, out)
+                           for x in ends):
+                    break
+            else:
+                pebbles[p - 1] -= 1
+                out[p - 1].append(f)
+                kept += 1
+    return kept - 2 * len(c.lines)
+
+
 def is_liftable_generic(c, trials=8, seed=0, assume_maximal=True,
                         deterministic=False):
     """Decide liftability component by component.
@@ -399,18 +458,14 @@ def is_liftable_generic(c, trials=8, seed=0, assume_maximal=True,
     liftable when its matroid is maximal.  With assume_maximal=False
     such components are reported inconclusive, since the bound then
     only guarantees a non-trivial lift.  The rank at every tuple is at
-    most min(n_comp - 2, sum over lines of |L| - 2) (1 and x lie in the
-    kernel; every height affine on L solves L's rows), so sampling
-    stops at the first trial whose ranks all meet their bounds, and
-    after `trials` trials otherwise; it needs trials >= 1.  With
-    deterministic=True (n <= 12) only trial 0 is drawn and the generic
-    rank is certified: a component below its bound there is handed to
-    symbolic_collin_rank.
+    most generic_rank_bound, the generic rank, so sampling stops at the
+    first trial whose total meets it, which certifies every component,
+    and after `trials` >= 1 trials otherwise.  deterministic=True draws
+    up to GENERIC_RANK_BUDGET trials instead and raises RuntimeError if
+    none certifies.  The verdict counts the trials drawn.
     """
     if deterministic:
-        if c.n > 12:
-            raise ValueError("deterministic mode supports n <= 12 only")
-        trials = 1
+        trials = GENERIC_RANK_BUDGET
     elif trials < 1:
         raise ValueError("trials must be at least 1, got %d" % trials)
     full_omega = analyze(c).omega
@@ -419,12 +474,12 @@ def is_liftable_generic(c, trials=8, seed=0, assume_maximal=True,
         sub, _ = induced(c, comp)
         if sub.lines:
             active.append((comp, sub))
-    bounds = [min(sub.n - 2, sum(len(line) - 2 for line in sub.lines))
-              for _, sub in active]
+    bound = sum(generic_rank_bound(sub) for _, sub in active)
     comp_rank = [0] * len(active)
-    witness = 0
-    for t in range(trials):
-        rng = random.Random(seed + t)
+    witness = drawn = 0
+    while witness < bound and drawn < trials:
+        rng = random.Random(seed + drawn)
+        drawn += 1
         total = 0
         for ci, (comp, sub) in enumerate(active):
             xs = random_distinct_abscissas(sub.n, rng)
@@ -432,13 +487,10 @@ def is_liftable_generic(c, trials=8, seed=0, assume_maximal=True,
             comp_rank[ci] = max(comp_rank[ci], r)
             total += r
         witness = max(witness, total)
-        if total == sum(bounds):
-            break
-    if deterministic:
-        for ci, (comp, sub) in enumerate(active):
-            if comp_rank[ci] < bounds[ci]:
-                comp_rank[ci] = symbolic_collin_rank(sub)
-        witness = sum(comp_rank)
+    if deterministic and witness < bound:
+        raise RuntimeError("generic rank not certified: sampled rank %d "
+                           "below the incidence count %d after %d trials"
+                           % (witness, bound, drawn))
     verdicts = []
     threshold = 0
     for ci, (comp, sub) in enumerate(active):
@@ -461,8 +513,7 @@ def is_liftable_generic(c, trials=8, seed=0, assume_maximal=True,
         overall = "inconclusive"
     else:
         overall = "liftable"
-    return LiftabilityVerdict(overall, witness, threshold, full_omega,
-                              0 if deterministic else trials,
+    return LiftabilityVerdict(overall, witness, threshold, full_omega, drawn,
                               assume_maximal, deterministic, tuple(verdicts))
 
 
@@ -492,12 +543,15 @@ def is_quasi_liftable(c, trials=8, seed=0, assume_maximal=True):
 
 def poly_matrix_rank(a):
     """Rank of a matrix of Poly entries over the rational function
-    field, by fraction-free elimination with exact division."""
+    field, by fraction-free elimination with exact division; the tests'
+    reference for generic_rank_bound."""
     return len(bareiss([row[:] for row in a])[0])
 
 
 def symbolic_collin_rank(c):
-    """Exact generic rank of the collinearity matrix of c."""
+    """Exact generic rank of the collinearity matrix of c, over the
+    polynomial ring: slow, and only the tests' reference for
+    generic_rank_bound, which decides instead."""
     xs = [Poly.variable(var_id("x", p)) for p in range(1, c.n + 1)]
     return poly_matrix_rank(_collin_rows(build_collin(c).row_triples, xs,
                                          Poly.zero()))

@@ -205,20 +205,63 @@ def frac_generators_vanish(gens, cols):
     return True, None
 
 
+# --- the incidence count, the long way ---------------------------------------
+
+
+def structural_bound(c):
+    """Sum over the components with lines of min(n - 2, sum |L| - 2),
+    the bound on the generic rank that the incidence count replaced."""
+    total = 0
+    for comp in components(c):
+        sub, _ = induced(c, comp)
+        if sub.lines:
+            total += min(sub.n - 2, sum(len(line) - 2 for line in sub.lines))
+    return total
+
+
+def subset_count_bound(c):
+    """generic_rank_bound by brute force: greedy over the incidences
+    (point, line), keeping one when, with it, every vertex set W that
+    holds its point and line spans at most |points of W| +
+    2|lines of W| - 2 kept incidences; that is the count on the
+    incidences inside W.  Lines are numbered n+1, n+2, ... after the
+    points."""
+    kept = []
+    for f, line in enumerate(c.lines, start=c.n + 1):
+        for p in line:
+            cand = kept + [(p, f)]
+            others = sorted({v for e in kept for v in e} - {p, f})
+            if all(sum(1 for a, b in cand if a in w and b in w)
+                   <= sum(1 if v <= c.n else 2 for v in w) - 2
+                   for k in range(len(others) + 1)
+                   for w in (set(extra) | {p, f}
+                             for extra in combinations(others, k))):
+                kept = cand
+    return len(kept) - 2 * len(c.lines)
+
+
 # --- reference decide loops --------------------------------------------------
 #
 # The liftability check and the lift search the long way: every sampled
-# trial is drawn, the deterministic mode has a branch of its own, and a
-# rank tests each lift candidate against the trivial plane before
-# classify_lift judges it.  The package must give the same answers.
-# Package functions are looked up on the lifting module at call time,
-# so a test that patches them patches both.
+# trial is drawn, the deterministic mode takes each component's rank
+# from symbolic_collin_rank, and a rank tests each lift candidate
+# against the trivial plane before classify_lift judges it.  The
+# package must give the same answers.  Package functions are looked up
+# on the lifting module at call time, so a test that patches them
+# patches both.
 
 
 def full_trial_is_liftable_generic(c, trials=8, seed=0, assume_maximal=True,
                                    deterministic=False):
-    """is_liftable_generic without the early stop at the rank bound."""
-    if not deterministic and trials < 1:
+    """is_liftable_generic without the early stop at the rank bound.
+
+    Sampled, every trial is drawn; deterministic, trials are drawn up
+    to the first that meets the incidence count, and the component
+    ranks come from symbolic_collin_rank.  Either way the verdict's
+    trials counts the trials up to that first one, or all of them."""
+    if deterministic:
+        trials = lifting.GENERIC_RANK_BUDGET
+    elif trials < 1:
         raise ValueError("trials must be at least 1, got %d" % trials)
     full_omega = analyze(c).omega
     active = []
@@ -226,29 +269,28 @@ def full_trial_is_liftable_generic(c, trials=8, seed=0, assume_maximal=True,
         sub, _ = induced(c, comp)
         if sub.lines:
             active.append((comp, sub))
+    bound = sum(lifting.generic_rank_bound(sub) for _, sub in active)
     comp_rank = [0] * len(active)
     witness = 0
-    if deterministic:
-        if c.n > 12:
-            raise ValueError("deterministic mode supports n <= 12 only")
-        rng = random.Random(seed)
+    drawn = 0 if bound == 0 else None
+    for t in range(trials):
+        if deterministic and drawn is not None:
+            break
+        rng = random.Random(seed + t)
+        total = 0
         for ci, (comp, sub) in enumerate(active):
-            low = lifting.rank(lifting.build_collin(
-                sub, lifting.random_distinct_abscissas(sub.n, rng)).numeric)
-            high = min(sub.n - 2, sum(len(line) - 2 for line in sub.lines))
-            comp_rank[ci] = (low if low == high
-                             else lifting.symbolic_collin_rank(sub))
+            xs = lifting.random_distinct_abscissas(sub.n, rng)
+            r = lifting.rank(lifting.build_collin(sub, xs).numeric)
+            comp_rank[ci] = max(comp_rank[ci], r)
+            total += r
+        witness = max(witness, total)
+        if drawn is None and total == bound:
+            drawn = t + 1
+    if deterministic:
+        if drawn is None:
+            raise RuntimeError("no trial meets the incidence count")
+        comp_rank = [lifting.symbolic_collin_rank(sub) for _, sub in active]
         witness = sum(comp_rank)
-    else:
-        for t in range(trials):
-            rng = random.Random(seed + t)
-            total = 0
-            for ci, (comp, sub) in enumerate(active):
-                xs = lifting.random_distinct_abscissas(sub.n, rng)
-                r = lifting.rank(lifting.build_collin(sub, xs).numeric)
-                comp_rank[ci] = max(comp_rank[ci], r)
-                total += r
-            witness = max(witness, total)
     verdicts = []
     threshold = 0
     for ci, (comp, sub) in enumerate(active):
@@ -273,7 +315,7 @@ def full_trial_is_liftable_generic(c, trials=8, seed=0, assume_maximal=True,
         overall = "liftable"
     return lifting.LiftabilityVerdict(
         overall, witness, threshold, full_omega,
-        0 if deterministic else trials, assume_maximal, deterministic,
+        trials if drawn is None else drawn, assume_maximal, deterministic,
         tuple(verdicts))
 
 
@@ -332,8 +374,11 @@ def random_linear_config(rng, max_points=11):
     points, with its labels shuffled.  Half of them are random lines of
     2 to 5 points with no point pair on two lines; the other half keep
     most lines of a dense configuration and hang up to two pendant
-    lines, each through one old point, on it."""
-    if rng.random() < 0.5:
+    lines, each through one old point, on it.  The dense configuration
+    is drawn among those on at most max_points points; when none is
+    that small, every draw takes random lines."""
+    fits = [base for base in DENSE_CONFIGS if base.n <= max_points]
+    if rng.random() < 0.5 or not fits:
         n = rng.randint(4, max_points)
         lines = []
         covered = set()
@@ -345,7 +390,7 @@ def random_linear_config(rng, max_points=11):
                 covered |= pairs
                 lines.append(line)
     else:
-        base = rng.choice(DENSE_CONFIGS)
+        base = rng.choice(fits)
         n = base.n
         lines = [line for line in base.lines if rng.random() < 0.85]
         for _ in range(rng.randint(0, 2)):

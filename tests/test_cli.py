@@ -72,13 +72,33 @@ def test_check_is_byte_identical(capsys):
     assert first == second
 
 
-def test_check_deterministic_rejects_large_configs(tmp_path, capsys):
-    cfg = tmp_path / "big.json"
-    cfg.write_text(json.dumps({"points": 13, "lines": [[1, 2, 3]]}))
+def test_check_deterministic_answers_large_configs(tmp_path, capsys):
+    # 13 and 20 points, beyond the former limit of 12.
+    small = tmp_path / "n13.json"
+    small.write_text(json.dumps({"points": 13, "lines": [[1, 2, 3]]}))
+    code, out, err = run_cli(capsys, "check", str(small), "--deterministic")
+    assert code == 0 and err == ""
+    assert out == ('{"genericRank": 1, "omega": 11, '
+                   '"verdict": "liftable"}\n')
+    grid = tmp_path / "grid4x5.json"
+    grid.write_text(json.dumps(config_to_dict(grid_config(4, 5))))
+    code, out, err = run_cli(capsys, "check", str(grid), "--deterministic")
+    assert code == 2 and err == ""
+    assert out == ('{"genericRank": 18, "omega": 1, '
+                   '"verdict": "not-liftable"}\n')
+
+
+def test_check_deterministic_below_the_structural_bound(tmp_path, capsys):
+    # Pappus plus the line (1, 10, 11, 12): min(n - 2, sum |L| - 2) is
+    # 10, the generic rank 9.
+    lines = [[1, 2, 3], [4, 5, 6], [7, 8, 9], [1, 5, 9], [1, 6, 8],
+             [2, 4, 9], [2, 6, 7], [3, 4, 8], [3, 5, 7], [1, 10, 11, 12]]
+    cfg = tmp_path / "pappus_plus.json"
+    cfg.write_text(json.dumps({"points": 12, "lines": lines}))
     code, out, err = run_cli(capsys, "check", str(cfg), "--deterministic")
-    assert code == 65
-    assert out == ""
-    assert err.startswith("planelift: ")
+    assert code == 0 and err == ""
+    assert out == ('{"genericRank": 9, "omega": 1, '
+                   '"verdict": "liftable"}\n')
 
 
 def test_qs_check_generic_tuple(capsys):

@@ -331,27 +331,27 @@ def test_liftable_deterministic_mode():
         exact = is_liftable_generic(c, deterministic=True)
         assert exact.verdict == sampled.verdict
         assert exact.witness_rank == sampled.witness_rank
-        assert exact.deterministic and exact.trials == 0
-    with pytest.raises(ValueError):
-        is_liftable_generic(Config(13, ((1, 2, 3),)), deterministic=True)
+        assert exact.deterministic and exact.trials == 1
+    # No size limit.
+    v = is_liftable_generic(Config(13, ((1, 2, 3),)), deterministic=True)
+    assert (v.verdict, v.witness_rank, v.omega) == ("liftable", 1, 11)
 
 
 def test_deterministic_rank_below_the_structural_bound(monkeypatch):
     # The Fano plane plus the two-point line (1, 8): n - 2 = 6 bounds
-    # the rank, but the generic rank is 5, so the sampled rank cannot
-    # certify it and the symbolic rank decides.  On the 3x4 grid the
-    # sampled rank meets the bound and no symbolic rank is computed.
+    # the rank, but the generic rank is 5.  The incidence count is 5
+    # too, so the first sampled rank certifies it and no symbolic rank
+    # is computed, as on the 3x4 grid.
     calls = []
-    monkeypatch.setattr(lifting, "symbolic_collin_rank",
-                        lambda c: calls.append(c) or symbolic_collin_rank(c))
+    monkeypatch.setattr(lifting, "symbolic_collin_rank", calls.append)
     fano = ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7),
             (3, 4, 7), (3, 5, 6))
     c = Config(8, fano + ((1, 8),))
-    assert is_liftable_generic(c, deterministic=True).witness_rank == 5
-    assert calls == [c]
+    v = is_liftable_generic(c, deterministic=True)
+    assert v.witness_rank == 5 and v.trials == 1
     v = is_liftable_generic(grid_config(3, 4), deterministic=True)
     assert v.witness_rank == 10 and v.verdict == "not-liftable"
-    assert calls == [c]
+    assert calls == []
 
 
 def test_liftable_needs_trials():

@@ -41,6 +41,10 @@ class DataError(Exception):
     """Bad input data (files, configs, abscissas); exits 65."""
 
 
+class UsageError(Exception):
+    """Options that parse but do not fit together; exits 64."""
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors, which collides with the
     no-nontrivial-lift status; use 64 instead.  The negative-number
@@ -184,6 +188,8 @@ def cmd_grid_lift(args):
 
 def cmd_gens(args):
     target = args.target
+    if args.minor_size is not None and not target.startswith("radical:"):
+        raise UsageError("--minor-size applies only to radical: targets")
     if target == "qs":
         g = qs_generators()
     elif target == "grid34":
@@ -293,7 +299,7 @@ def build_parser():
     p.add_argument("--format", choices=("plain", "cas", "json"),
                    default="plain", help="output format (default plain)")
     p.add_argument("--minor-size", type=_positive_int, metavar="K",
-                   help="minor size for radical targets (default n-2)")
+                   help="minor size, radical: targets only (default n-2)")
     p.set_defaults(func=cmd_gens)
 
     p = sub.add_parser("verify",
@@ -313,9 +319,12 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as e:
+        parser.error(str(e))
     except DataError as e:
         print("planelift: %s" % e, file=sys.stderr)
         return EX_DATAERR

@@ -10,19 +10,18 @@ point, one frame per product slot.
 The fixed frame is R_1 = (1,0,0), R_2 = (0,1,0), R_3 = (0,0,1).
 """
 
-import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement, \
     permutations, product
+from json.encoder import encode_basestring_ascii
 
 from .config import grid_config, qs_config
 from .lifting import build_collin
-from .linalg import _exact, det3
+from .linalg import _exact, det3, format_rat
 from .poly import (FRAME_COFACTORS, MultiDeg, Poly, bracket, frame_bracket,
-                   multidegree, point_bracket, poly_to_json_terms,
-                   poly_to_plain, var_name)
+                   multidegree, point_bracket, poly_to_plain, var_name)
 
 
 class FramePoint:
@@ -359,11 +358,69 @@ def _ring_vars(npoints):
     return [var_name(v) for v in range(3 * npoints)]
 
 
+def _json_array(items, pad):
+    """Rendered items as json.dumps(indent=2) lays out an array whose
+    key sits at indent pad: one item per line at indent pad + 2."""
+    if not items:
+        return "[]"
+    sep = "\n" + pad + "  "
+    return "[" + sep + ("," + sep).join(items) + "\n" + pad + "]"
+
+
+def _json_text(g):
+    """The bytes of json.dumps(doc, sort_keys=True, indent=2) + "\n" for
+    the document emit describes, written without building it: the C
+    string escaper quotes the label and ideal name, and every other
+    value is an int, a 'p/q' string or a variable name."""
+    names = _ring_vars(g.npoints)
+    # sort_keys orders the exps keys as strings: "x_10" before "x_2".
+    rank = [0] * len(names)
+    for pos, v in enumerate(sorted(range(len(names)),
+                                   key=names.__getitem__)):
+        rank[v] = pos
+    keys = ['\n            "%s": ' % name for name in names]
+    gens = []
+    for e in g.entries:
+        terms = []
+        for mono, coeff in e.poly.terms_sorted():
+            exps = "{}"
+            if mono:
+                exps = "{%s\n          }" % ",".join(
+                    [keys[v] + str(x)
+                     for v, x in sorted(mono, key=lambda t: rank[t[0]])])
+            terms.append('{\n          "coeff": "%s",\n          "exps": %s'
+                         '\n        }' % (format_rat(coeff), exps))
+        md = "null"
+        if e.multideg is not None:
+            md = ('{\n        "letter": %s,\n        "point": %s\n      }'
+                  % (_json_array(list(map(str, e.multideg.letter)), " " * 8),
+                     _json_array(list(map(str, e.multideg.point)), " " * 8)))
+        gens.append('{\n      "degree": %d,\n      "label": %s,'
+                    '\n      "multidegree": %s,\n      "terms": %s\n    }'
+                    % (e.degree, encode_basestring_ascii(e.label), md,
+                       _json_array(terms, " " * 6)))
+    return ('{\n  "generators": %s,\n  "ideal": %s,\n  "points": %d\n}\n'
+            % (_json_array(gens, "  "), encode_basestring_ascii(g.ideal_name),
+               g.npoints))
+
+
 def emit(g, fmt):
     """Render a GeneratorSet as deterministic text.
 
     Formats: 'plain' (one generator per line), 'cas' (a computer
-    algebra script declaring the ring and the ideal), 'json'.
+    algebra script declaring the ring and the ideal), 'json'.  The
+    'json' text is byte for byte json.dumps(doc, sort_keys=True,
+    indent=2) followed by a newline, where doc is
+
+        {"ideal": name, "points": n, "generators": [
+            {"label": str, "degree": int,
+             "multidegree": {"letter": [3 ints], "point": [n ints]}
+                            or null,
+             "terms": [{"coeff": "p/q", "exps": {"x_1": e, ...}}, ...]},
+            ...]}
+
+    with terms in canonical order and exps listing only the variables
+    that occur.
     """
     if fmt == "plain":
         out = ["# %s: %d generators" % (g.ideal_name, len(g.entries))]
@@ -384,20 +441,7 @@ def emit(g, fmt):
                                 for i in range(1, len(g.entries) + 1))))
         return "\n".join(out) + "\n"
     if fmt == "json":
-        doc = {"ideal": g.ideal_name, "points": g.npoints,
-               "generators": []}
-        for e in g.entries:
-            md = None
-            if e.multideg is not None:
-                md = {"letter": list(e.multideg.letter),
-                      "point": list(e.multideg.point)}
-            doc["generators"].append({
-                "label": e.label,
-                "degree": e.degree,
-                "multidegree": md,
-                "terms": poly_to_json_terms(e.poly),
-            })
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return _json_text(g)
     raise ValueError("unknown format %r (use plain, cas or json)" % (fmt,))
 
 

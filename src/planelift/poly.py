@@ -355,15 +355,6 @@ def poly_to_plain(p):
     return "".join(out)
 
 
-def poly_to_json_terms(p):
-    """List of {'coeff': 'p/q', 'exps': {'x_1': e, ...}} in canonical order."""
-    out = []
-    for mono, coeff in p.terms_sorted():
-        out.append({"coeff": format_rat(coeff),
-                    "exps": {var_name(v): e for v, e in mono}})
-    return out
-
-
 def assignment_from_columns(columns):
     """Assignment {variable id: entry} mapping the variables of points
     1..n to the entries of the given 3-vector columns, kept as given

@@ -5,6 +5,7 @@ Gaussian elimination, permutation-sum determinants) so that agreement
 between the two is meaningful.
 """
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -203,6 +204,31 @@ def frac_generators_vanish(gens, cols):
         if frac_evaluate(e.poly, assignment) != 0:
             return False, e.label
     return True, None
+
+
+# --- the JSON emission, through the json module ----------------------------
+
+
+def json_emit_oracle(g):
+    """The 'json' text of a GeneratorSet as emit once built it: a dict
+    per generator and per term, encoded by json.dumps(sort_keys=True,
+    indent=2).  Coefficients print as str(Fraction) and variables as
+    letter_point, independently of the package's formatters."""
+    generators = []
+    for e in g.entries:
+        md = None
+        if e.multideg is not None:
+            md = {"letter": list(e.multideg.letter),
+                  "point": list(e.multideg.point)}
+        terms = [{"coeff": str(Fraction(coeff)),
+                  "exps": {"%s_%d" % ("xyz"[v % 3], v // 3 + 1): x
+                           for v, x in mono}}
+                 for mono, coeff in e.poly.terms_sorted()]
+        generators.append({"label": e.label, "degree": e.degree,
+                           "multidegree": md, "terms": terms})
+    doc = {"ideal": g.ideal_name, "points": g.npoints,
+           "generators": generators}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 # --- the incidence count, the long way ---------------------------------------

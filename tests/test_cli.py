@@ -252,7 +252,9 @@ def test_usage_errors_exit_64(capsys):
                  + ["--attempts", "two"],
                  ["gens", "radical:qs", "--minor-size", "0"],
                  ["gens", "radical:qs", "--minor-size", "-1"],
-                 ["gens", "radical:qs", "--minor-size", "two"]):
+                 ["gens", "radical:qs", "--minor-size", "two"],
+                 ["gens", "qs", "--minor-size", "3"],
+                 ["gens", "grid34", "--format", "json", "--minor-size", "1"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 64

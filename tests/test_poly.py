@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import BIG, frac_evaluate, leibniz_det, rand_fraction, rand_poly
-from planelift.linalg import format_rat
 from planelift.poly import (MultiDeg, Poly, _order_key,
                             assignment_from_columns, bracket, frame_bracket,
-                            multidegree, point_bracket, poly_to_json_terms,
-                            poly_to_plain, var_id, var_letter, var_name,
-                            var_point)
+                            multidegree, point_bracket, poly_to_plain,
+                            var_id, var_letter, var_name, var_point)
 
 BRACKET_123_PLAIN = ("-z_1*y_2*x_3 + y_1*z_2*x_3 + z_1*x_2*y_3"
                      " - x_1*z_2*y_3 - y_1*x_2*z_3 + x_1*y_2*z_3")
@@ -290,15 +288,6 @@ def test_terms_sorted_and_least_monomial():
     assert least == ordered[-1][0]
     assert dict(ordered)[least] == 1
     assert Poly.zero().least_monomial() is None
-
-
-def test_poly_to_json_terms():
-    p = Poly.monomial(Fraction(-3, 2), [(var_id("x", 1), 2)]) + 1
-    rec = poly_to_json_terms(p)
-    assert rec == [{"coeff": "-3/2", "exps": {"x_1": 2}},
-                   {"coeff": "1", "exps": {}}]
-    assert format_rat(Fraction(7)) == "7"
-    assert format_rat(Fraction(-7, 3)) == "-7/3"
 
 
 def test_assignment_from_columns():

@@ -16,6 +16,7 @@ import json
 import os
 import re
 import sys
+from functools import partial
 
 from .config import (bundled_config, bundled_names, config_from_dict,
                      grid_config, qs_config, realisation_to_dict, validate)
@@ -159,9 +160,11 @@ def _run_lift(c, xs, attempts, seed):
     return _LIFT_EXITS.get(res.kind, EX_DEGENERATE)
 
 
-def _run_rank_check(c, xs):
+def cmd_fixed_check(args):
+    """qs-check and grid-check: the rank test at the given abscissas."""
+    c = args.fixed()
     try:
-        r = rank(build_collin(c, xs).numeric)
+        r = rank(build_collin(c, args.x).numeric)
     except ValueError as e:
         raise DataError(str(e))
     threshold = c.n - 3
@@ -170,20 +173,8 @@ def _run_rank_check(c, xs):
     return _CHECK_EXITS[verdict]
 
 
-def cmd_qs_check(args):
-    return _run_rank_check(qs_config(), args.x)
-
-
-def cmd_qs_lift(args):
-    return _run_lift(qs_config(), args.x, args.attempts, args.seed)
-
-
-def cmd_grid_check(args):
-    return _run_rank_check(grid_config(3, 4), args.x)
-
-
-def cmd_grid_lift(args):
-    return _run_lift(grid_config(3, 4), args.x, args.attempts, args.seed)
+def cmd_fixed_lift(args):
+    return _run_lift(args.fixed(), args.x, args.attempts, args.seed)
 
 
 def cmd_gens(args):
@@ -199,7 +190,7 @@ def cmd_gens(args):
         try:
             g = radical_ideal_generators(c, minor_size=args.minor_size)
         except ValueError as e:
-            raise DataError(str(e))
+            raise UsageError(str(e))
     else:
         raise DataError("unknown generator target %r "
                         "(use qs, grid34 or radical:CONFIG)" % target)
@@ -268,29 +259,20 @@ def build_parser():
     _add_seed(p, attempts=True)
     p.set_defaults(func=cmd_lift)
 
-    p = sub.add_parser("qs-check",
-                       help="rank test for lifting 6 abscissas to a "
-                            "quadrilateral set")
-    p.add_argument("x", type=_rat, nargs=6, metavar="X")
-    p.set_defaults(func=cmd_qs_check)
+    for short, n, noun, fixed in (("qs", 6, "quadrilateral set", qs_config),
+                                  ("grid", 12, "3x4 grid",
+                                   partial(grid_config, 3, 4))):
+        p = sub.add_parser(short + "-check",
+                           help="rank test for lifting %d abscissas to a %s"
+                                % (n, noun))
+        p.add_argument("x", type=_rat, nargs=n, metavar="X")
+        p.set_defaults(func=cmd_fixed_check, fixed=fixed)
 
-    p = sub.add_parser("qs-lift",
-                       help="lift 6 abscissas to a quadrilateral set")
-    p.add_argument("x", type=_rat, nargs=6, metavar="X")
-    _add_seed(p, attempts=True)
-    p.set_defaults(func=cmd_qs_lift)
-
-    p = sub.add_parser("grid-check",
-                       help="rank test for lifting 12 abscissas to a "
-                            "3x4 grid")
-    p.add_argument("x", type=_rat, nargs=12, metavar="X")
-    p.set_defaults(func=cmd_grid_check)
-
-    p = sub.add_parser("grid-lift",
-                       help="lift 12 abscissas to a 3x4 grid")
-    p.add_argument("x", type=_rat, nargs=12, metavar="X")
-    _add_seed(p, attempts=True)
-    p.set_defaults(func=cmd_grid_lift)
+        p = sub.add_parser(short + "-lift",
+                           help="lift %d abscissas to a %s" % (n, noun))
+        p.add_argument("x", type=_rat, nargs=n, metavar="X")
+        _add_seed(p, attempts=True)
+        p.set_defaults(func=cmd_fixed_lift, fixed=fixed)
 
     p = sub.add_parser("gens",
                        help="emit a generating set of a matroid ideal")

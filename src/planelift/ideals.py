@@ -53,11 +53,13 @@ R3 = FramePoint(3)
 
 
 def frame_point(spec):
-    """Coerce 1/2/3, a 3-vector, or a FramePoint to a FramePoint."""
+    """Coerce 1/2/3, a 3-vector, or a FramePoint to a FramePoint; any
+    other int raises ValueError."""
     if isinstance(spec, FramePoint):
         return spec
-    if spec in (1, 2, 3):
-        return (R1, R2, R3)[spec - 1]
+    if isinstance(spec, int):
+        return (R1, R2, R3)[spec - 1] if spec in (1, 2, 3) \
+            else FramePoint(spec)
     return FramePoint(vector=spec)
 
 
@@ -307,17 +309,20 @@ def radical_ideal_generators(c, minor_size=None):
     extensions of all minor_size x minor_size minors of its symbolic
     collinearity matrix over every frame tuple.
 
-    minor_size defaults to n - 2 and must be at least 1: the 0 x 0
-    minor is 1, whose ideal is the whole ring.  Zero extensions are
+    minor_size defaults to n - 2.  It must be at least 1, since the 0 x 0
+    minor is 1, whose ideal is the whole ring; an explicit minor_size
+    must also be at most min(rows of the matrix, n), while a default
+    above that bound emits the brackets alone.  Zero extensions are
     dropped and duplicates (after sign canonicalisation) are kept once.
     The number of extensions grows as 3^k times the minor count, so
     large configurations need a deliberate minor_size choice.
     """
-    if minor_size is None:
-        minor_size = c.n - 2
-    if minor_size < 1:
-        raise ValueError("minor size must be at least 1, got %d"
-                         % minor_size)
+    cm = build_collin(c)
+    nrows = len(cm.row_triples)
+    k = c.n - 2 if minor_size is None else minor_size
+    if k < 1 or (minor_size is not None and k > min(nrows, c.n)):
+        raise ValueError("minor size must be from 1 to min(rows, n) = %d, "
+                         "got %d" % (min(nrows, c.n), k))
     entries = []
     seen = set()
     for line in c.lines:
@@ -326,9 +331,6 @@ def radical_ideal_generators(c, minor_size=None):
             if e.poly not in seen:
                 seen.add(e.poly)
                 entries.append(e)
-    cm = build_collin(c)
-    nrows = len(cm.row_triples)
-    k = minor_size
     if k <= nrows and k <= c.n:
         for rows in combinations(range(1, nrows + 1), k):
             for cols in combinations(range(1, c.n + 1), k):

@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import comb
 
 from .config import (Realisation, _non_simple, circuits,
                      config_of_realisation, grid_config, membership, qs_config)
@@ -208,126 +209,106 @@ def _project_generic(r, rng):
     raise SampleError("retry budget exhausted projecting to a line")
 
 
-def _check_lift(report, conf, xs, t):
-    """lift() at xs must realise conf and project back to xs exactly."""
-    lifted = lift(conf, xs, seed=t)
-    ok = lifted.kind == "realising"
-    if ok:
-        ok = project(lifted.realisation).abscissas == tuple(xs)
-    report.check(ok, "trial %d lift" % t, "lift kind %s" % lifted.kind)
-
-
 _FRAME_TRIPLES = tuple(product(_FRAMES, repeat=3))
-
-
-def probe_tfae_qs(trials, seed):
-    """Exercise the quadrilateral-set equivalences on random samples.
-
-    Positive branch, per trial: a sampled quadrilateral set is projected
-    to a generic line; the image abscissas must give rank(Lambda_QS) <= 3,
-    all 4*27 QS values at the image points must vanish, and lift() must
-    return a realising quadrilateral set projecting back to the same
-    abscissas.  Negative branch: an unconstrained random collinear
-    6-tuple should generically show rank 4 and a nonzero QS value; the
-    report counts how often it did.
-    """
-    report = ProbeReport("tfae-qs", trials)
-    conf = qs_config()
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        r = sample_quadset(rng)
-        res = _project_generic(r, rng)
-        xs = res.abscissas
-        cm = build_collin(conf, xs)
-        report.check(rank(cm.numeric) <= 3, "trial %d rank" % t,
-                     "rank(Lambda_QS) > 3 at projected abscissas")
-        image = Realisation.from_columns(
-            [res.chart.to_point(x) for x in xs]).int_columns()
-        zeros = sum(1 for line in QS_LINES for f in _FRAME_TRIPLES
-                    if qs_value(image, line, *f) == 0)
-        report.check(zeros == 108, "trial %d vanishing" % t,
-                     "%d of 108 QS values vanish" % zeros)
-        report.bump("qs-values-checked", 108)
-        _check_lift(report, conf, xs, t)
-        # negative control
-        nxs, npts = _line_points(rng, 6)
-        nrank = rank(build_collin(conf, nxs).numeric)
-        witness = any(qs_value(npts, line, *f) != 0
-                      for line in QS_LINES for f in _FRAME_TRIPLES)
-        if nrank == 4:
-            report.bump("negative-rank-4")
-        if witness:
-            report.bump("negative-nonzero-witness")
-        report.bump("negative-trials")
-    return report
-
-
 _WEAKLY_INCREASING_6 = tuple(combinations_with_replacement(_FRAMES, 6))
 
 
-def probe_tfae_grid(trials, seed, minors_on_first_trial=True):
-    """Mirror of probe_tfae_qs for the 3x4 grid.
+def _qs_values(cols, rng=None):
+    """The QS values at cols on every line and frame triple, 4*27."""
+    return (qs_value(cols, line, *f)
+            for line in QS_LINES for f in _FRAME_TRIPLES)
 
-    Per positive trial: projected grid abscissas give
-    rank(Lambda_G34) <= 9 (equivalently, every 10-minor vanishes; the
-    full 8008*66 enumeration runs on the first trial only), the grid
-    values vanish on all 28 weakly increasing frame 6-tuples per column
-    plus 100 random tuples, and lift() recovers a realising grid.
-    Negative branch: random collinear 12-tuples generically show rank 10
-    and a nonzero grid value.
+
+def _g34_values(cols, rng=None):
+    """The grid values at cols on every column and weakly increasing
+    frame 6-tuple, 4*28; with rng, 100 random (column, 6-tuple) draws
+    follow."""
+    for ci in (1, 2, 3, 4):
+        for frames in _WEAKLY_INCREASING_6:
+            yield g34_value(cols, ci, *frames)
+    if rng is not None:
+        for _ in range(100):
+            ci = rng.randint(1, 4)
+            frames = tuple(rng.randint(1, 3) for _ in range(6))
+            yield g34_value(cols, ci, *frames)
+
+
+def _sample_grid34(rng):
+    return sample_grid(rng, 3, 4)
+
+
+def _probe_tfae(suite, trials, seed, conf, sample, bound, matrix, noun,
+                values, minors_on_first_trial=False):
+    """Exercise the equivalences of a fixed example on random samples.
+
+    Positive branch, per trial: sample(rng) is projected to a generic
+    line; its abscissas must give rank(matrix) <= bound (and, on trial 0
+    with minors_on_first_trial, zero for every (bound+1)-minor), every
+    value of values(image, rng) must vanish, and lift() must realise
+    conf and project back to the same abscissas.  Negative branch: a
+    random collinear tuple should generically show rank bound+1 and a
+    nonzero value of values(pts); the report counts how often it did.
     """
-    report = ProbeReport("tfae-grid", trials)
-    conf = grid_config(3, 4)
+    report = ProbeReport(suite, trials)
+    k = bound + 1
     for t in range(trials):
         rng = _trial_rng(seed, t)
-        r = sample_grid(rng, 3, 4)
-        res = _project_generic(r, rng)
+        res = _project_generic(sample(rng), rng)
         xs = res.abscissas
         cm = build_collin(conf, xs)
-        report.check(rank(cm.numeric) <= 9, "trial %d rank" % t,
-                     "rank(Lambda_G34) > 9 at projected abscissas")
+        report.check(rank(cm.numeric) <= bound, "trial %d rank" % t,
+                     "rank(%s) > %d at projected abscissas" % (matrix, bound))
         if minors_on_first_trial and t == 0:
-            count = 0
-            allzero = True
-            for _, _, v in all_minors(cm.numeric, 10):
+            count, allzero = 0, True
+            for _, _, v in all_minors(cm.numeric, k):
                 count += 1
-                if v != 0:
-                    allzero = False
-            report.check(count == 8008 * 66 and allzero,
+                allzero = allzero and v == 0
+            expected = comb(cm.numeric.rows, k) * comb(conf.n, k)
+            report.check(count == expected and allzero,
                          "trial 0 ten-minors",
                          "%d minors, allzero=%s" % (count, allzero))
             report.bump("ten-minors-enumerated", count)
         image = Realisation.from_columns(
             [res.chart.to_point(x) for x in xs]).int_columns()
-        zeros = 0
-        checked = 0
-        for ci in (1, 2, 3, 4):
-            for frames in _WEAKLY_INCREASING_6:
-                checked += 1
-                if g34_value(image, ci, *frames) == 0:
-                    zeros += 1
-        for _ in range(100):
-            ci = rng.randint(1, 4)
-            frames = tuple(rng.randint(1, 3) for _ in range(6))
-            checked += 1
-            if g34_value(image, ci, *frames) == 0:
-                zeros += 1
-        report.check(zeros == checked, "trial %d vanishing" % t,
-                     "%d of %d grid values vanish" % (zeros, checked))
-        report.bump("grid-values-checked", checked)
-        _check_lift(report, conf, xs, t)
+        vals = list(values(image, rng))
+        report.check(not any(vals), "trial %d vanishing" % t,
+                     "%d of %d %s values vanish"
+                     % (vals.count(0), len(vals), noun))
+        report.bump("%s-values-checked" % noun.lower(), len(vals))
+        lifted = lift(conf, xs, seed=t)
+        report.check(lifted.kind == "realising"
+                     and project(lifted.realisation).abscissas == tuple(xs),
+                     "trial %d lift" % t, "lift kind %s" % lifted.kind)
         # negative control
-        nxs, npts = _line_points(rng, 12)
-        nrank = rank(build_collin(conf, nxs).numeric)
-        witness = any(g34_value(npts, ci, *frames) != 0
-                      for ci in (1, 2, 3, 4)
-                      for frames in _WEAKLY_INCREASING_6)
-        if nrank == 10:
-            report.bump("negative-rank-10")
-        if witness:
+        nxs, npts = _line_points(rng, conf.n)
+        if rank(build_collin(conf, nxs).numeric) == k:
+            report.bump("negative-rank-%d" % k)
+        if any(values(npts)):
             report.bump("negative-nonzero-witness")
         report.bump("negative-trials")
     return report
+
+
+def probe_tfae_qs(trials, seed):
+    """The quadrilateral-set equivalences: projected samples give
+    rank(Lambda_QS) <= 3, all 4*27 QS values vanish, and lift() recovers
+    a realising quadrilateral set; random collinear 6-tuples generically
+    show rank 4 and a nonzero QS value."""
+    return _probe_tfae("tfae-qs", trials, seed, qs_config(), sample_quadset,
+                       3, "Lambda_QS", "QS", _qs_values)
+
+
+def probe_tfae_grid(trials, seed, minors_on_first_trial=True):
+    """The 3x4-grid equivalences: projected samples give
+    rank(Lambda_G34) <= 9 (equivalently, every 10-minor vanishes; the
+    full 8008*66 enumeration runs on the first trial only), the grid
+    values vanish on all 28 weakly increasing frame 6-tuples per column
+    plus 100 random tuples, and lift() recovers a realising grid; random
+    collinear 12-tuples generically show rank 10 and a nonzero grid
+    value."""
+    return _probe_tfae("tfae-grid", trials, seed, grid_config(3, 4),
+                       _sample_grid34, 9, "Lambda_G34", "grid", _g34_values,
+                       minors_on_first_trial)
 
 
 def _all_generators_vanish(gens, r):
@@ -351,15 +332,9 @@ def probe_decomposition(matroid, trials, seed):
     leave some generator nonzero.
     """
     if matroid == "qs":
-        gens = qs_generators()
-        conf = qs_config()
-        make = sample_quadset
+        gens, conf, make = qs_generators(), qs_config(), sample_quadset
     elif matroid == "grid34":
-        gens = g34_generators()
-        conf = grid_config(3, 4)
-
-        def make(rng):
-            return sample_grid(rng, 3, 4)
+        gens, conf, make = g34_generators(), grid_config(3, 4), _sample_grid34
     else:
         raise ValueError("matroid must be 'qs' or 'grid34'")
     m = circuits(conf)

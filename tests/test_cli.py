@@ -254,7 +254,9 @@ def test_usage_errors_exit_64(capsys):
                  ["gens", "radical:qs", "--minor-size", "-1"],
                  ["gens", "radical:qs", "--minor-size", "two"],
                  ["gens", "qs", "--minor-size", "3"],
-                 ["gens", "grid34", "--format", "json", "--minor-size", "1"]):
+                 ["gens", "grid34", "--format", "json", "--minor-size", "1"],
+                 ["gens", "radical:qs", "--minor-size", "7"],
+                 ["gens", "radical:forest_two_lines", "--minor-size", "3"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 64

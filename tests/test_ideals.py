@@ -85,6 +85,13 @@ def test_frame_point_coercion():
         FramePoint(4)
     with pytest.raises(ValueError):
         FramePoint(vector=(1, 2))
+    for bad in (0, 4, -1):
+        with pytest.raises(ValueError):
+            frame_point(bad)
+    with pytest.raises(ValueError):
+        qs_value([(i, 1, 1) for i in range(6)], "123", 4, 1, 1)
+    with pytest.raises(TypeError):
+        frame_point(1.0)
 
 
 def test_qs_line_coercion():
@@ -328,7 +335,7 @@ def test_radical_generators_forest_has_only_brackets():
     g = radical_ideal_generators(c)
     assert [e.label for e in g.entries] == ["bracket(1,2,3)",
                                             "bracket(3,4,5)"]
-    for k in (0, -1):
+    for k in (0, -1, 3):
         with pytest.raises(ValueError):
             radical_ideal_generators(c, minor_size=k)
 

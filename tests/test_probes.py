@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -131,6 +132,13 @@ def test_probe_report_bookkeeping():
     assert len(rep.witnesses) == 20
 
 
+def _digest(rep):
+    """sha256 of a probe report's sorted JSON: a pinned digest catches
+    any change to its counts, checks or witnesses."""
+    text = json.dumps(rep.to_dict(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_probe_tfae_qs_small():
     rep = probe_tfae_qs(3, 0)
     assert rep.failed == 0
@@ -139,6 +147,8 @@ def test_probe_tfae_qs_small():
                           "negative-rank-4": 3,
                           "negative-nonzero-witness": 3,
                           "negative-trials": 3}
+    assert _digest(probe_tfae_qs(3, 7)) == (
+        "5400b597829ee7c92b73e9cdf660ebd919b0ccda978c0a5aa99ba66ff7415634")
 
 
 def test_probe_tfae_grid_small():
@@ -150,6 +160,10 @@ def test_probe_tfae_grid_small():
                           "negative-nonzero-witness": 1,
                           "negative-trials": 1}
     assert "ten-minors-enumerated" not in rep.counts
+    for s in (0, 1):
+        rep = probe_tfae_grid(2, s, minors_on_first_trial=False)
+        assert _digest(rep) == ("b31bacd8c19c26a34d2c582a732f089750a421928"
+                                "cd7113688fbf1619abaf953")
 
 
 def test_probe_decomposition_small():

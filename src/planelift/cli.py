@@ -16,7 +16,7 @@ import json
 import os
 import re
 import sys
-from functools import partial
+from functools import cache, partial
 
 from .config import (bundled_config, bundled_names, config_from_dict,
                      grid_config, qs_config, realisation_to_dict, validate)
@@ -230,7 +230,13 @@ def _add_seed(p, attempts=False):
                        help="random lift candidates to try (default 32)")
 
 
+@cache
 def build_parser():
+    """The argparse tree of every command, built on the first call and
+    shared by every later call in the process; callers must not mutate
+    it.  Sharing is safe because nothing in the tree depends on the
+    caller, no option has a mutable default, parse_args returns a fresh
+    Namespace, and _Parser.error looks up sys.stderr when it runs."""
     top = _Parser(prog="planelift",
                   description="Exact liftability of collinear point tuples "
                               "to point-line configurations.")

@@ -31,6 +31,8 @@ class FramePoint:
 
     def __init__(self, frame_index=None, vector=None):
         if frame_index is not None:
+            if isinstance(frame_index, bool):
+                raise TypeError("frame index must be an int, not a bool")
             if frame_index not in (1, 2, 3):
                 raise ValueError("frame index must be 1, 2 or 3")
             vector = tuple(1 if t == frame_index else 0 for t in (1, 2, 3))
@@ -54,12 +56,13 @@ R3 = FramePoint(3)
 
 def frame_point(spec):
     """Coerce 1/2/3, a 3-vector, or a FramePoint to a FramePoint; any
-    other int raises ValueError."""
+    other int raises ValueError and a bool raises TypeError."""
     if isinstance(spec, FramePoint):
         return spec
     if isinstance(spec, int):
-        return (R1, R2, R3)[spec - 1] if spec in (1, 2, 3) \
-            else FramePoint(spec)
+        if spec in (1, 2, 3) and not isinstance(spec, bool):
+            return (R1, R2, R3)[spec - 1]
+        return FramePoint(spec)
     return FramePoint(vector=spec)
 
 

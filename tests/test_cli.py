@@ -7,7 +7,8 @@ import sys
 import pytest
 
 import planelift
-from planelift.cli import main
+from planelift import cli
+from planelift.cli import build_parser, main
 from planelift.config import config_to_dict, grid_config
 from planelift.lifting import random_distinct_abscissas
 from planelift.linalg import format_rat
@@ -350,3 +351,62 @@ def test_gens_survives_broken_pipe():
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "# I_G34: 44 generators"
     assert proc.stderr == ""
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_left_out_options_take_their_defaults():
+    xs = ["0", "1", "2", "3", "4", "5"]
+    for with_opts, without, expected in (
+            (["check", "qs", "--deterministic"], ["check", "qs"],
+             {"deterministic": False}),
+            (["gens", "radical:qs", "--minor-size", "2"],
+             ["gens", "radical:qs"], {"minor_size": None}),
+            (["qs-lift"] + xs + ["--attempts", "3", "--seed", "9"],
+             ["qs-lift"] + xs, {"attempts": 32, "seed": 0})):
+        first = build_parser().parse_args(with_opts)
+        second = build_parser().parse_args(without)
+        assert second is not first
+        assert {k: getattr(second, k) for k in expected} == expected
+        assert vars(second) == \
+            vars(build_parser.__wrapped__().parse_args(without))
+
+
+def _usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    return capsys.readouterr().err
+
+
+def test_usage_error_leaves_no_trace(capsys, monkeypatch):
+    valid = ["gens", "radical:qs", "--minor-size", "2"]
+    bad = (["check", "qs", "--trials", "0"],
+           ["gens", "qs", "--minor-size", "3"])
+    shared = [(_usage_error(capsys, argv), run_cli(capsys, *valid))
+              for argv in bad]
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    alone = run_cli(capsys, *valid)
+    assert alone[0] == 0 and alone[2] == ""
+    assert shared == [(_usage_error(capsys, argv), alone) for argv in bad]
+
+
+def _help(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out
+
+
+def test_help_is_unchanged_by_sharing(capsys, monkeypatch):
+    argvs = [["--help"]] + [[name, "--help"] for name in (
+        "check", "lift", "qs-check", "qs-lift", "grid-check", "grid-lift",
+        "gens", "verify", "table1")]
+    first = [_help(capsys, argv) for argv in argvs]
+    assert [_help(capsys, argv) for argv in argvs] == first
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    assert [_help(capsys, argv) for argv in argvs] == first

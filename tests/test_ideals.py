@@ -90,8 +90,13 @@ def test_frame_point_coercion():
             frame_point(bad)
     with pytest.raises(ValueError):
         qs_value([(i, 1, 1) for i in range(6)], "123", 4, 1, 1)
-    with pytest.raises(TypeError):
-        frame_point(1.0)
+    # True == 1, so a bool would pass as frame 1 without its own check.
+    for bad in (1.0, True, False):
+        with pytest.raises(TypeError):
+            frame_point(bad)
+    for bad in (True, False):
+        with pytest.raises(TypeError):
+            FramePoint(bad)
 
 
 def test_qs_line_coercion():

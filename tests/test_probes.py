@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from planelift import probes
 from planelift.config import (Config, MembershipReport, Realisation,
                               bundled_config, circuits, config_of_realisation,
                               grid_config, membership, qs_config)
@@ -181,6 +182,41 @@ def test_probe_decomposition_grid_small():
     rep = probe_decomposition("grid34", 1, 0)
     assert rep.failed == 0
     assert rep.counts["nonmember-nonzero-witness"] == 1
+
+
+class RecordingRandom(random.Random):
+    """Continues from another generator's state and feeds every randint
+    call, its bounds and its value into a shared sha256, so a reordered,
+    added or dropped draw changes the digest."""
+
+    def __init__(self, rng, sink):
+        super().__init__()
+        self.setstate(rng.getstate())
+        self._sink = sink
+
+    def randint(self, a, b):
+        v = super().randint(a, b)
+        self._sink.update(b"%d %d %d\n" % (a, b, v))
+        return v
+
+
+def test_probe_rng_draw_sequence_is_pinned(monkeypatch):
+    # The tfae reports hold counts only, so their digests cannot see the
+    # order of the draws; this hashes the draws themselves.
+    sink = hashlib.sha256()
+    seeded = probes._trial_rng
+
+    def trial_rng(seed, t):
+        sink.update(b"trial %d %d\n" % (seed, t))
+        return RecordingRandom(seeded(seed, t), sink)
+
+    monkeypatch.setattr(probes, "_trial_rng", trial_rng)
+    probe_tfae_qs(3, 7)
+    probe_tfae_grid(2, 0, minors_on_first_trial=False)
+    probe_decomposition("qs", 2, 0)
+    probe_decomposition("grid34", 1, 0)
+    assert sink.hexdigest() == (
+        "6458329cf50c1a91a9f98629532a92a6080119d54261efab1e3013364200f43a")
 
 
 def test_run_probe_dispatch():

@@ -228,40 +228,72 @@ class GeneratorSet:
     entries: tuple
 
 
-def _bracket_entry(i, j, k, npoints):
-    p = bracket(i, j, k).canonical()
-    return GenEntry(p, "bracket(%d,%d,%d)" % (i, j, k), 3,
-                    multidegree(p, npoints))
+def _entry(p, label, degree, npoints):
+    return GenEntry(p, label, degree, multidegree(p, npoints))
+
+
+# Each generating set is declared once, as (label, formula) pairs.  A
+# formula is ("bracket", (i, j, k)), ("qs", frames) on the line 123, or
+# ("g34", frames) on column 1: generator_poly expands it, and
+# generator_value evaluates its bracket products at explicit columns.
+# _DEGREE is the degree of each kind.
+
+_DEGREE = {"bracket": 3, "qs": 6, "g34": 12}
+
+GRID34_LINES = grid_config(3, 4).lines
+
+QS_FORMULAS = tuple(
+    [("bracket(%d,%d,%d)" % line, ("bracket", line)) for line in QS_LINES]
+    + [("qs(%d,%d,%d)" % f, ("qs", f))
+       for f in combinations_with_replacement((1, 2, 3), 3)])
+
+G34_FORMULAS = tuple(
+    [("bracket(%d,%d,%d)" % t, ("bracket", t))
+     for line in GRID34_LINES for t in combinations(line, 3)]
+    + [("g34(%s)" % ",".join(map(str, f)), ("g34", f))
+       for f in combinations_with_replacement((1, 2, 3), 6)])
+
+
+def generator_poly(formula):
+    """The expanded generator of a formula, with the canonical sign."""
+    kind, args = formula
+    if kind == "bracket":
+        return bracket(*args).canonical()
+    if kind == "qs":
+        return qs_poly((1, 2, 3), *args)
+    return g34_poly(1, *args)
+
+
+def generator_value(cols, formula):
+    """The value at the point columns cols of generator_poly(formula),
+    up to sign (canonical() only flips signs): the bracket products the
+    generator is expanded from, evaluated directly, with no Poly built."""
+    kind, args = formula
+    if kind == "bracket":
+        return det3(*(cols[i - 1] for i in args))
+    if kind == "qs":
+        return qs_value(cols, (1, 2, 3), *args)
+    return g34_value(cols, 1, *args)
+
+
+def _generator_set(name, npoints, formulas):
+    return GeneratorSet(name, npoints, tuple(
+        _entry(generator_poly(formula), label, _DEGREE[formula[0]], npoints)
+        for label, formula in formulas))
 
 
 @lru_cache(maxsize=None)
 def qs_generators():
     """The 14 generators of the quadrilateral-set ideal: one bracket
     per line and the 10 weakly-increasing QS(l123; R_i, R_j, R_k)."""
-    entries = [_bracket_entry(*line, npoints=6) for line in QS_LINES]
-    for i, j, k in combinations_with_replacement((1, 2, 3), 3):
-        p = qs_poly((1, 2, 3), i, j, k)
-        entries.append(GenEntry(p, "qs(%d,%d,%d)" % (i, j, k), 6,
-                                multidegree(p, 6)))
-    return GeneratorSet("I_QS", 6, tuple(entries))
-
-
-GRID34_LINES = grid_config(3, 4).lines
+    return _generator_set("I_QS", 6, QS_FORMULAS)
 
 
 @lru_cache(maxsize=None)
 def g34_generators():
     """The 44 generators of the 3x4 grid ideal: 16 brackets (one per
     column, four per row) and the 28 weakly-increasing G34(c1; ...)."""
-    entries = []
-    for line in GRID34_LINES:
-        for t in combinations(line, 3):
-            entries.append(_bracket_entry(*t, npoints=12))
-    for frames in combinations_with_replacement((1, 2, 3), 6):
-        p = g34_poly(1, *frames)
-        entries.append(GenEntry(p, "g34(%s)" % ",".join(map(str, frames)),
-                                12, multidegree(p, 12)))
-    return GeneratorSet("I_G34", 12, tuple(entries))
+    return _generator_set("I_G34", 12, G34_FORMULAS)
 
 
 def _minor_products(cm, rows, cols):
@@ -330,10 +362,10 @@ def radical_ideal_generators(c, minor_size=None):
     seen = set()
     for line in c.lines:
         for t in combinations(sorted(line), 3):
-            e = _bracket_entry(*t, npoints=c.n)
-            if e.poly not in seen:
-                seen.add(e.poly)
-                entries.append(e)
+            p = bracket(*t).canonical()
+            if p not in seen:
+                seen.add(p)
+                entries.append(_entry(p, "bracket(%d,%d,%d)" % t, 3, c.n))
     if k <= nrows and k <= c.n:
         for rows in combinations(range(1, nrows + 1), k):
             for cols in combinations(range(1, c.n + 1), k):
@@ -352,8 +384,7 @@ def radical_ideal_generators(c, minor_size=None):
                         ".".join(map(str, rows)),
                         ".".join(map(str, cols)),
                         ".".join(map(str, frames)))
-                    entries.append(GenEntry(p, label, p.total_degree(),
-                                            multidegree(p, c.n)))
+                    entries.append(_entry(p, label, p.total_degree(), c.n))
     return GeneratorSet("J_radical", c.n, tuple(entries))
 
 

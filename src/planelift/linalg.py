@@ -4,7 +4,7 @@ Everything in this package reduces to exact linear algebra over the
 rationals: ranks and kernels of collinearity matrices, determinants of
 coordinate triples, and enumeration of minors.  Entries are ints or
 Fractions, as their inputs and arithmetic left them; every elimination
-runs on one fraction-free kernel, bareiss(), over denominator-cleared
+runs on one fraction-free update, _eliminate(), over denominator-cleared
 integer rows, so intermediate values stay integral and bounded.
 
 Row and column index sets passed to minor() / all_minors() are 1-based,
@@ -14,7 +14,7 @@ on QMatrix is 0-based.
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 
 def parse_rat(text):
@@ -35,10 +35,11 @@ def format_rat(q):
 
 def _exact(values):
     """values as a tuple, after checking that each is an int or a
-    Fraction: a float has no exact value to keep, so it is rejected."""
+    Fraction: a float has no exact value to keep, so it is rejected,
+    and so is a bool, which is an int but no number."""
     values = tuple(values)
     for v in values:
-        if not isinstance(v, (int, Fraction)):
+        if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
             raise TypeError("not an int or Fraction: %r" % (v,))
     return values
 
@@ -102,6 +103,14 @@ class QMatrix:
         return "QMatrix(%d x %d)" % (self.rows, self.cols)
 
 
+def _int_row(row):
+    """(row times the lcm m of its denominators, as ints; m)."""
+    m = 1
+    for e in row:
+        m = m * e.denominator // gcd(m, e.denominator)
+    return [int(e * m) for e in row], m
+
+
 def _int_rows(rows):
     """Scale each row of ints and Fractions to integers.
 
@@ -113,12 +122,28 @@ def _int_rows(rows):
     out = []
     denom = 1
     for row in rows:
-        m = 1
-        for e in row:
-            m = m * e.denominator // gcd(m, e.denominator)
-        out.append([int(e * m) for e in row])
+        ints, m = _int_row(row)
+        out.append(ints)
         denom *= m
     return out, denom
+
+
+def _eliminate(rows, pivot_row, c, prev, lo):
+    """The fraction-free update of each row of rows by pivot_row, whose
+    pivot sits in column c: from column lo on, a row becomes
+
+        (pivot * row - row[c] * pivot_row) // prev
+
+    where prev is the pivot of the step before (1 at the first), and
+    its entry in column c becomes zero.  The division is exact (see
+    bareiss)."""
+    pivot = pivot_row[c]
+    zero = pivot - pivot
+    for row in rows:
+        a = row[c]
+        for j in range(lo, len(row)):
+            row[j] = (pivot * row[j] - a * pivot_row[j]) // prev
+        row[c] = zero
 
 
 def bareiss(a, reduce=False):
@@ -155,38 +180,32 @@ def bareiss(a, reduce=False):
             a[r], a[i] = a[i], a[r]
             sign = -sign
         rowr = a[r]
-        pivot = rowr[c]
-        zero = pivot - pivot
-        for i in range(0 if reduce else r + 1, nrows):
-            if i == r:
-                continue
-            rowi = a[i]
-            aic = rowi[c]
+        if reduce:
             # Rows above the pivot may carry entries left of column c.
-            for j in range(c + 1 if i > r else 0, ncols):
-                rowi[j] = (pivot * rowi[j] - aic * rowr[j]) // prev
-            rowi[c] = zero
-        prev = pivot
+            _eliminate(a[:r], rowr, c, prev, 0)
+        _eliminate(a[r + 1:], rowr, c, prev, c + 1)
+        prev = rowr[c]
         pivots.append(c)
     return pivots, sign
 
 
-def _det(a, denom):
-    """Determinant of the square integer rows a, divided by denom.
+def _det(a):
+    """Determinant of the square integer rows a, as an int.
 
     Mutates a.
     """
     pivots, sign = bareiss(a)
     if len(pivots) < len(a):
-        return Fraction(0)
-    return Fraction(sign * a[-1][-1] if a else 1, denom)
+        return 0
+    return sign * a[-1][-1] if a else 1
 
 
 def det(m):
     """Exact determinant of a square QMatrix."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    return _det(*_int_rows(m.to_lists()))
+    a, denom = _int_rows(m.to_lists())
+    return Fraction(_det(a), denom)
 
 
 def rank(m):
@@ -257,37 +276,103 @@ def minor(m, row_idx, col_idx):
     _check_index_set(col_idx, m.cols, "column")
     if not row_idx:
         return Fraction(1)
-    sub = [[m.entry(i - 1, j - 1) for j in col_idx] for i in row_idx]
-    return _det(*_int_rows(sub))
+    a, denom = _int_rows([[m.entry(i - 1, j - 1) for j in col_idx]
+                          for i in row_idx])
+    return Fraction(_det(a), denom)
+
+
+def _full_rank_minors(ints, denom, col_sets):
+    """Yield (C, the minor of the integer rows ints on C, divided by
+    denom) for each 1-based column set C of col_sets; the rows must
+    have full rank.
+
+    One bareiss(reduce=True) pass turns the rows, permuted with sign s,
+    into d*R, where R is their reduced echelon form and d the last pivot,
+    which is s times the minor on the pivot columns P.  So the minor on
+    a column set C is s*d*det(R[:, C]).  The columns of C in P are unit
+    columns of R; a Laplace expansion along them, with sign e, leaves
+    the t x t block of d*R on the rows whose pivot is not in C and the
+    columns of C not in P, so the minor is s*e*det(block)/d^(t-1).  It
+    is an integer, so the division is exact.
+    """
+    a = [row[:] for row in ints]
+    pivots, sign = bareiss(a, reduce=True)
+    d = a[-1][pivots[-1]] if pivots else 1
+    row_of = {c: i for i, c in enumerate(pivots)}
+    for cols_sel in col_sets:
+        parity = 0
+        unit_rows = set()
+        free = []
+        for q, c in enumerate(cols_sel):
+            i = row_of.get(c - 1)
+            if i is None:
+                free.append(c - 1)
+            else:
+                parity += q + i
+                unit_rows.add(i)
+        block = [[row[c] for c in free]
+                 for i, row in enumerate(a) if i not in unit_rows]
+        num = sign * _det(block) * d // d ** len(free)
+        yield cols_sel, Fraction(-num if parity % 2 else num, denom)
 
 
 def all_minors(m, k):
-    """Yield every k x k minor of m exactly once.
+    """Yield every k x k minor of m exactly once, as a Fraction.
 
     Emission order is lexicographic in (row index set, column index
     set), with 1-based index tuples, so output is reproducible no
     matter how the work is scheduled.
 
-    Each row set is cleared to integer rows once, and one integer
-    elimination decides whether it has rank k.  If not, every minor of
-    the row set is zero and is emitted as such without further
-    arithmetic; otherwise each column selection costs one k x k
-    fraction-free determinant of the integer rows.
+    Each row is cleared to integers once.  The row sets are walked in
+    order as a depth-first search over their prefixes: a prefix keeps
+    the fraction-free echelon form of its rows, and each next row is
+    reduced against it by bareiss()'s update, _eliminate().  A row that
+    reduces to zero makes the prefix with it dependent, so every row
+    set that contains that prefix is emitted as zeros, each certified
+    by a dependent subset of its own rows.  A row set of full rank k has
+    all its column minors read off one reduced elimination of its rows
+    (_full_rank_minors).
     """
     if k < 0 or k > min(m.rows, m.cols):
         raise ValueError("minor size %d out of range for %d x %d"
                          % (k, m.rows, m.cols))
+    rows = [_int_row(row) for row in m.to_lists()]
     col_sets = list(combinations(range(1, m.cols + 1), k))
-    for rows_sel in combinations(range(1, m.rows + 1), k):
-        ints, denom = _int_rows([m.row(i - 1) for i in rows_sel])
-        if len(bareiss([row[:] for row in ints])[0]) < k:
-            zero = Fraction(0)
-            for cols_sel in col_sets:
-                yield rows_sel, cols_sel, zero
+    zero = Fraction(0)
+    n = m.rows
+    sel = []      # the prefix, as 0-based increasing row indices
+    echelon = []  # (pivot column, reduced row) of each prefix row
+    i = 0         # the next row to try after the prefix
+    while True:
+        depth = len(sel)
+        if depth == k or i > n - k + depth:
+            if depth == k:
+                head = tuple(r + 1 for r in sel)
+                for cols_sel, value in _full_rank_minors(
+                        [rows[r][0] for r in sel],
+                        prod(rows[r][1] for r in sel), col_sets):
+                    yield head, cols_sel, value
+            if not sel:
+                return
+            i = sel.pop() + 1
+            echelon.pop()
             continue
-        for cols_sel in col_sets:
-            sub = [[row[c - 1] for c in cols_sel] for row in ints]
-            yield rows_sel, cols_sel, _det(sub, denom)
+        x = rows[i][0][:]
+        prev = 1
+        for c, p in echelon:
+            _eliminate((x,), p, c, prev, 0)
+            prev = p[c]
+        c = next((j for j, v in enumerate(x) if v), None)
+        if c is None:
+            head = tuple(r + 1 for r in sel) + (i + 1,)
+            for rest in combinations(range(i + 2, n + 1), k - depth - 1):
+                rows_sel = head + rest
+                for cols_sel in col_sets:
+                    yield rows_sel, cols_sel, zero
+        else:
+            sel.append(i)
+            echelon.append((c, x))
+        i += 1
 
 
 def matvec(a, v):

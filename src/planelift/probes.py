@@ -15,11 +15,11 @@ from math import comb
 
 from .config import (Realisation, _non_simple, circuits,
                      config_of_realisation, grid_config, membership, qs_config)
-from .ideals import g34_value, qs_generators, g34_generators, qs_value, QS_LINES
+from .ideals import (G34_FORMULAS, QS_FORMULAS, QS_LINES, g34_value,
+                     generator_value, qs_value)
 from .lifting import (build_collin, classify_lift, epsilon_scale, lift,
                       forest_lift, project, random_distinct_abscissas)
 from .linalg import all_minors, cross, rank
-from .poly import assignment_from_columns
 
 
 def _trial_rng(seed, t):
@@ -311,14 +311,17 @@ def probe_tfae_grid(trials, seed, minors_on_first_trial=True):
                        minors_on_first_trial)
 
 
-def _all_generators_vanish(gens, r):
+def _all_generators_vanish(formulas, r):
     """(True, None), or (False, label of the first generator that does
-    not vanish at r); the generators are multihomogeneous, so
-    r.int_columns() gives the same answer as r's own columns."""
-    assignment = assignment_from_columns(r.int_columns())
-    for e in gens.entries:
-        if e.poly.evaluate(assignment) != 0:
-            return False, e.label
+    not vanish at r), for the (label, formula) pairs of a generating set
+    (ideals.QS_FORMULAS, ideals.G34_FORMULAS).  Each value comes from
+    the generator's bracket products; the generators are
+    multihomogeneous, so r.int_columns() gives the same answer as r's
+    own columns."""
+    cols = r.int_columns()
+    for label, formula in formulas:
+        if generator_value(cols, formula):
+            return False, label
     return True, None
 
 
@@ -327,14 +330,17 @@ def probe_decomposition(matroid, trials, seed):
 
     Samples circuit-variety points three ways (genuine realisations,
     collinear tuples, epsilon-scaled realising lifts) and checks each
-    lands in the collinear branch or kills every emitted generator.
-    Random general-position tuples serve as non-members and should
-    leave some generator nonzero.
+    lands in the collinear branch or kills every generator of the
+    ideal.  Random general-position tuples serve as non-members and
+    should leave some generator nonzero.  A generator vanishes when the
+    bracket products it is expanded from do (ideals.generator_value:
+    det3 for a line bracket, qs_value or g34_value for the rest), so no
+    Poly is built or evaluated.
     """
     if matroid == "qs":
-        gens, conf, make = qs_generators(), qs_config(), sample_quadset
+        formulas, conf, make = QS_FORMULAS, qs_config(), sample_quadset
     elif matroid == "grid34":
-        gens, conf, make = g34_generators(), grid_config(3, 4), _sample_grid34
+        formulas, conf, make = G34_FORMULAS, grid_config(3, 4), _sample_grid34
     else:
         raise ValueError("matroid must be 'qs' or 'grid34'")
     m = circuits(conf)
@@ -345,7 +351,7 @@ def probe_decomposition(matroid, trials, seed):
         r = make(rng)
         rep = membership(r, m)
         report.check(rep.realises, "trial %d realisation membership" % t)
-        ok, bad = _all_generators_vanish(gens, r)
+        ok, bad = _all_generators_vanish(formulas, r)
         report.check(ok, "trial %d realisation generators" % t,
                      "nonzero %s" % bad)
         report.bump("realisation-samples")
@@ -365,7 +371,7 @@ def probe_decomposition(matroid, trials, seed):
             report.check(classify_lift(conf, scaled.realisation)
                          == "realising",
                          "trial %d epsilon scaling" % t)
-            ok, bad = _all_generators_vanish(gens, scaled.realisation)
+            ok, bad = _all_generators_vanish(formulas, scaled.realisation)
             report.check(ok, "trial %d scaled-lift generators" % t,
                          "nonzero %s" % bad)
             report.bump("scaled-lift-samples")
@@ -376,7 +382,7 @@ def probe_decomposition(matroid, trials, seed):
             if any(p):
                 pts.append(p)
         rnd = Realisation.from_columns(pts)
-        ok, _ = _all_generators_vanish(gens, rnd)
+        ok, _ = _all_generators_vanish(formulas, rnd)
         if not ok:
             report.bump("nonmember-nonzero-witness")
         report.bump("nonmember-trials")

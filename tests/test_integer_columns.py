@@ -4,6 +4,7 @@ agree with a Fraction oracle that takes the columns as given."""
 import random
 import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -12,8 +13,10 @@ from helpers import (BIG, frac_classify_lift, frac_config_of_realisation,
 from planelift.config import (Config, Realisation, circuits,
                               config_of_realisation, grid_config, membership,
                               qs_config)
-from planelift.ideals import g34_generators, qs_generators
+from planelift.ideals import (G34_FORMULAS, QS_FORMULAS, g34_generators,
+                              generator_value, qs_generators)
 from planelift.lifting import classify_lift, epsilon_scale, lift
+from planelift.poly import assignment_from_columns
 from planelift.probes import (_all_generators_vanish, _project_generic,
                               sample_collinear, sample_grid, sample_quadset)
 
@@ -94,9 +97,8 @@ def test_zero_tests_match_fraction_oracles(name, cols, conf):
         assert config_of_realisation(r) == expected
     assert classify_lift(conf, r) == frac_classify_lift(conf, cols)
     if conf.n == 6:
-        gens = qs_generators()
-        assert _all_generators_vanish(gens, r) == \
-            frac_generators_vanish(gens, cols)
+        assert _all_generators_vanish(QS_FORMULAS, r) == \
+            frac_generators_vanish(qs_generators(), cols)
 
 
 def test_cases_reach_every_outcome():
@@ -133,10 +135,59 @@ def test_grid_generators_match_fraction_oracle():
     member = _scaled(sample_grid(rng, 3, 4).columns(), rng, BIG)
     nonmember = [[rand_fraction(rng) for _ in range(3)] for _ in range(12)]
     for cols in (member, nonmember):
-        got = _all_generators_vanish(gens, Realisation.from_columns(cols))
+        got = _all_generators_vanish(G34_FORMULAS,
+                                     Realisation.from_columns(cols))
         assert got == frac_generators_vanish(gens, cols)
     assert _all_generators_vanish(
-        gens, Realisation.from_columns(member)) == (True, None)
+        G34_FORMULAS, Realisation.from_columns(member)) == (True, None)
+
+
+@pytest.mark.parametrize("matroid", ["qs", "grid34"])
+def test_formula_vanishing_matches_fraction_oracle(matroid):
+    """The probe decides vanishing from each generator's bracket
+    products; the Fraction oracle evaluates the expanded generators.
+    Both must name the same first non-vanishing generator on members
+    (rescaled realisations and epsilon-scaled lifts), on collinear
+    tuples (every bracket vanishes, a later generator does not) and on
+    random non-members."""
+    rng = random.Random(4099)
+    if matroid == "qs":
+        formulas, gens, conf = QS_FORMULAS, qs_generators(), qs_config()
+        make, later = sample_quadset, "qs("
+    else:
+        formulas, gens, conf = G34_FORMULAS, g34_generators(), \
+            grid_config(3, 4)
+        make, later = partial(sample_grid, rows=3, cols=4), "g34("
+    assert [label for label, _ in formulas] == [e.label
+                                                 for e in gens.entries]
+    cases = [_scaled(make(rng).columns(), rng, 97),
+             _epsilon_lift(conf, make(rng), rng),
+             _scaled(sample_collinear(rng, conf.n).columns(), rng, 97),
+             [[rand_fraction(rng) for _ in range(3)] for _ in range(conf.n)]]
+    got = [_all_generators_vanish(formulas, Realisation.from_columns(cols))
+           for cols in cases]
+    assert got == [frac_generators_vanish(gens, cols) for cols in cases]
+    assert got[0] == got[1] == (True, None)
+    assert not got[2][0] and got[2][1].startswith(later)
+    assert not got[3][0] and got[3][1].startswith("bracket(")
+
+
+def test_formula_values_match_expanded_generators():
+    """Each formula's value at integer columns is, up to the sign that
+    canonical() picks, its expanded generator's value there."""
+    rng = random.Random(12)
+    for formulas, gens in ((QS_FORMULAS, qs_generators()),
+                           (G34_FORMULAS, g34_generators())):
+        assert len(formulas) == len(gens.entries)
+        for _ in range(2):
+            cols = [[rng.randint(-99, 99) for _ in range(3)]
+                    for _ in range(gens.npoints)]
+            a = assignment_from_columns(cols)
+            for (label, formula), e in zip(formulas, gens.entries):
+                assert label == e.label
+                v = e.poly.evaluate(a)
+                assert v != 0
+                assert generator_value(cols, formula) in (v, -v)
 
 
 def test_int_columns_are_integer_multiples():

@@ -455,3 +455,10 @@ def test_values_keep_the_ring_of_their_inputs():
             project(quad, center=(bad, 0, 1))
         with pytest.raises(TypeError):
             project(quad, target_line=(0, bad, 1))
+    # A bool is an int, but no number: True == 1 would pass otherwise.
+    with pytest.raises(TypeError):
+        QMatrix([[True, False], [False, True]])
+    with pytest.raises(TypeError):
+        FramePoint(vector=(True, False, 2))
+    with pytest.raises(TypeError):
+        Realisation.from_columns([(1, 0, False)])

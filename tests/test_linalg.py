@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -224,6 +226,47 @@ def test_all_minors_against_direct_minor():
         for rows, cols, value in all_minors(m, 3):
             sub = [[entries[i - 1][j - 1] for j in cols] for i in rows]
             assert value == leibniz_det(sub)
+
+
+def _check_all_minors(rows, k):
+    """all_minors(rows, k) against the permutation expansion, with its
+    order and count."""
+    nrows, ncols = len(rows), len(rows[0])
+    got = list(all_minors(QMatrix(rows), k))
+    assert len(got) == comb(nrows, k) * comb(ncols, k)
+    assert [(rs, cs) for rs, cs, _ in got] == [
+        (rs, cs) for rs in combinations(range(1, nrows + 1), k)
+        for cs in combinations(range(1, ncols + 1), k)]
+    for rs, cs, value in got:
+        assert type(value) is Fraction
+        assert value == leibniz_det([[rows[i - 1][j - 1] for j in cs]
+                                     for i in rs])
+
+
+def test_all_minors_matches_leibniz_at_every_rank():
+    """all_minors against the permutation expansion on random Fraction
+    matrices of every rank from 0 to min(rows, cols), at every k.  A
+    row set of a rank-r matrix has a dependent prefix at depth r + 1 or
+    earlier, and a repeated row makes one at depth 2, so zeros are
+    emitted from every depth.  Sparse small entries make eliminations
+    that swap rows or take their pivot columns out of order."""
+    rng = random.Random(2026)
+    for nrows, ncols in ((4, 4), (5, 3), (3, 5), (5, 6)):
+        for r in range(min(nrows, ncols) + 1):
+            entries = rand_product(rng, nrows, ncols, r, bound=9)
+            repeated = entries[:-1] + [[Fraction(-3, 2) * e
+                                        for e in entries[0]]]
+            assert rank(QMatrix(entries)) == r
+            assert rank(QMatrix(repeated)) == min(r, nrows - 1)
+            for k in range(min(nrows, ncols) + 1):
+                _check_all_minors(entries, k)
+                _check_all_minors(repeated, k)
+    for _ in range(150):
+        nrows, ncols = rng.randint(2, 5), rng.randint(2, 5)
+        sparse = [[rng.choice((0, 0, 0, 1, -2, 3, Fraction(1, 3)))
+                   for _ in range(ncols)] for _ in range(nrows)]
+        for k in range(1, min(nrows, ncols) + 1):
+            _check_all_minors(sparse, k)
 
 
 def test_all_minors_deterministic_order():

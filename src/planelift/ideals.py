@@ -20,8 +20,9 @@ from json.encoder import encode_basestring_ascii
 from .config import grid_config, qs_config
 from .lifting import build_collin
 from .linalg import _exact, det3, format_rat
-from .poly import (FRAME_COFACTORS, MultiDeg, Poly, bracket, frame_bracket,
-                   multidegree, point_bracket, poly_to_plain, var_name)
+from .poly import (FRAME_COFACTORS, MultiDeg, Poly, bracket, expand_products,
+                   frame_terms, multidegree, point_bracket, poly_to_plain,
+                   var_names)
 
 
 class FramePoint:
@@ -66,10 +67,10 @@ def frame_point(spec):
     return FramePoint(vector=spec)
 
 
-def _pair_poly(i, j, fp):
+def _pair_terms(i, j, fp):
     if fp.frame_index:
-        return frame_bracket(i, j, fp.frame_index)
-    return point_bracket(i, j, fp.vector)
+        return frame_terms(i, j, fp.frame_index)
+    return point_bracket(i, j, fp.vector).terms.items()
 
 
 def _pair_value(cols, i, j, fp):
@@ -80,11 +81,17 @@ def _pair_value(cols, i, j, fp):
     return det3(a, b, fp.vector)
 
 
-def _bracket_sum(products, frames, pair=_pair_poly):
+def _bracket_sum(products, frames, pair=None):
     """Sum over products = [(sign, ((a1, b1), ..., (ak, bk))), ...] of
-    sign * [a1 b1 F1] * ... * [ak bk Fk] for the frame points F = frames;
-    with pair=partial(_pair_value, cols), its value at the columns cols.
+    sign * [a1 b1 F1] * ... * [ak bk Fk] for the frame points F = frames,
+    expanded as a Poly; with pair=partial(_pair_value, cols), its value
+    at the columns cols.
     """
+    if pair is None:
+        return expand_products(
+            [(sign, [_pair_terms(a, b, fp)
+                     for (a, b), fp in zip(pairs, frames)])
+             for sign, pairs in products])
     total = 0
     for sign, pairs in products:
         prod = sign
@@ -130,7 +137,7 @@ def _qs_pairing(line):
     return (p1, p2, p3), (m1, m2, m3)
 
 
-def _qs_formula(line, f1, f2, f3, pair=_pair_poly):
+def _qs_formula(line, f1, f2, f3, pair=None):
     """The QS polynomial in its construction order (sign as built).
 
     With pair=partial(_pair_value, cols) the same formula gives its
@@ -192,7 +199,7 @@ def _g34_products(ci):
     return out
 
 
-def _g34_formula(ci, frames, pair=_pair_poly):
+def _g34_formula(ci, frames, pair=None):
     """The grid polynomial of column ci (sign as built); with
     pair=partial(_pair_value, cols) its value at the columns cols."""
     fps = [frame_point(f) for f in frames]
@@ -313,10 +320,9 @@ def _minor_products(cm, rows, cols):
 
 
 def _extension(products, frames):
-    """The bracket sum of a minor's products as a Poly, also when it is
-    the int 0 (no products) or 1 (the 0 x 0 minor)."""
-    return Poly.zero() + _bracket_sum(products,
-                                      [frame_point(f) for f in frames])
+    """The bracket sum of a minor's products as a Poly: zero when there
+    are no products, and 1 for the 0 x 0 minor."""
+    return _bracket_sum(products, [frame_point(f) for f in frames])
 
 
 def extend_minor(cm, row_idx, col_idx, frame_tuple):
@@ -390,10 +396,6 @@ def radical_ideal_generators(c, minor_size=None):
 
 # --- emission ----------------------------------------------------------------
 
-def _ring_vars(npoints):
-    return [var_name(v) for v in range(3 * npoints)]
-
-
 def _json_array(items, pad):
     """Rendered items as json.dumps(indent=2) lays out an array whose
     key sits at indent pad: one item per line at indent pad + 2."""
@@ -403,27 +405,27 @@ def _json_array(items, pad):
     return "[" + sep + ("," + sep).join(items) + "\n" + pad + "]"
 
 
-def _json_text(g):
+def _json_text(g, names):
     """The bytes of json.dumps(doc, sort_keys=True, indent=2) + "\n" for
     the document emit describes, written without building it: the C
     string escaper quotes the label and ideal name, and every other
-    value is an int, a 'p/q' string or a variable name."""
-    names = _ring_vars(g.npoints)
+    value is an int, a 'p/q' string or a variable name from names."""
     # sort_keys orders the exps keys as strings: "x_10" before "x_2".
-    rank = [0] * len(names)
-    for pos, v in enumerate(sorted(range(len(names)),
-                                   key=names.__getitem__)):
-        rank[v] = pos
-    keys = ['\n            "%s": ' % name for name in names]
+    # Sorting the rendered '"name": e' items gives that order, since a
+    # name that is a prefix of another ("x_1", "x_10") is followed by the
+    # quote, which sorts before every character of a name.
+    keys = ['"%s": ' % name for name in names]
+    ones = [key + "1" for key in keys]
+    sep = ",\n            "
     gens = []
     for e in g.entries:
         terms = []
         for mono, coeff in e.poly.terms_sorted():
             exps = "{}"
             if mono:
-                exps = "{%s\n          }" % ",".join(
-                    [keys[v] + str(x)
-                     for v, x in sorted(mono, key=lambda t: rank[t[0]])])
+                items = sorted([ones[v] if x == 1 else keys[v] + str(x)
+                                for v, x in mono])
+                exps = "{\n            %s\n          }" % sep.join(items)
             terms.append('{\n          "coeff": "%s",\n          "exps": %s'
                          '\n        }' % (format_rat(coeff), exps))
         md = "null"
@@ -458,26 +460,26 @@ def emit(g, fmt):
     with terms in canonical order and exps listing only the variables
     that occur.
     """
+    names = var_names(g.npoints)
     if fmt == "plain":
         out = ["# %s: %d generators" % (g.ideal_name, len(g.entries))]
         for e in g.entries:
-            out.append("%s = %s" % (e.label, poly_to_plain(e.poly)))
+            out.append("%s = %s" % (e.label, poly_to_plain(e.poly, names)))
         return "\n".join(out) + "\n"
     if fmt == "cas":
-        names = ", ".join(v.replace("_", "") for v in _ring_vars(g.npoints))
+        names = [name.replace("_", "") for name in names]
         out = ["// %s: %d generators" % (g.ideal_name, len(g.entries)),
-               "ring R = 0, (%s), dp;" % names]
+               "ring R = 0, (%s), dp;" % ", ".join(names)]
         for idx, e in enumerate(g.entries, start=1):
             out.append("poly g_%d = %s; // %s"
-                       % (idx, poly_to_plain(e.poly).replace("_", ""),
-                          e.label))
+                       % (idx, poly_to_plain(e.poly, names), e.label))
         out.append("ideal %s = %s;"
                    % (g.ideal_name,
                       ", ".join("g_%d" % i
                                 for i in range(1, len(g.entries) + 1))))
         return "\n".join(out) + "\n"
     if fmt == "json":
-        return _json_text(g)
+        return _json_text(g, names)
     raise ValueError("unknown format %r (use plain, cas or json)" % (fmt,))
 
 

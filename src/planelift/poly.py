@@ -5,14 +5,21 @@ contributes x_i, y_i, z_i.  Internally a variable is the integer
 3*(i-1) + offset with offset 0, 1, 2 for x, y, z, so the natural
 variable order x_1 < y_1 < z_1 < x_2 < ... is just integer order.
 
-A monomial is a tuple of (variable, exponent) pairs sorted by variable;
-a Poly maps monomials to nonzero exact coefficients: int, or Fraction
-where rational data enters.  The canonical term order used for printing
-and for the sign normalisation of generators is graded reverse
-lexicographic over that variable order.
+A monomial is a tuple of (variable, exponent) pairs sorted by variable,
+with distinct variables and positive exponents; every constructor and
+product keeps that invariant (_merge), which the ordering below relies
+on.  A Poly maps monomials to nonzero exact coefficients: int, or
+Fraction where rational data enters.  The canonical term order used
+for printing and for the sign normalisation of generators is graded
+reverse lexicographic over that variable order.  It has one sort key,
+_order_key, which is smallest for the leading monomial: terms_sorted
+sorts by it, the leading term of exact_div is its minimum, and the
+least monomial that canonical normalises is its maximum.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from operator import itemgetter
 
 from .linalg import format_rat
 
@@ -36,27 +43,56 @@ def var_letter(v):
     return LETTERS[v % 3]
 
 
-def _mono_mul(a, b):
-    if not a:
-        return b
-    if not b:
-        return a
-    exps = dict(a)
-    for v, e in b:
+def _merge(pairs):
+    """The monomial of a product of (variable, exponent) pairs: the pairs
+    sorted, with the exponents of a repeated variable added."""
+    m = sorted(pairs)
+    if len(m) == len(dict(m)):
+        return tuple(m)
+    exps = {}
+    for v, e in m:
         exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))
+    return tuple(exps.items())
+
+
+_EXP = itemgetter(1)
 
 
 def _mono_deg(m):
-    return sum(e for _, e in m)
+    return sum(map(_EXP, m))
 
 
 def _order_key(m):
-    """Grevlex sort key of monomial m: keys compare as the dense grevlex
-    comparison does (higher degree wins; at equal degree the highest
-    variable whose exponents differ decides, the smaller exponent
-    winning), because a variable absent from m has exponent 0."""
-    return (_mono_deg(m), tuple((-v, -e) for v, e in reversed(m)))
+    """Grevlex sort key of monomial m, smallest for the leading monomial.
+    Higher degree comes first.  At equal degree the grevlex-larger
+    monomial, the one with the smaller exponent at the highest variable
+    where the two differ, has the lexicographically smaller reversed
+    pairs, because a variable absent from m has exponent 0 and every
+    exponent in m is positive."""
+    return -sum(map(_EXP, m)), m[::-1]
+
+
+def expand_products(products):
+    """The Poly sum over products = [(coeff, factors), ...] of coeff
+    times the product of the factors: factors is a sequence, and each
+    factor an iterable of (monomial, coeff) terms.  Every choice of one
+    term per factor is merged once into a single term dict; no partial
+    product is built as a Poly."""
+    out = {}
+    for coeff, factors in products:
+        if len(factors) == 1:
+            # The terms of one factor need no merge.
+            for m, c in factors[0]:
+                out[m] = out.get(m, 0) + coeff * c
+            continue
+        leaves = [((), coeff)]
+        for factor in factors:
+            leaves = [(m + fm, c * fc) for m, c in leaves
+                      for fm, fc in factor]
+        for m, c in leaves:
+            m = _merge(m)
+            out[m] = out.get(m, 0) + c
+    return Poly(out)
 
 
 class Poly:
@@ -84,8 +120,12 @@ class Poly:
 
     @classmethod
     def monomial(cls, coeff, pairs):
-        mono = tuple(sorted((v, e) for v, e in pairs if e))
-        return cls({mono: coeff})
+        """coeff times the product of the (variable, exponent) pairs; a
+        zero exponent is dropped and a negative one raises ValueError."""
+        pairs = [(v, e) for v, e in pairs if e]
+        if any(e < 0 for _, e in pairs):
+            raise ValueError("negative exponent in %r" % (pairs,))
+        return cls({_merge(pairs): coeff})
 
     def is_zero(self):
         return not self.terms
@@ -128,23 +168,15 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return Poly({m: c * other for m, c in self.terms.items()})
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                s = out.get(mono, 0) + c1 * c2
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-        return Poly(out)
+        return expand_products(
+            ((1, (self.terms.items(), other.terms.items())),))
 
     __rmul__ = __mul__
 
     def total_degree(self):
         if not self.terms:
             return 0
-        return max(_mono_deg(m) for m in self.terms)
+        return max(map(_mono_deg, self.terms))
 
     def support_vars(self):
         """Set of variable ids that occur with nonzero exponent."""
@@ -156,13 +188,13 @@ class Poly:
 
     def terms_sorted(self):
         """Terms as (monomial, coeff) pairs, leading term first."""
-        return sorted(self.terms.items(), key=lambda t: _order_key(t[0]),
-                      reverse=True)
+        terms = self.terms
+        return [(m, terms[m]) for m in sorted(terms, key=_order_key)]
 
     def least_monomial(self):
         if not self.terms:
             return None
-        return min(self.terms, key=_order_key)
+        return max(self.terms, key=_order_key)
 
     def canonical(self):
         """Sign-normalised copy: the grevlex-least monomial gets a
@@ -202,12 +234,12 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
             return Poly.zero()
-        div_lead = max(divisor.terms, key=_order_key)
+        div_lead = min(divisor.terms, key=_order_key)
         div_lead_c = divisor.terms[div_lead]
         rem = self
         quot_terms = {}
         while not rem.is_zero():
-            lead = max(rem.terms, key=_order_key)
+            lead = min(rem.terms, key=_order_key)
             exps = dict(lead)
             for v, e in div_lead:
                 exps[v] = exps.get(v, 0) - e
@@ -250,9 +282,21 @@ def frame_bracket(i, j, f):
     """
     if f not in FRAME_COFACTORS:
         raise ValueError("frame index must be 1, 2 or 3")
+    return Poly(dict(frame_terms(i, j, f)))
+
+
+def frame_terms(i, j, f):
+    """The terms ((monomial, coeff), ...) of frame_bracket(i, j, f);
+    none when i == j."""
+    if i == j:
+        return ()
     u, w = FRAME_COFACTORS[f]
-    return (Poly.monomial(1, [(3 * (i - 1) + u, 1), (3 * (j - 1) + w, 1)])
-            - Poly.monomial(1, [(3 * (j - 1) + u, 1), (3 * (i - 1) + w, 1)]))
+    a, b = 3 * (i - 1), 3 * (j - 1)
+    return ((_pair_mono(a + u, b + w), 1), (_pair_mono(b + u, a + w), -1))
+
+
+def _pair_mono(v, w):
+    return ((v, 1), (w, 1)) if v < w else ((w, 1), (v, 1))
 
 
 def point_bracket(i, j, vec):
@@ -290,68 +334,87 @@ class MultiDeg:
         return "MultiDeg(letter=%r, point=%r)" % (self.letter, self.point)
 
 
+@lru_cache(maxsize=32)
+def _packed_weights(npoints, nbytes):
+    """Summed over a term's pairs, exponent times these weights gives the
+    term's packed multidegree: its three letter degrees and npoints point
+    degrees in fields of nbytes bytes, lowest first, and its total
+    degree above them."""
+    width = 8 * nbytes
+    top = 1 << width * (3 + npoints)
+    return tuple(top | 1 << width * (v % 3) | 1 << width * (3 + v // 3)
+                 for v in range(3 * npoints))
+
+
 def multidegree(p, npoints=None):
     """MultiDeg shared by all terms, or None if p is not multihomogeneous.
 
     The point multidegree has npoints entries, by default as many as
-    the largest point index among p's variables.  The zero polynomial
-    is multihomogeneous of degree zero.
+    the largest point index among p's variables; a term with a point
+    above npoints raises ValueError.  The zero polynomial is
+    multihomogeneous of degree zero.
     """
     n = npoints
     if n is None:
         n = max(map(var_point, p.support_vars()), default=0)
     if not p.terms:
         return MultiDeg((0, 0, 0), (0,) * n)
+    first = next(iter(p.terms))
+    # Fields of nbytes bytes hold every degree of a term of first's
+    # degree d without overflow.  The top field of a term of lower degree
+    # holds that degree, and a term of higher degree carries at least its
+    # degree there, so a term of another degree never packs like first.
+    nbytes = (_mono_deg(first).bit_length() + 7) // 8 or 1
+    weights = _packed_weights(n, nbytes)
     found = None
-    for mono in p.terms:
-        letter = [0, 0, 0]
-        point = [0] * n
-        for v, e in mono:
-            letter[v % 3] += e
-            point[var_point(v) - 1] += e
-        md = (tuple(letter), tuple(point))
-        if found is None:
-            found = md
-        elif md != found:
-            return None
-    return MultiDeg(*found)
+    try:
+        for m in p.terms:
+            packed = 0
+            for v, e in m:
+                packed += weights[v] * e
+            if found is None:
+                found = packed
+            elif packed != found:
+                return None
+    except IndexError:
+        raise ValueError(
+            "polynomial has point %d, above npoints = %d"
+            % (max(map(var_point, p.support_vars())), n)) from None
+    fields = found.to_bytes((4 + n) * nbytes, "little")
+    if nbytes > 1:
+        fields = [int.from_bytes(fields[i:i + nbytes], "little")
+                  for i in range(0, len(fields), nbytes)]
+    return MultiDeg(fields[:3], fields[3:3 + n])
 
 
-def _coeff_prefix(coeff, first):
-    """Sign/coefficient prefix for plain-text rendering."""
-    if coeff < 0:
-        sign = "-" if first else " - "
-        coeff = -coeff
-    else:
-        sign = "" if first else " + "
-    if coeff == 1:
-        return sign, ""
-    return sign, format_rat(coeff) + "*"
+def var_names(npoints):
+    """The names of the variables of points 1..npoints, by variable id."""
+    return [var_name(v) for v in range(3 * npoints)]
 
 
-def mono_to_plain(mono):
-    if not mono:
-        return "1"
-    parts = []
-    for v, e in mono:
-        parts.append(var_name(v) if e == 1 else "%s^%d" % (var_name(v), e))
-    return "*".join(parts)
-
-
-def poly_to_plain(p):
-    """Render with terms in canonical order, e.g. 'x_1*y_2 - 2*z_3^2'."""
+def poly_to_plain(p, names=None):
+    """Render with terms in canonical order, e.g. 'x_1*y_2 - 2*z_3^2',
+    naming variable v names[v] (by default var_name(v))."""
     if p.is_zero():
         return "0"
+    if names is None:
+        names = var_names(max(map(var_point, p.support_vars()), default=0))
     out = []
-    first = True
     for mono, coeff in p.terms_sorted():
-        sign, cpart = _coeff_prefix(coeff, first)
-        body = mono_to_plain(mono)
+        if coeff < 0:
+            out.append(" - ")
+            coeff = -coeff
+        else:
+            out.append(" + ")
         if not mono:
-            body = format_rat(abs(coeff))
-            cpart = ""
-        out.append(sign + cpart + body)
-        first = False
+            out.append(format_rat(coeff))
+            continue
+        if coeff != 1:
+            out.append(format_rat(coeff) + "*")
+        out.append("*".join([names[v] if e == 1 else "%s^%d" % (names[v], e)
+                             for v, e in mono]))
+    # The first term takes its sign without spaces, and no "+".
+    out[0] = "-" if out[0] == " - " else ""
     return "".join(out)
 
 

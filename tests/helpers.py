@@ -7,7 +7,9 @@ between the two is meaningful.
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations, permutations
 
 from planelift import lifting
@@ -204,6 +206,77 @@ def frac_generators_vanish(gens, cols):
         if frac_evaluate(e.poly, assignment) != 0:
             return False, e.label
     return True, None
+
+
+# --- term order and bracket products, the long way --------------------------
+
+
+def dense_grevlex_cmp(a, b, nvars):
+    """-1, 0 or 1 as monomial a is below, equal to or above b in the
+    dense-exponent graded reverse lexicographic comparison."""
+    ea, eb = dict(a), dict(b)
+    da, db = sum(ea.values()), sum(eb.values())
+    if da != db:
+        return -1 if da < db else 1
+    for v in reversed(range(nvars)):
+        if ea.get(v, 0) != eb.get(v, 0):
+            return -1 if ea.get(v, 0) > eb.get(v, 0) else 1
+    return 0
+
+
+def dense_terms_sorted(p, nvars):
+    """The monomials of p, leading first, by dense_grevlex_cmp."""
+    key = cmp_to_key(lambda a, b: dense_grevlex_cmp(a, b, nvars))
+    return sorted(p.terms, key=key, reverse=True)
+
+
+def dense_mul(p, q):
+    """p * q, adding exponent Counters term by term: the slow reference
+    for the package's expansion kernel."""
+    out = Counter()
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            exps = Counter(dict(m1))
+            exps.update(dict(m2))
+            out[tuple(sorted(exps.items()))] += c1 * c2
+    return Poly(dict(out))
+
+
+def dense_det3(cols):
+    """Leibniz determinant of three columns of Polys, by dense_mul."""
+    total = Poly.zero()
+    for perm in permutations(range(3)):
+        inv = sum(1 for a, b in combinations(perm, 2) if a > b)
+        term = Poly.constant(-1 if inv % 2 else 1)
+        for row, col in enumerate(perm):
+            term = dense_mul(term, cols[col][row])
+        total = total + term
+    return total
+
+
+def _symbolic_column(point):
+    return [Poly.variable(3 * (point - 1) + off) for off in range(3)]
+
+
+def dense_bracket(i, j, k):
+    """[i j k] as the determinant of three symbolic point columns."""
+    return dense_det3([_symbolic_column(p) for p in (i, j, k)])
+
+
+def dense_bracket_sum(products, frames):
+    """Sum over products = [(sign, ((a1, b1), ...)), ...] of sign times
+    the chain of dense products of the frame brackets [a_t b_t R_f],
+    f = frames[t], each the determinant of the columns of a_t, b_t and
+    the f-th unit column."""
+    total = Poly.zero()
+    for sign, pairs in products:
+        prod = Poly.constant(sign)
+        for (a, b), f in zip(pairs, frames):
+            unit = [Poly.constant(1 if t == f - 1 else 0) for t in range(3)]
+            prod = dense_mul(prod, dense_det3([_symbolic_column(a),
+                                               _symbolic_column(b), unit]))
+        total = total + prod
+    return total
 
 
 # --- the JSON emission, through the json module ----------------------------

@@ -84,6 +84,12 @@ GOLDEN = (
      "d660f1f04516a05df66398875604e6a2798de005f78b0b942d7f54f686b77372"),
     ("gens radical:forest_two_lines --minor-size 2", 0,
      "a8a799f7f2fb8fa0cd94f795fdb493067822959515602ec47e7bb2e690f99caa"),
+    # Squared variables, and point indices of 10 and above ("x_10"
+    # sorts before "x_2" in json), in one output each.
+    ("gens radical:forest_path10 --minor-size 2 --format json", 0,
+     "52bcac124c57d6dc7cd00eff680d32215a237f18c8aa08d13dd3dac75c0e6ddc"),
+    ("gens radical:grid3x4 --minor-size 2 --format cas", 0,
+     "4f5467146107182500247b8bbb507a6c76b2cf4b483bbb00baec8198901727a2"),
     ("verify tfae-qs --trials 2", 0,
      "822b1c6237b6bc9229657b63485ee0204ad3f34f49c387526f0290281968f44a"),
     ("verify decomp-qs --trials 1", 0,

@@ -6,12 +6,16 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from helpers import golden_poly, leibniz_det, rand_fraction
+from helpers import (dense_bracket, dense_bracket_sum, golden_poly,
+                     leibniz_det, rand_fraction)
+from planelift import ideals
 from planelift.config import bundled_config, grid_config, qs_config
-from planelift.ideals import (GRID34_LINES, QS_LINES, FramePoint, R1, R2, R3,
+from planelift.ideals import (G34_FORMULAS, GRID34_LINES, QS_FORMULAS,
+                              QS_LINES, FramePoint, R1, R2, R3,
                               RewriteRow, _g34_products, _qs_formula,
-                              _qs_line, _qs_pairing, emit, extend_minor,
-                              frame_point, g34_generators, g34_poly,
+                              _minor_products, _qs_line, _qs_pairing, emit,
+                              extend_minor, frame_point, g34_generators,
+                              g34_poly, generator_poly,
                               g34_value, qs_generators, qs_poly, qs_value,
                               radical_ideal_generators, REWRITE_ROWS,
                               table1_verify, verify_rewrite_rows)
@@ -319,6 +323,51 @@ def test_extension_identity_small():
                 rhs += factor * extend_minor(cm, rows, cidx,
                                              frames).evaluate(a)
         assert lhs == rhs
+
+
+def test_formula_expansions_match_dense_products(monkeypatch):
+    # Every bracket sum that a QS or G34 formula expands, against the
+    # chain of dense products of its frame brackets.
+    calls = []
+    expand = ideals._bracket_sum
+
+    def recording(products, frames, pair=None):
+        out = expand(products, frames, pair)
+        calls.append((products, [fp.frame_index for fp in frames], out))
+        return out
+
+    monkeypatch.setattr(ideals, "_bracket_sum", recording)
+    for label, formula in QS_FORMULAS + G34_FORMULAS:
+        del calls[:]
+        p = generator_poly(formula)
+        kind, args = formula
+        if kind == "bracket":
+            assert p == dense_bracket(*args).canonical(), label
+            continue
+        (products, frames, out), = calls
+        assert out == dense_bracket_sum(products, frames), label
+        assert p == out.canonical(), label
+
+
+@pytest.mark.parametrize("name", ["qs", "grid3x4", "forest_path10"])
+def test_minor_extensions_match_dense_products(name):
+    # 200 seeded random minors of size 1 to 3 with at least one
+    # product, each with random frames.
+    rng = random.Random(47)
+    cm = build_collin(bundled_config(name))
+    nrows, npoints = len(cm.row_triples), bundled_config(name).n
+    done = 0
+    while done < 200:
+        k = rng.randint(1, 3)
+        rows = tuple(sorted(rng.sample(range(1, nrows + 1), k)))
+        cols = tuple(sorted(rng.sample(range(1, npoints + 1), k)))
+        products = _minor_products(cm, rows, cols)
+        if not products:
+            continue
+        frames = tuple(rng.randint(1, 3) for _ in range(k))
+        assert (extend_minor(cm, rows, cols, frames)
+                == dense_bracket_sum(products, frames)), (rows, cols, frames)
+        done += 1
 
 
 def test_radical_generators_contain_qs():

@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import BIG, frac_evaluate, leibniz_det, rand_fraction, rand_poly
+from helpers import (BIG, dense_grevlex_cmp, dense_mul, dense_terms_sorted,
+                     frac_evaluate, leibniz_det, rand_fraction, rand_poly)
 from planelift.poly import (MultiDeg, Poly, _order_key,
-                            assignment_from_columns, bracket, frame_bracket,
-                            multidegree, point_bracket, poly_to_plain,
-                            var_id, var_letter, var_name, var_point)
+                            assignment_from_columns, bracket, expand_products,
+                            frame_bracket, multidegree, point_bracket,
+                            poly_to_plain, var_id, var_letter, var_name,
+                            var_point)
 
 BRACKET_123_PLAIN = ("-z_1*y_2*x_3 + y_1*z_2*x_3 + z_1*x_2*y_3"
                      " - x_1*z_2*y_3 - y_1*x_2*z_3 + x_1*y_2*z_3")
@@ -188,6 +190,25 @@ def test_multidegree():
     assert multidegree(prod) == MultiDeg((1, 2, 2), (2, 2, 1))
 
 
+def test_multidegree_rejects_too_few_points():
+    with pytest.raises(ValueError, match=r"point 5, above npoints = 2"):
+        multidegree(Poly.variable(var_id("x", 5)), 2)
+
+
+def test_multidegree_fields_do_not_overflow():
+    x1 = Poly.variable(var_id("x", 1))
+    assert (multidegree(Poly.monomial(1, [(0, 70000)]), 1)
+            == MultiDeg((70000, 0, 0), (70000,)))
+    # Packed into fixed 8-bit fields, x_1^257 carries into the y and
+    # point-2 fields and reads as x_1*y_2; in either term order the two
+    # differ.
+    high = Poly.monomial(1, [(var_id("x", 1), 257)])
+    low = x1 * Poly.variable(var_id("y", 2))
+    assert multidegree(low + high, 2) is None
+    assert multidegree(high + low, 2) is None
+    assert multidegree(high, 2) == MultiDeg((257, 0, 0), (257, 0))
+
+
 def test_exact_div_round_trip():
     rng = random.Random(29)
     done = 0
@@ -226,19 +247,6 @@ def test_int_and_fraction_coefficients_are_interchangeable():
     assert hash(Poly.constant(Fraction(4, 2))) == hash(Poly.constant(2))
 
 
-def _dense_grevlex_cmp(a, b, nvars):
-    """-1, 0 or 1 as monomial a is below, equal to or above b in the
-    dense-exponent graded reverse lexicographic comparison."""
-    ea, eb = dict(a), dict(b)
-    da, db = sum(ea.values()), sum(eb.values())
-    if da != db:
-        return -1 if da < db else 1
-    for v in reversed(range(nvars)):
-        if ea.get(v, 0) != eb.get(v, 0):
-            return -1 if ea.get(v, 0) > eb.get(v, 0) else 1
-    return 0
-
-
 def test_order_key_matches_dense_grevlex():
     rng = random.Random(41)
     nvars = 12
@@ -261,13 +269,69 @@ def test_order_key_matches_dense_grevlex():
         else:
             b = rand_mono(rng.sample(range(nvars), rng.randint(min(1, db),
                                                               min(db, 4))), db)
+        # The key is smallest for the grevlex-largest monomial.
         ka, kb = _order_key(a), _order_key(b)
-        assert ((ka > kb) - (ka < kb)) == _dense_grevlex_cmp(a, b, nvars), \
+        assert ((ka < kb) - (ka > kb)) == dense_grevlex_cmp(a, b, nvars), \
             (a, b)
         if da == db and set(dict(a)) != set(dict(b)):
             cases += 1
     # pairs of equal degree and different supports were exercised
     assert cases > 1000
+
+
+def test_terms_sorted_matches_dense_grevlex():
+    # Random polynomials whose monomials are built from repeated
+    # variables, so that merged exponents up to 9 and the constant
+    # monomial occur.
+    rng = random.Random(43)
+    nvars = 9
+    for _ in range(300):
+        p = Poly.zero()
+        for _ in range(rng.randint(1, 12)):
+            pairs = [(rng.randrange(nvars), rng.randint(1, 3))
+                     for _ in range(rng.randint(0, 5))]
+            p = p + Poly.monomial(rng.randint(-3, 3), pairs)
+        if p.is_zero():
+            continue
+        expected = dense_terms_sorted(p, nvars)
+        assert p.terms_sorted() == [(m, p.terms[m]) for m in expected]
+        assert p.least_monomial() == expected[-1]
+
+
+def test_expand_products_matches_dense_products():
+    # Sums of products of 0 to 3 random factors with shared variables,
+    # scaled by random coefficients, against chains of dense_mul.
+    rng = random.Random(53)
+    for _ in range(200):
+        products = []
+        expected = Poly.zero()
+        for _ in range(rng.randint(0, 3)):
+            coeff = rng.choice([-2, -1, 1, 3, Fraction(1, 2)])
+            factors = [rand_poly(rng, npoints=2, nterms=3, maxdeg=2)
+                       for _ in range(rng.randint(0, 3))]
+            products.append((coeff, [f.terms.items() for f in factors]))
+            prod = Poly.constant(coeff)
+            for f in factors:
+                prod = dense_mul(prod, f)
+            expected = expected + prod
+        assert expand_products(products) == expected
+
+
+def test_monomial_merges_repeated_variables():
+    x = Poly.variable(3)
+    assert Poly.monomial(1, [(3, 1), (3, 1)]) == x * x
+    assert Poly.monomial(1, [(3, 1), (3, 1)]).terms == {((3, 2),): 1}
+    q = Poly.monomial(2, [(5, 1), (3, 2), (5, 2), (0, 0)])
+    assert q.terms == {((3, 2), (5, 3)): 2}
+    y = Poly.variable(5)
+    assert q == 2 * x * x * y * y * y
+
+
+def test_monomial_rejects_negative_exponents():
+    with pytest.raises(ValueError):
+        Poly.monomial(1, [(3, -1)])
+    with pytest.raises(ValueError):
+        Poly.monomial(1, [(3, 2), (3, -1)])
 
 
 def test_exact_div_errors():

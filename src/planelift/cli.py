@@ -4,7 +4,7 @@ Exit codes follow a fixed partition so scripts can branch on them:
   0   success / realising lift / liftable / all checks pass
   1   a verification suite or the rewrite-table check failed
   2   no nontrivial lift exists / not liftable
-  3   only trivial or degenerate lifts found / inconclusive
+  3   only trivial or degenerate lifts found
   64  command line usage error
   65  unreadable or invalid input data
 
@@ -33,8 +33,7 @@ EX_DEGENERATE = 3
 EX_USAGE = 64
 EX_DATAERR = 65
 
-_CHECK_EXITS = {"liftable": EX_OK, "not-liftable": EX_NO_LIFT,
-                "inconclusive": EX_DEGENERATE}
+_CHECK_EXITS = {"liftable": EX_OK, "not-liftable": EX_NO_LIFT}
 _LIFT_EXITS = {"realising": EX_OK, "no-nontrivial-lift": EX_NO_LIFT}
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .linalg import _exact, _int_rows, cross, det3, format_rat, parse_rat
+from .linalg import _exact, _int_rows, cross, det3, format_rat
 
 
 @dataclass(frozen=True)
@@ -85,15 +85,11 @@ class Rank3Matroid:
     increasing triples.
 
     Every 4-subset not containing a listed triple is implicitly a
-    circuit as well; rank is fixed at 3.
+    circuit as well.
     """
 
     n: int
     circuits3: frozenset
-    rank: int = 3
-
-    def is_circuit_triple(self, triple):
-        return tuple(sorted(triple)) in self.circuits3
 
 
 def circuits(c):
@@ -186,40 +182,6 @@ class Realisation:
         return "Realisation(%r)" % (self.cols,)
 
 
-def projectively_equal(u, v):
-    """True when u and v are nonzero scalar multiples of each other."""
-    return any(u) and any(v) and not any(cross(u, v))
-
-
-def simplify(r):
-    """Split r into loops, parallel classes and a simple realisation.
-
-    Returns (loops, parallel_classes, simple, index_map).  Loops are the
-    zero columns.  Parallel classes partition the remaining points into
-    maximal projectively-equal groups, ordered (and represented) by
-    their least member.  index_map sends every non-loop old index to the
-    column of its representative in the simple realisation.
-    """
-    cols = r.columns()
-    loops = tuple(i for i, col in enumerate(cols, start=1) if not any(col))
-    classes = []
-    for i, col in enumerate(cols, start=1):
-        if i in loops:
-            continue
-        for cl in classes:
-            if projectively_equal(cols[cl[0] - 1], col):
-                cl.append(i)
-                break
-        else:
-            classes.append([i])
-    simple = Realisation.from_columns([cols[cl[0] - 1] for cl in classes])
-    index_map = {}
-    for new, cl in enumerate(classes, start=1):
-        for old in cl:
-            index_map[old] = new
-    return loops, tuple(tuple(cl) for cl in classes), simple, index_map
-
-
 def _non_simple(cols):
     """Why integer columns are not simple: the first zero column or the
     first projectively equal pair (zero cross product), or None."""
@@ -237,10 +199,10 @@ def config_of_realisation(r):
     at least 3 among the columns of r.
 
     Requires a simple realisation: raises ValueError on zero or
-    projectively-equal columns (run simplify first).  The line through
-    two points is the union of the dependent triples containing both.
-    All zero tests run on r.int_columns(), which is valid because
-    brackets and cross products are multihomogeneous in the columns.
+    projectively-equal columns.  The line through two points is the
+    union of the dependent triples containing both.  All zero tests run
+    on r.int_columns(), which is valid because brackets and cross
+    products are multihomogeneous in the columns.
     """
     cols = r.int_columns()
     n = len(cols)
@@ -259,23 +221,20 @@ def config_of_realisation(r):
 class ConfigAnalysis:
     omega: int
     is_forest: bool
-    max_lines_per_point: int
-    graph_edges: tuple
 
 
 def _graph(c):
     """Union-find over the graph of c.
 
-    Returns (edges, is_forest, find): the sorted edges joining
-    consecutive points along each line, whether they close no cycle,
-    and a function mapping each point to the root of its component.
+    Returns (is_forest, find): whether the edges joining consecutive
+    points along each line close no cycle, and a function mapping each
+    point to the root of its component.
     """
     edges = set()
     for line in c.lines:
         pts = sorted(line)
         for a, b in zip(pts, pts[1:]):
             edges.add((a, b))
-    edges = tuple(sorted(edges))
     parent = list(range(c.n + 1))
 
     def find(x):
@@ -291,7 +250,7 @@ def _graph(c):
             forest = False
         else:
             parent[ra] = rb
-    return edges, forest, find
+    return forest, find
 
 
 def analyze(c):
@@ -300,22 +259,14 @@ def analyze(c):
     The graph joins consecutive points along each line; omega counts
     its connected components (isolated points included).
     """
-    edges, forest, find = _graph(c)
-    omega = len({find(p) for p in range(1, c.n + 1)})
-    per_point = [0] * (c.n + 1)
-    for line in c.lines:
-        for p in line:
-            per_point[p] += 1
-    return ConfigAnalysis(omega=omega,
-                          is_forest=forest,
-                          max_lines_per_point=max(per_point[1:], default=0),
-                          graph_edges=edges)
+    forest, find = _graph(c)
+    return ConfigAnalysis(len({find(p) for p in range(1, c.n + 1)}), forest)
 
 
 def components(c):
     """Connected components of the configuration graph, as increasing
     point tuples (isolated points form singleton components)."""
-    _, _, find = _graph(c)
+    _, find = _graph(c)
     groups = {}
     for p in range(1, c.n + 1):
         groups.setdefault(find(p), []).append(p)
@@ -353,10 +304,6 @@ def delete_line(c, line_index):
 
 # --- file formats ----------------------------------------------------------
 
-def config_to_dict(c):
-    return {"points": c.n, "lines": [list(line) for line in c.lines]}
-
-
 def config_from_dict(d):
     if not isinstance(d, dict) or "points" not in d or "lines" not in d:
         raise ValueError("config must be {\"points\": n, \"lines\": [...]}")
@@ -374,17 +321,6 @@ def config_from_dict(d):
 
 def realisation_to_dict(r):
     return {"columns": [[format_rat(x) for x in col] for col in r.columns()]}
-
-
-def realisation_from_dict(d):
-    if not isinstance(d, dict) or "columns" not in d:
-        raise ValueError("realisation must be {\"columns\": [...]}")
-    cols = []
-    for col in d["columns"]:
-        if not isinstance(col, list) or len(col) != 3:
-            raise ValueError("each column must be a list of 3 rationals")
-        cols.append([parse_rat(str(x)) for x in col])
-    return Realisation.from_columns(cols)
 
 
 # --- standard configurations -----------------------------------------------

@@ -15,8 +15,7 @@ from itertools import combinations
 
 from .config import (Realisation, _non_simple, analyze, circuits,
                      components, delete_line, induced, membership)
-from .linalg import (QMatrix, _exact, bareiss, cross, det, matvec, nullspace,
-                     rank)
+from .linalg import QMatrix, _exact, bareiss, cross, nullspace, rank
 from .poly import Poly, var_id
 
 CONVENTIONAL_CENTER = (0, 0, 1)
@@ -96,23 +95,16 @@ class LiftSpace:
 
     basis: tuple
     dimension: int
-    trivial_plane: tuple
-
-    @property
-    def has_nontrivial(self):
-        """Heights outside the trivial plane exist iff the dimension is
-        at least 3."""
-        return self.dimension >= 3
 
 
 def lift_space(cm):
-    """Exact kernel of cm.numeric, with the trivial plane spanned by
-    the all-ones vector and the abscissa vector."""
+    """Exact kernel of cm.numeric.  It contains the trivial plane
+    spanned by the all-ones vector and the abscissa vector, so heights
+    outside that plane exist iff the dimension is at least 3."""
     if cm.numeric is None:
         raise ValueError("collinearity matrix has no numeric instance")
     basis = nullspace(cm.numeric)
-    return LiftSpace(tuple(tuple(v) for v in basis), len(basis),
-                     ((1,) * cm.config.n, cm.abscissas))
+    return LiftSpace(tuple(tuple(v) for v in basis), len(basis))
 
 
 @dataclass(frozen=True)
@@ -265,25 +257,14 @@ def epsilon_scale(l, eps):
 
 @dataclass(frozen=True)
 class ChartMap:
-    """Affine chart of a projective line.
+    """Affine chart of a projective line with basis (A, B): the point
+    at abscissa t is t*A + B."""
 
-    Points of the line are alpha*A + beta*B; the abscissa is
-    alpha/beta, read off coordinates `coords` = (i, j) where A, B are
-    supported."""
-
-    line: tuple
     basis: tuple
-    coords: tuple
 
     def to_point(self, t):
         a, b = self.basis
         return tuple(t * u + v for u, v in zip(a, b))
-
-    def abscissa(self, w):
-        i, j = self.coords
-        if w[j] == 0:
-            raise ValueError("point at the chart's infinity")
-        return Fraction(w[i], w[j])
 
 
 @dataclass(frozen=True)
@@ -316,7 +297,7 @@ def project(r, center=CONVENTIONAL_CENTER, target_line=CONVENTIONAL_LINE):
     b = [0] * 3
     b[j] = 1
     b[m] = Fraction(-ln[j], ln[m])
-    chart = ChartMap(ln, (tuple(a), tuple(b)), (i, j))
+    chart = ChartMap((tuple(a), tuple(b)))
     out = []
     for idx in range(1, r.n + 1):
         through = cross(cen, r.column(idx))
@@ -330,22 +311,6 @@ def project(r, center=CONVENTIONAL_CENTER, target_line=CONVENTIONAL_LINE):
         out.append(Fraction(w[i], w[j]))
     return ProjectionResult(tuple(out), chart,
                             len(set(out)) == len(out))
-
-
-def apply_projectivity(r, t, scales):
-    """Transform each column i of r to scales_i * T * column_i."""
-    if t.rows != 3 or t.cols != 3:
-        raise ValueError("projectivity matrix must be 3x3")
-    if det(t) == 0:
-        raise ValueError("projectivity matrix is singular")
-    ss = list(scales)
-    if len(ss) != r.n:
-        raise ValueError("expected %d scales" % r.n)
-    if any(s == 0 for s in ss):
-        raise ValueError("scales must be nonzero")
-    return Realisation.from_columns(
-        [tuple(s * v for v in matvec(t, col))
-         for s, col in zip(ss, r.columns())])
 
 
 # --- liftability decisions ---------------------------------------------------
@@ -375,7 +340,6 @@ class LiftabilityVerdict:
     threshold: int
     omega: int
     trials: int
-    assume_maximal: bool
     deterministic: bool
     components: tuple
 
@@ -446,31 +410,31 @@ def generic_rank_bound(c):
     return kept - 2 * len(c.lines)
 
 
-def is_liftable_generic(c, trials=8, seed=0, assume_maximal=True,
-                        deterministic=False):
+def is_liftable_generic(c, trials=8, seed=0, deterministic=False):
     """Decide liftability component by component.
 
     Forest components are liftable outright (a constructive lift always
     exists).  For the others the rank of the component's collinearity
     matrix is taken at random distinct integer abscissa tuples, trial t
     drawn with seed seed+t: an observed rank above n_comp - 3 certifies
-    non-liftability, and a rank within the bound means the component is
-    liftable when its matroid is maximal.  With assume_maximal=False
-    such components are reported inconclusive, since the bound then
-    only guarantees a non-trivial lift.  The rank at every tuple is at
-    most generic_rank_bound, the generic rank, so sampling stops at the
-    first trial whose total meets it, which certifies every component,
-    and after `trials` >= 1 trials otherwise.  deterministic=True draws
-    up to GENERIC_RANK_BUDGET trials instead and raises RuntimeError if
-    none certifies.  The verdict counts the trials drawn.
+    non-liftability.  A rank within the bound is reported liftable on
+    the rank test alone.  That is exact when the component's matroid is
+    maximal; otherwise the bound only guarantees a lift space beyond the
+    trivial plane, and lift() may find nothing but degenerate lifts in
+    it.  The rank at every tuple is at most generic_rank_bound, the
+    generic rank, so sampling stops at the first trial whose total
+    meets it, which certifies every component, and after `trials` >= 1
+    trials otherwise.  deterministic=True draws up to
+    GENERIC_RANK_BUDGET trials instead and raises RuntimeError if none
+    certifies.  The verdict counts the trials drawn.
     """
     if deterministic:
         trials = GENERIC_RANK_BUDGET
     elif trials < 1:
         raise ValueError("trials must be at least 1, got %d" % trials)
-    full_omega = analyze(c).omega
+    comps = components(c)
     active = []
-    for comp in components(c):
+    for comp in comps:
         sub, _ = induced(c, comp)
         if sub.lines:
             active.append((comp, sub))
@@ -497,24 +461,13 @@ def is_liftable_generic(c, trials=8, seed=0, assume_maximal=True,
         thr = sub.n - 3
         threshold += thr
         forest = analyze(sub).is_forest
-        if forest:
-            v = "liftable"
-        elif comp_rank[ci] > thr:
-            v = "not-liftable"
-        elif assume_maximal:
-            v = "liftable"
-        else:
-            v = "inconclusive"
+        v = "liftable" if forest or comp_rank[ci] <= thr else "not-liftable"
         verdicts.append(ComponentVerdict(tuple(comp), v, comp_rank[ci],
                                          thr, forest))
-    if any(cv.verdict == "not-liftable" for cv in verdicts):
-        overall = "not-liftable"
-    elif any(cv.verdict == "inconclusive" for cv in verdicts):
-        overall = "inconclusive"
-    else:
-        overall = "liftable"
-    return LiftabilityVerdict(overall, witness, threshold, full_omega, drawn,
-                              assume_maximal, deterministic, tuple(verdicts))
+    overall = ("not-liftable" if any(cv.verdict == "not-liftable"
+                                     for cv in verdicts) else "liftable")
+    return LiftabilityVerdict(overall, witness, threshold, len(comps), drawn,
+                              deterministic, tuple(verdicts))
 
 
 @dataclass(frozen=True)
@@ -524,17 +477,15 @@ class QuasiLiftability:
     deletions: tuple
 
 
-def is_quasi_liftable(c, trials=8, seed=0, assume_maximal=True):
+def is_quasi_liftable(c, trials=8, seed=0):
     """A configuration is quasi-liftable when it is not liftable itself
     but deleting any single line leaves a liftable configuration."""
-    base = is_liftable_generic(c, trials, seed,
-                               assume_maximal=assume_maximal)
+    base = is_liftable_generic(c, trials, seed)
     ok = base.verdict == "not-liftable"
     deletions = []
     for li in range(1, len(c.lines) + 1):
         sub, _ = delete_line(c, li)
-        v = is_liftable_generic(sub, trials, seed,
-                                assume_maximal=assume_maximal)
+        v = is_liftable_generic(sub, trials, seed)
         deletions.append((li, v))
         if v.verdict != "liftable":
             ok = False

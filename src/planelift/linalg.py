@@ -65,19 +65,6 @@ class QMatrix:
                 raise ValueError("ragged rows")
         self._data = data
 
-    @classmethod
-    def empty(cls, cols):
-        """A matrix with no rows but a definite column count."""
-        return cls([], cols=cols)
-
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def entry(self, i, j):
         """0-based entry access."""
         return self._data[i][j]
@@ -85,19 +72,8 @@ class QMatrix:
     def row(self, i):
         return list(self._data[i])
 
-    def column(self, j):
-        return [self._data[i][j] for i in range(self.rows)]
-
     def to_lists(self):
         return [list(row) for row in self._data]
-
-    def transpose(self):
-        return QMatrix([[self._data[i][j] for i in range(self.rows)]
-                        for j in range(self.cols)])
-
-    def __eq__(self, other):
-        return (isinstance(other, QMatrix)
-                and self._data == other._data)
 
     def __repr__(self):
         return "QMatrix(%d x %d)" % (self.rows, self.cols)
@@ -373,13 +349,6 @@ def all_minors(m, k):
             sel.append(i)
             echelon.append((c, x))
         i += 1
-
-
-def matvec(a, v):
-    """Matrix times column vector, as a plain list."""
-    if a.cols != len(v):
-        raise ValueError("shape mismatch")
-    return [sum(x * y for x, y in zip(a.row(i), v)) for i in range(a.rows)]
 
 
 def cross(u, v):

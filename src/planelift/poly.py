@@ -39,10 +39,6 @@ def var_point(v):
     return v // 3 + 1
 
 
-def var_letter(v):
-    return LETTERS[v % 3]
-
-
 def _merge(pairs):
     """The monomial of a product of (variable, exponent) pairs: the pairs
     sorted, with the exponents of a repeated variable added."""
@@ -228,7 +224,8 @@ class Poly:
 
         Used by fraction-free elimination over the polynomial ring,
         where divisibility is guaranteed; raises ArithmeticError if the
-        division leaves a remainder.
+        division leaves a remainder, or if a step fails to cancel the
+        leading term.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -249,6 +246,11 @@ class Poly:
             qc = Fraction(rem.terms[lead]) / div_lead_c
             quot_terms[qmono] = quot_terms.get(qmono, 0) + qc
             rem = rem - Poly({qmono: qc}) * divisor
+            if lead in rem.terms:
+                # Only a malformed monomial, such as a repeated variable,
+                # survives its own reduction step; it would never cancel.
+                raise ArithmeticError("leading monomial %r does not cancel"
+                                      % (lead,))
         return Poly(quot_terms)
 
     def __floordiv__(self, other):
@@ -416,14 +418,3 @@ def poly_to_plain(p, names=None):
     # The first term takes its sign without spaces, and no "+".
     out[0] = "-" if out[0] == " - " else ""
     return "".join(out)
-
-
-def assignment_from_columns(columns):
-    """Assignment {variable id: entry} mapping the variables of points
-    1..n to the entries of the given 3-vector columns, kept as given
-    (int columns give an integer assignment)."""
-    assign = {}
-    for idx, col in enumerate(columns, start=1):
-        for off in range(3):
-            assign[3 * (idx - 1) + off] = col[off]
-    return assign

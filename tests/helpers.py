@@ -37,6 +37,30 @@ def leibniz_det(rows):
     return total
 
 
+def matvec(rows, v):
+    """The matrix with the given rows times the column vector v, as a
+    plain list."""
+    return [sum(x * y for x, y in zip(row, v)) for row in rows]
+
+
+def transpose(rows):
+    """The transpose of a list of rows, as a list of lists."""
+    return [list(col) for col in zip(*rows)]
+
+
+def assignment_from_columns(columns):
+    """Assignment {variable id: entry} mapping the variables of points
+    1..n to the entries of the given 3-vector columns, kept as given."""
+    return {3 * (idx - 1) + off: col[off]
+            for idx, col in enumerate(columns, start=1) for off in range(3)}
+
+
+def config_json(c):
+    """The JSON config file text of c, as the CLI reads it."""
+    return json.dumps({"points": c.n,
+                       "lines": [list(line) for line in c.lines]})
+
+
 def gauss_rank(rows):
     """Rank by plain fraction elimination (no Bareiss)."""
     a = [[Fraction(e) for e in row] for row in rows]
@@ -134,10 +158,10 @@ def frac_membership(cols, m):
     for t in combinations(range(1, m.n + 1), 3):
         dep = frac_dependent(*(cols[i - 1] for i in t))
         in_v0 = in_v0 and dep
-        if m.is_circuit_triple(t) and not dep:
+        if t in m.circuits3 and not dep:
             in_cv = realises = False
             circuit = circuit or t
-        elif not m.is_circuit_triple(t) and dep:
+        elif t not in m.circuits3 and dep:
             realises = False
             independence = independence or t
     return MembershipReport(in_cv, in_v0, realises, circuit, independence)
@@ -350,8 +374,7 @@ def subset_count_bound(c):
 # patches both.
 
 
-def full_trial_is_liftable_generic(c, trials=8, seed=0, assume_maximal=True,
-                                   deterministic=False):
+def full_trial_is_liftable_generic(c, trials=8, seed=0, deterministic=False):
     """is_liftable_generic without the early stop at the rank bound.
 
     Sampled, every trial is drawn; deterministic, trials are drawn up
@@ -400,22 +423,17 @@ def full_trial_is_liftable_generic(c, trials=8, seed=0, assume_maximal=True,
             v = "liftable"
         elif comp_rank[ci] > thr:
             v = "not-liftable"
-        elif assume_maximal:
-            v = "liftable"
         else:
-            v = "inconclusive"
+            v = "liftable"
         verdicts.append(lifting.ComponentVerdict(tuple(comp), v,
                                                  comp_rank[ci], thr, forest))
     if any(cv.verdict == "not-liftable" for cv in verdicts):
         overall = "not-liftable"
-    elif any(cv.verdict == "inconclusive" for cv in verdicts):
-        overall = "inconclusive"
     else:
         overall = "liftable"
     return lifting.LiftabilityVerdict(
         overall, witness, threshold, full_omega,
-        trials if drawn is None else drawn, assume_maximal, deterministic,
-        tuple(verdicts))
+        trials if drawn is None else drawn, deterministic, tuple(verdicts))
 
 
 def rank_check_lift(c, x, attempts=32, seed=0):

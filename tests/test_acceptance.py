@@ -11,7 +11,8 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
-from helpers import golden_poly, leibniz_det, rand_fraction
+from helpers import (assignment_from_columns, golden_poly, leibniz_det,
+                     matvec, rand_fraction)
 from planelift.config import Config, analyze, grid_config, qs_config, validate
 from planelift.ideals import (QS_LINES, RewriteRow, _qs_formula, extend_minor,
                               g34_generators, g34_value, qs_generators,
@@ -19,8 +20,8 @@ from planelift.ideals import (QS_LINES, RewriteRow, _qs_formula, extend_minor,
                               verify_rewrite_rows)
 from planelift.lifting import (build_collin, classify_lift, forest_lift, lift,
                                lift_space, project, random_distinct_abscissas)
-from planelift.linalg import QMatrix, det, det3, matvec, rank
-from planelift.poly import assignment_from_columns, multidegree, var_id
+from planelift.linalg import QMatrix, det, det3, rank
+from planelift.poly import multidegree, var_id
 from planelift.probes import (_trial_rng, probe_decomposition,
                               probe_tfae_grid, probe_tfae_qs, sample_grid,
                               sample_quadset)
@@ -317,9 +318,8 @@ def test_acceptance_11_extension_identity(capsys):
 
 def _random_projectivity(rng):
     while True:
-        t = QMatrix([[rng.randint(-9, 9) for _ in range(3)]
-                     for _ in range(3)])
-        d = det(t)
+        t = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
+        d = det(QMatrix(t))
         if d != 0:
             return t, d
 
@@ -346,7 +346,7 @@ def test_acceptance_12_projective_invariance(capsys):
                 continue
         tmat, d = _random_projectivity(rng)
         scales = _nonzero_scales(rng, 6)
-        frames_new = [tuple(tmat.column(f - 1)) for f in _FRAMES]
+        frames_new = [tuple(row[f - 1] for row in tmat) for f in _FRAMES]
         moved = [tuple(s * v for v in matvec(tmat, c))
                  for s, c in zip(scales, cols)]
         factor = d ** 3
@@ -370,7 +370,7 @@ def test_acceptance_12_projective_invariance(capsys):
                 continue
         tmat, d = _random_projectivity(rng)
         scales = _nonzero_scales(rng, 12)
-        frames_new = [tuple(tmat.column(f - 1)) for f in _FRAMES]
+        frames_new = [tuple(row[f - 1] for row in tmat) for f in _FRAMES]
         moved = [tuple(s * v for v in matvec(tmat, c))
                  for s, c in zip(scales, cols)]
         factor = d ** 6

@@ -7,9 +7,10 @@ import sys
 import pytest
 
 import planelift
+from helpers import config_json
 from planelift import cli
 from planelift.cli import build_parser, main
-from planelift.config import config_to_dict, grid_config
+from planelift.config import grid_config
 from planelift.lifting import random_distinct_abscissas
 from planelift.linalg import format_rat
 from planelift.probes import _project_generic, _trial_rng, sample_grid, \
@@ -82,7 +83,7 @@ def test_check_deterministic_answers_large_configs(tmp_path, capsys):
     assert out == ('{"genericRank": 1, "omega": 11, '
                    '"verdict": "liftable"}\n')
     grid = tmp_path / "grid4x5.json"
-    grid.write_text(json.dumps(config_to_dict(grid_config(4, 5))))
+    grid.write_text(config_json(grid_config(4, 5)))
     code, out, err = run_cli(capsys, "check", str(grid), "--deterministic")
     assert code == 2 and err == ""
     assert out == ('{"genericRank": 18, "omega": 1, '
@@ -185,7 +186,7 @@ def test_lift_file_workflow(tmp_path, capsys):
 
 def test_lift_accepts_bare_list_and_config_file(tmp_path, capsys):
     cfg = tmp_path / "grid.json"
-    cfg.write_text(json.dumps(config_to_dict(grid_config(3, 3))))
+    cfg.write_text(config_json(grid_config(3, 3)))
     absf = tmp_path / "xs.json"
     rng = random.Random(29)
     xs = rng.sample(range(-50, 51), 9)

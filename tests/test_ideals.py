@@ -6,8 +6,9 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from helpers import (dense_bracket, dense_bracket_sum, golden_poly,
-                     leibniz_det, rand_fraction)
+from helpers import (assignment_from_columns, dense_bracket,
+                     dense_bracket_sum, golden_poly, leibniz_det,
+                     rand_fraction)
 from planelift import ideals
 from planelift.config import bundled_config, grid_config, qs_config
 from planelift.ideals import (G34_FORMULAS, GRID34_LINES, QS_FORMULAS,
@@ -21,8 +22,8 @@ from planelift.ideals import (G34_FORMULAS, GRID34_LINES, QS_FORMULAS,
                               table1_verify, verify_rewrite_rows)
 from planelift.lifting import build_collin
 from planelift.linalg import det3
-from planelift.poly import (assignment_from_columns, bracket, frame_bracket,
-                            multidegree, poly_to_plain, var_id)
+from planelift.poly import (bracket, frame_bracket, multidegree,
+                            poly_to_plain, var_id)
 
 # The full expansion of the quadrilateral-set polynomial
 # QS(l123; R1, R1, R2), 14 terms, transcribed term by term.

@@ -8,15 +8,15 @@ from functools import partial
 
 import pytest
 
-from helpers import (BIG, frac_classify_lift, frac_config_of_realisation,
-                     frac_generators_vanish, frac_membership, rand_fraction)
+from helpers import (BIG, assignment_from_columns, frac_classify_lift,
+                     frac_config_of_realisation, frac_generators_vanish,
+                     frac_membership, rand_fraction)
 from planelift.config import (Config, Realisation, circuits,
                               config_of_realisation, grid_config, membership,
                               qs_config)
 from planelift.ideals import (G34_FORMULAS, QS_FORMULAS, g34_generators,
                               generator_value, qs_generators)
 from planelift.lifting import classify_lift, epsilon_scale, lift
-from planelift.poly import assignment_from_columns
 from planelift.probes import (_all_generators_vanish, _project_generic,
                               sample_collinear, sample_grid, sample_quadset)
 

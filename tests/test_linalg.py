@@ -6,11 +6,10 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (BIG, gauss_rank, leibniz_det, rand_matrix,
-                     rand_product)
+from helpers import (BIG, gauss_rank, leibniz_det, matvec, rand_matrix,
+                     rand_product, transpose)
 from planelift.linalg import (QMatrix, all_minors, cross, det, det3,
-                              format_rat, matvec, minor, nullspace,
-                              parse_rat, rank)
+                              format_rat, minor, nullspace, parse_rat, rank)
 
 # The quadrilateral-set collinearity matrix evaluated at abscissas
 # (0, 1, 2, 3, 4, 5), written out by hand from the construction rule:
@@ -48,14 +47,13 @@ def test_qmatrix_shapes():
     assert (m.rows, m.cols) == (3, 2)
     assert m.entry(2, 1) == 6
     assert m.row(0) == [1, 2]
-    assert m.column(1) == [2, 4, 6]
-    assert m.transpose().to_lists() == [[1, 3, 5], [2, 4, 6]]
+    assert m.to_lists() == [[1, 2], [3, 4], [5, 6]]
     with pytest.raises(ValueError):
         QMatrix([[1, 2], [3]])
 
 
 def test_empty_matrix_keeps_columns():
-    m = QMatrix.empty(4)
+    m = QMatrix([], cols=4)
     assert (m.rows, m.cols) == (0, 4)
     assert rank(m) == 0
     basis = nullspace(m)
@@ -67,9 +65,10 @@ def test_empty_matrix_keeps_columns():
 def test_det_golden():
     assert det(QMatrix([[2]])) == 2
     assert det(QMatrix([[1, 2], [3, 4]])) == -2
-    assert det(QMatrix.identity(5)) == 1
-    assert det(QMatrix.zeros(3, 3)) == 0
-    assert det(QMatrix.empty(0)) == 1
+    assert det(QMatrix([[int(i == j) for j in range(5)]
+                        for i in range(5)])) == 1
+    assert det(QMatrix([[0] * 3] * 3)) == 0
+    assert det(QMatrix([])) == 1
 
 
 def test_det_matches_permutation_expansion():
@@ -134,7 +133,7 @@ def test_nullspace_vectors_are_in_kernel():
     for _ in range(200):
         m = QMatrix(rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 6)))
         for v in nullspace(m):
-            assert all(x == 0 for x in matvec(m, v))
+            assert all(x == 0 for x in matvec(m.to_lists(), v))
 
 
 def _nullspace_inputs(rng):
@@ -154,7 +153,7 @@ def test_nullspace_is_canonical():
         basis = nullspace(m)
         assert len(basis) == m.cols - gauss_rank(rows)
         for v in basis:
-            assert all(x == 0 for x in matvec(m, v))
+            assert all(x == 0 for x in matvec(m.to_lists(), v))
         leads = []
         for v in basis:
             nz = [i for i, x in enumerate(v) if x != 0]
@@ -190,8 +189,8 @@ def test_qs_matrix_rank_and_minor_golden():
     assert leibniz_det([[Fraction(e) for e in row] for row in sub]) == -4
     ones = [Fraction(1)] * 6
     xs = [Fraction(v) for v in range(6)]
-    assert all(x == 0 for x in matvec(m, ones))
-    assert all(x == 0 for x in matvec(m, xs))
+    assert all(x == 0 for x in matvec(QS_AT_012345, ones))
+    assert all(x == 0 for x in matvec(QS_AT_012345, xs))
 
 
 def test_minor_validates_indices():
@@ -292,13 +291,13 @@ def test_all_minors_low_rank_fast_path():
 
 
 def test_matmul_matvec():
-    a = QMatrix([[1, 2], [3, 4]])
-    b = QMatrix([[0, 1], [1, 0]])
+    # The plain-list helpers the kernel checks rest on.
+    a = [[1, 2], [3, 4]]
+    b = [[0, 1], [1, 0]]
     # the columns of the product a * b
-    assert [matvec(a, b.column(j)) for j in range(2)] == [[2, 4], [1, 3]]
+    assert [matvec(a, col) for col in transpose(b)] == [[2, 4], [1, 3]]
     assert matvec(a, (1, 1)) == [3, 7]
-    with pytest.raises(ValueError):
-        matvec(a, (1, 2, 3))
+    assert transpose([[1, 2], [3, 4], [5, 6]]) == [[1, 3, 5], [2, 4, 6]]
 
 
 def test_cross_and_det3():
@@ -337,7 +336,7 @@ def _products(draw):
 @given(st.integers(1, 4).flatmap(lambda n: _matrices(n, n)))
 def test_det_transpose_property(rows):
     m = QMatrix(rows)
-    assert det(m) == det(m.transpose()) == leibniz_det(rows)
+    assert det(m) == det(QMatrix(transpose(rows))) == leibniz_det(rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -345,5 +344,5 @@ def test_det_transpose_property(rows):
 def test_rank_transpose_property(case):
     rows, k = case
     m = QMatrix(rows)
-    assert rank(m) == rank(m.transpose()) == gauss_rank(rows)
+    assert rank(m) == rank(QMatrix(transpose(rows))) == gauss_rank(rows)
     assert rank(m) <= k

@@ -1,0 +1,41 @@
+"""Checks on the repository itself that the slower CI steps would
+otherwise be the first to catch."""
+
+import ast
+import importlib
+import importlib.util
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _tracing_targets():
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+def test_traced_names_resolve():
+    # bench/tracing.py wraps each of these; install() raises on a name
+    # the package no longer has.
+    for name, funcs in _tracing_targets():
+        for modname, attr in funcs:
+            module = importlib.import_module("planelift." + modname)
+            if attr.startswith("Poly."):
+                assert attr[len("Poly."):] in module.Poly.__dict__, name
+            else:
+                assert callable(getattr(module, attr)), name
+
+
+def test_sources_parse_as_python_3_10():
+    """Every .py file parses with the grammar of Python 3.10, the oldest
+    version pyproject.toml claims.  This checks syntax only: a library
+    call that 3.10 lacks is not caught."""
+    files = sorted(p for d in ("src/planelift", "tests", "bench")
+                   for p in (ROOT / d).rglob("*.py"))
+    assert files
+    for path in files:
+        ast.parse(path.read_text(), filename=str(path),
+                  feature_version=(3, 10))

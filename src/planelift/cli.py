@@ -22,7 +22,7 @@ from .config import (bundled_config, bundled_names, config_from_dict,
                      grid_config, qs_config, realisation_to_dict, validate)
 from .ideals import (emit, g34_generators, qs_generators,
                      radical_ideal_generators, table1_verify)
-from .lifting import build_collin, is_liftable_generic, lift
+from .lifting import CollinMatrix, is_liftable_generic, lift
 from .linalg import parse_rat, rank
 from .probes import run_probe
 
@@ -34,6 +34,7 @@ EX_USAGE = 64
 EX_DATAERR = 65
 
 _CHECK_EXITS = {"liftable": EX_OK, "not-liftable": EX_NO_LIFT}
+_CHECK_TRIALS = 8
 _LIFT_EXITS = {"realising": EX_OK, "no-nontrivial-lift": EX_NO_LIFT}
 
 
@@ -130,9 +131,14 @@ def _emit_json(doc):
 # --- commands ----------------------------------------------------------------
 
 def cmd_check(args):
+    # --trials defaults to None so that an explicit value can be told
+    # apart: --deterministic draws its own number of tuples.
+    if args.deterministic and args.trials is not None:
+        raise UsageError("--trials does not apply with --deterministic")
     c = _load_config(args.config)
+    trials = _CHECK_TRIALS if args.trials is None else args.trials
     try:
-        v = is_liftable_generic(c, trials=args.trials, seed=args.seed,
+        v = is_liftable_generic(c, trials=trials, seed=args.seed,
                                 deterministic=args.deterministic)
     except ValueError as e:
         raise DataError(str(e))
@@ -163,7 +169,7 @@ def cmd_fixed_check(args):
     """qs-check and grid-check: the rank test at the given abscissas."""
     c = args.fixed()
     try:
-        r = rank(build_collin(c, args.x).numeric)
+        r = rank(CollinMatrix.at(c, args.x).line_basis)
     except ValueError as e:
         raise DataError(str(e))
     threshold = c.n - 3
@@ -248,8 +254,9 @@ def build_parser():
     p.add_argument("config", metavar="CONFIG",
                    help="bundled name (%s) or JSON file"
                         % ", ".join(bundled_names()))
-    p.add_argument("--trials", type=_positive_int, default=8, metavar="N",
-                   help="test at most N random abscissa tuples (default 8)")
+    p.add_argument("--trials", type=_positive_int, metavar="N",
+                   help="test at most N random abscissa tuples (default %d)"
+                        % _CHECK_TRIALS)
     p.add_argument("--deterministic", action="store_true",
                    help="certified rank: sample until the rank meets the "
                         "incidence count, which is the generic rank")

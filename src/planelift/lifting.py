@@ -11,7 +11,9 @@ constructs one.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
+from math import lcm
 
 from .config import (Realisation, _non_simple, analyze, circuits,
                      components, delete_line, induced, membership)
@@ -46,20 +48,61 @@ def _collin_rows(triples, xs, zero):
 
 @dataclass(frozen=True)
 class CollinMatrix:
-    """The collinearity matrix of a configuration.
+    """The collinearity matrix Lambda of a configuration.
 
     One row per 3-subset of each line (lines in configuration order,
     triples lexicographic within a line).  The row of triple
     i1 < i2 < i3 has entries x_{i2}-x_{i3}, -(x_{i1}-x_{i3}),
-    x_{i1}-x_{i2} in columns i1, i2, i3 and zeros elsewhere.  `numeric`
-    and `abscissas` are filled when the matrix is instantiated at a
-    point; otherwise the instance only carries the symbolic pattern.
+    x_{i1}-x_{i2} in columns i1, i2, i3 and zeros elsewhere.
+    `abscissas` and `line_basis` are filled when the matrix is
+    instantiated at a point (CollinMatrix.at); otherwise the instance
+    only carries the symbolic pattern, and `numeric` is None.
+
+    Ranks and kernels are taken from `line_basis`, an integer matrix
+    with the row space of Lambda.  For a line with sorted points
+    p1 < p2 < ... < pm it keeps only the rows of the triples
+    (p1, p2, pj), j = 3..m.  At distinct abscissas the kernel of the
+    line's block is {z : z on the line lies in span(1, x)}, of
+    codimension m - 2; each kept row is the only one of them that is
+    nonzero in column pj, where it holds x_{p1} - x_{p2} != 0, so the
+    m - 2 kept rows are independent and span the block.  Each row is
+    scaled by the lcm of its three denominators, which changes neither
+    rank nor kernel.  `numeric`, the full Lambda as ints and Fractions,
+    is built on first read: its minors are the paper's objects.
     """
 
     config: object
     row_triples: tuple
     abscissas: tuple = None
-    numeric: QMatrix = None
+    line_basis: QMatrix = None
+
+    @classmethod
+    def at(cls, c, x):
+        """The collinearity matrix of c at abscissas x, which must be
+        pairwise distinct ints or Fractions."""
+        xs = _exact(x)
+        if len(xs) != c.n:
+            raise ValueError("expected %d abscissas, got %d"
+                             % (c.n, len(xs)))
+        nums = [v.numerator for v in xs]
+        dens = [v.denominator for v in xs]
+        # Keyed by the lowest-terms pair, which hashes faster than a
+        # Fraction.
+        seen = {}
+        for i, key in enumerate(zip(nums, dens), start=1):
+            if key in seen:
+                raise ValueError("duplicate abscissa: points %d and %d "
+                                 "both sit at %s" % (seen[key], i, xs[i - 1]))
+            seen[key] = i
+        return cls(c, _triples(c), xs,
+                   QMatrix.of_ints(_line_basis_rows(c, nums, dens), c.n))
+
+    @cached_property
+    def numeric(self):
+        if self.abscissas is None:
+            return None
+        return QMatrix(_collin_rows(self.row_triples, self.abscissas, 0),
+                       cols=self.config.n)
 
     def pair(self, row, col):
         """Ordered point pair (a, b) such that the entry at 1-based
@@ -67,26 +110,45 @@ class CollinMatrix:
         return dict(_row_pairs(self.row_triples[row - 1])).get(col)
 
 
+def _triples(c):
+    return tuple(t for line in c.lines for t in combinations(sorted(line), 3))
+
+
+def _line_basis_rows(c, nums, dens):
+    """The integer rows of CollinMatrix.line_basis at the abscissas
+    x_p = a_p / b_p, with a_p = nums[p - 1] and b_p = dens[p - 1].  The
+    row of the triple (i, j, k) times L = lcm(b_i, b_j, b_k) holds
+    s_j - s_k, s_k - s_i and s_i - s_j in columns i, j and k, where
+    s_p = a_p (L / b_p) = L x_p."""
+    rows = []
+    for line in c.lines:
+        if len(line) < 3:
+            continue
+        i, j, *rest = (p - 1 for p in sorted(line))
+        ai, bi, aj, bj = nums[i], dens[i], nums[j], dens[j]
+        lij = lcm(bi, bj)
+        for k in rest:
+            ak, bk = nums[k], dens[k]
+            big = lcm(lij, bk)
+            si, sj, sk = (ai * (big // bi), aj * (big // bj),
+                          ak * (big // bk))
+            row = [0] * c.n
+            row[i] = sj - sk
+            row[j] = sk - si
+            row[k] = si - sj
+            rows.append(row)
+    return rows
+
+
 def build_collin(c, x=None):
-    """Collinearity matrix of c, numeric at abscissas x when given.
+    """Collinearity matrix of c, numeric at abscissas x when given
+    (CollinMatrix.at).
 
     The abscissas must be pairwise distinct.
     """
-    triples = [t for line in c.lines for t in combinations(sorted(line), 3)]
     if x is None:
-        return CollinMatrix(c, tuple(triples))
-    xs = tuple(x)
-    if len(xs) != c.n:
-        raise ValueError("expected %d abscissas, got %d" % (c.n, len(xs)))
-    seen = {}
-    for i, v in enumerate(xs, start=1):
-        if v in seen:
-            raise ValueError("duplicate abscissa: points %d and %d both "
-                             "sit at %s" % (seen[v], i, v))
-        seen[v] = i
-    return CollinMatrix(c, tuple(triples), xs,
-                        QMatrix(_collin_rows(triples, xs, 0),
-                                cols=c.n))
+        return CollinMatrix(c, _triples(c))
+    return CollinMatrix.at(c, x)
 
 
 @dataclass(frozen=True)
@@ -98,12 +160,14 @@ class LiftSpace:
 
 
 def lift_space(cm):
-    """Exact kernel of cm.numeric.  It contains the trivial plane
-    spanned by the all-ones vector and the abscissa vector, so heights
-    outside that plane exist iff the dimension is at least 3."""
-    if cm.numeric is None:
+    """Exact kernel of the numeric collinearity matrix cm, taken from
+    cm.line_basis, which has the same kernel, in the canonical form of
+    nullspace().  It contains the trivial plane spanned by the all-ones
+    vector and the abscissa vector, so heights outside that plane exist
+    iff the dimension is at least 3."""
+    if cm.line_basis is None:
         raise ValueError("collinearity matrix has no numeric instance")
-    basis = nullspace(cm.numeric)
+    basis = nullspace(cm.line_basis)
     return LiftSpace(tuple(tuple(v) for v in basis), len(basis))
 
 
@@ -149,7 +213,7 @@ def lift(c, x, attempts=32, seed=0):
     """
     if attempts < 1:
         raise ValueError("attempts must be at least 1, got %d" % attempts)
-    cm = build_collin(c, x)
+    cm = CollinMatrix.at(c, x)
     space = lift_space(cm)
     if space.dimension <= 2:
         return LiftResult("no-nontrivial-lift")
@@ -447,7 +511,7 @@ def is_liftable_generic(c, trials=8, seed=0, deterministic=False):
         total = 0
         for ci, (comp, sub) in enumerate(active):
             xs = random_distinct_abscissas(sub.n, rng)
-            r = rank(build_collin(sub, xs).numeric)
+            r = rank(CollinMatrix.at(sub, xs).line_basis)
             comp_rank[ci] = max(comp_rank[ci], r)
             total += r
         witness = max(witness, total)

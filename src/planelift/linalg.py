@@ -48,10 +48,11 @@ class QMatrix:
     """Dense matrix of ints and Fractions, immutable by convention.
 
     The constructor copies its input rows and checks that every entry
-    is exact, so instances can be shared freely.
+    is exact, so instances can be shared freely.  `integral` is True
+    for a matrix made by of_ints, whose entries are all ints.
     """
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "integral", "_data")
 
     def __init__(self, rows_of_entries, cols=None):
         data = [_exact(row) for row in rows_of_entries]
@@ -63,7 +64,16 @@ class QMatrix:
         for row in data:
             if len(row) != self.cols:
                 raise ValueError("ragged rows")
+        self.integral = False
         self._data = data
+
+    @classmethod
+    def of_ints(cls, rows, cols):
+        """A matrix that takes over rows, lists of cols ints each,
+        without copying or checking them."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.integral, m._data = len(rows), cols, True, rows
+        return m
 
     def entry(self, i, j):
         """0-based entry access."""
@@ -102,6 +112,12 @@ def _int_rows(rows):
         out.append(ints)
         denom *= m
     return out, denom
+
+
+def _int_matrix(m):
+    """Fresh integer rows of the QMatrix m, each row scaled by the lcm
+    of its denominators."""
+    return m.to_lists() if m.integral else _int_rows(m.to_lists())[0]
 
 
 def _eliminate(rows, pivot_row, c, prev, lo):
@@ -190,42 +206,49 @@ def rank(m):
     Row scaling does not change the rank, so the matrix is first cleared
     to integers row by row.
     """
-    a, _ = _int_rows(m.to_lists())
-    return len(bareiss(a)[0])
+    return len(bareiss(_int_matrix(m))[0])
+
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def nullspace(m):
-    """Canonical exact basis of the right kernel {z : m z = 0}.
+    """Canonical exact basis of the right kernel {z : m z = 0}: the
+    reduced echelon form of the kernel, which is unique.  Every vector
+    has its first nonzero entry equal to 1, at a column where the other
+    vectors are zero, and the result does not depend on elimination
+    order.  Basis size is cols - rank(m).
 
-    Reading the kernel off the reduced echelon form of m gives one
-    vector per free column, with a 1 there and zeros at the other free
-    columns; but its first nonzero entry may sit in an earlier pivot
-    column, so that basis is not yet row-reduced.  A second reduction
-    of the basis yields the reduced echelon form of the kernel, which
-    is unique: every vector has its first nonzero entry equal to 1 and
-    the result does not depend on elimination order.  Basis size is
-    cols - rank(m).  Both passes run on integers.
+    One reduced elimination of the integer rows, with the columns taken
+    in reverse order, gives it.  Its pivots are the greedy column basis
+    of m read from the right, so its free columns are the complement of
+    that basis; by matroid duality they are the pivot columns of the
+    kernel's reduced echelon form, read from the left.  Reversed, the
+    elimination is d times the reduced echelon form R of m, and the
+    kernel vector of free column f has a 1 at f, zeros at the other free
+    columns and -R[row][f] at each pivot.  Pivots sit right of f in the
+    original order or are zero there, so f is the vector's first nonzero
+    entry, and these vectors are exactly the rows of the kernel's
+    reduced echelon form.
     """
-    a, _ = _int_rows(m.to_lists())
+    n = m.cols
+    a = [row[::-1] for row in _int_matrix(m)]
     pivots, _ = bareiss(a, reduce=True)
     d = a[len(pivots) - 1][pivots[-1]] if pivots else 1
+    pivot_set = set(pivots)
     basis = []
-    for f in range(m.cols):
-        if f in pivots:
+    for f in range(n - 1, -1, -1):
+        if f in pivot_set:
             continue
-        v = [0] * m.cols
-        v[f] = d
+        v = [_ZERO] * n
+        v[n - 1 - f] = _ONE
         for prow, pcol in enumerate(pivots):
-            v[pcol] = -a[prow][f]
-        # Dividing out the content keeps the second pass on small
-        # integers; it does not change the row space.
-        g = gcd(*v)
-        basis.append([x // g for x in v])
-    if not basis:
-        return []
-    pivots, _ = bareiss(basis, reduce=True)
-    d = basis[-1][pivots[-1]]
-    return [[Fraction(x, d) for x in v] for v in basis]
+            e = a[prow][f]
+            if e:
+                v[n - 1 - pcol] = Fraction(-e, d)
+        basis.append(v)
+    return basis
 
 
 def _check_index_set(idx, bound, what):

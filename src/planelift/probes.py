@@ -256,7 +256,7 @@ def _probe_tfae(suite, trials, seed, conf, sample, bound, matrix, noun,
         res = _project_generic(sample(rng), rng)
         xs = res.abscissas
         cm = build_collin(conf, xs)
-        report.check(rank(cm.numeric) <= bound, "trial %d rank" % t,
+        report.check(rank(cm.line_basis) <= bound, "trial %d rank" % t,
                      "rank(%s) > %d at projected abscissas" % (matrix, bound))
         if minors_on_first_trial and t == 0:
             count, allzero = 0, True
@@ -281,7 +281,7 @@ def _probe_tfae(suite, trials, seed, conf, sample, bound, matrix, noun,
                      "trial %d lift" % t, "lift kind %s" % lifted.kind)
         # negative control
         nxs, npts = _line_points(rng, conf.n)
-        if rank(build_collin(conf, nxs).numeric) == k:
+        if rank(build_collin(conf, nxs).line_basis) == k:
             report.bump("negative-rank-%d" % k)
         if any(values(npts)):
             report.bump("negative-nonzero-witness")

@@ -61,18 +61,19 @@ def config_json(c):
                        "lines": [list(line) for line in c.lines]})
 
 
-def gauss_rank(rows):
-    """Rank by plain fraction elimination (no Bareiss)."""
+def frac_rref(rows):
+    """(R, pivots): the nonzero rows of the reduced row echelon form of
+    rows, by plain Fraction Gauss-Jordan elimination (no Bareiss), and
+    their pivot columns."""
     a = [[Fraction(e) for e in row] for row in rows]
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
-    r = 0
+    pivots = []
     for col in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if a[i][col] != 0:
-                piv = i
-                break
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if a[i][col] != 0), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
@@ -82,10 +83,31 @@ def gauss_rank(rows):
             if i != r and a[i][col] != 0:
                 f = a[i][col]
                 a[i] = [e - f * p for e, p in zip(a[i], a[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+        pivots.append(col)
+    return a[:len(pivots)], pivots
+
+
+def gauss_rank(rows):
+    """Rank by plain fraction elimination (no Bareiss)."""
+    return len(frac_rref(rows)[1])
+
+
+def frac_kernel_rref(rows, ncols):
+    """The reduced row echelon form of the right kernel of rows (a
+    matrix with ncols columns), as lists of Fractions.  A kernel basis
+    is read off the RREF of rows, one vector per free column, and is
+    then reduced by a second Gauss-Jordan elimination of its own."""
+    reduced, pivots = frac_rref(rows)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    return frac_rref(basis)[0]
 
 
 def rand_fraction(rng, bound=20):
@@ -486,12 +508,14 @@ DENSE_CONFIGS = (
 )
 
 
-def random_linear_config(rng, max_points=11):
+def random_linear_config(rng, max_points=11,
+                         line_sizes=(2, 3, 3, 3, 3, 4, 4, 5)):
     """A seeded random linear configuration on at most max_points
-    points, with its labels shuffled.  Half of them are random lines of
-    2 to 5 points with no point pair on two lines; the other half keep
-    most lines of a dense configuration and hang up to two pendant
-    lines, each through one old point, on it.  The dense configuration
+    points, with its labels shuffled.  Half of them are random lines,
+    each of a size drawn from line_sizes (2 to 5 points by default),
+    with no point pair on two lines; the other half keep most lines of
+    a dense configuration and hang up to two pendant lines, each
+    through one old point, on it.  The dense configuration
     is drawn among those on at most max_points points; when none is
     that small, every draw takes random lines."""
     fits = [base for base in DENSE_CONFIGS if base.n <= max_points]
@@ -500,7 +524,7 @@ def random_linear_config(rng, max_points=11):
         lines = []
         covered = set()
         for _ in range(rng.randint(1, 16)):
-            size = min(n, rng.choice((2, 3, 3, 3, 3, 4, 4, 5)))
+            size = min(n, rng.choice(line_sizes))
             line = tuple(sorted(rng.sample(range(1, n + 1), size)))
             pairs = set(combinations(line, 2))
             if not pairs & covered:

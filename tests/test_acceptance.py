@@ -14,7 +14,7 @@ from itertools import combinations, combinations_with_replacement, product
 from helpers import (assignment_from_columns, golden_poly, leibniz_det,
                      matvec, rand_fraction)
 from planelift.config import Config, analyze, grid_config, qs_config, validate
-from planelift.ideals import (QS_LINES, RewriteRow, _qs_formula, extend_minor,
+from planelift.ideals import (QS_LINES, RewriteRow, extend_minor,
                               g34_generators, g34_value, qs_generators,
                               qs_poly, qs_value, REWRITE_ROWS, table1_verify,
                               verify_rewrite_rows)

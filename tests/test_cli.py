@@ -103,6 +103,21 @@ def test_check_deterministic_below_the_structural_bound(tmp_path, capsys):
                    '"verdict": "liftable"}\n')
 
 
+def test_check_rejects_trials_with_deterministic(capsys):
+    # --deterministic draws its own tuples, so an explicit --trials is
+    # refused instead of ignored, in either order and at the default
+    # value too; each option alone is still accepted.
+    for argv in (["check", "qs", "--deterministic", "--trials", "3"],
+                 ["check", "qs", "--trials", "8", "--deterministic"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64
+        err = capsys.readouterr().err
+        assert "--trials does not apply with --deterministic" in err
+    assert run_cli(capsys, "check", "qs", "--trials", "3")[0] == 2
+    assert run_cli(capsys, "check", "qs", "--deterministic")[0] == 2
+
+
 def test_qs_check_generic_tuple(capsys):
     code, out, _ = run_cli(capsys, "qs-check", "0", "1", "2", "3", "4", "5")
     assert code == 2

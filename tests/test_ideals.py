@@ -12,7 +12,7 @@ from helpers import (assignment_from_columns, dense_bracket,
 from planelift import ideals
 from planelift.config import bundled_config, grid_config, qs_config
 from planelift.ideals import (G34_FORMULAS, GRID34_LINES, QS_FORMULAS,
-                              QS_LINES, FramePoint, R1, R2, R3,
+                              QS_LINES, FramePoint, R1, R3,
                               RewriteRow, _g34_products, _qs_formula,
                               _minor_products, _qs_line, _qs_pairing, emit,
                               extend_minor, frame_point, g34_generators,
@@ -22,8 +22,7 @@ from planelift.ideals import (G34_FORMULAS, GRID34_LINES, QS_FORMULAS,
                               table1_verify, verify_rewrite_rows)
 from planelift.lifting import build_collin
 from planelift.linalg import det3
-from planelift.poly import (bracket, frame_bracket, multidegree,
-                            poly_to_plain, var_id)
+from planelift.poly import bracket, frame_bracket, multidegree, var_id
 
 # The full expansion of the quadrilateral-set polynomial
 # QS(l123; R1, R1, R2), 14 terms, transcribed term by term.

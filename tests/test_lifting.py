@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import matvec
+from helpers import (frac_kernel_rref, gauss_rank, matvec,
+                     random_linear_config)
 from planelift import lifting
 from planelift.config import (Config, Realisation, bundled_config,
                               grid_config, qs_config)
@@ -13,7 +14,7 @@ from planelift.lifting import (build_collin, classify_lift, epsilon_scale,
                                poly_matrix_rank, project,
                                random_distinct_abscissas,
                                symbolic_collin_rank)
-from planelift.linalg import QMatrix, det3, rank
+from planelift.linalg import QMatrix, det3, nullspace, rank
 from planelift.poly import Poly
 
 from test_linalg import QS_AT_012345
@@ -71,6 +72,45 @@ def test_qs_collin_numeric_golden():
     assert cm.numeric.to_lists() == [[Fraction(e) for e in row]
                                      for row in QS_AT_012345]
     assert rank(cm.numeric) == 4
+
+
+def _distinct_tuples(rng, n):
+    """Distinct abscissa tuples of three kinds: ints of both signs,
+    Fractions of both signs whose denominators differ, and the two
+    mixed."""
+    while True:
+        fracs = [Fraction(rng.randint(-999, 999), d)
+                 for d in rng.sample(range(2, 90), n)]
+        ints = random_distinct_abscissas(n, rng)
+        mixed = [f if i % 2 else v
+                 for i, (f, v) in enumerate(zip(fracs, ints))]
+        if len(set(fracs)) == n and len(set(mixed)) == n:
+            return ints, fracs, mixed
+
+
+def test_line_basis_has_the_rank_and_kernel_of_lambda():
+    # The rows (p1, p2, pj) of each line, as integers, against the full
+    # Fraction matrix: the same rank and the same canonical kernel.
+    rng = random.Random(1414)
+    configs = [random_linear_config(rng, line_sizes=(3, 4, 5, 6, 7))
+               for _ in range(80)]
+    configs += [bundled_config(name) for name in
+                ("qs", "grid3x3", "grid3x4", "forest_single_line")]
+    longest = 0
+    for c in configs:
+        longest = max([longest] + [len(line) for line in c.lines])
+        for xs in _distinct_tuples(rng, c.n):
+            cm = build_collin(c, xs)
+            full = cm.numeric.to_lists()
+            basis = cm.line_basis.to_lists()
+            assert len(basis) == sum(max(len(line) - 2, 0)
+                                     for line in c.lines)
+            assert all(type(e) is int for row in basis for e in row)
+            kernel = frac_kernel_rref(full, c.n)
+            assert rank(cm.line_basis) == gauss_rank(full), (c, xs)
+            assert nullspace(cm.line_basis) == kernel, (c, xs)
+            assert lift_space(cm).basis == tuple(map(tuple, kernel))
+    assert longest == 7
 
 
 def test_build_collin_errors():

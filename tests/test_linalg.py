@@ -4,10 +4,10 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import (BIG, gauss_rank, leibniz_det, matvec, rand_matrix,
-                     rand_product, transpose)
+from helpers import (BIG, frac_kernel_rref, gauss_rank, leibniz_det, matvec,
+                     rand_matrix, rand_product, transpose)
 from planelift.linalg import (QMatrix, all_minors, cross, det, det3,
                               format_rat, minor, nullspace, parse_rat, rank)
 
@@ -346,3 +346,33 @@ def test_rank_transpose_property(case):
     m = QMatrix(rows)
     assert rank(m) == rank(QMatrix(transpose(rows))) == gauss_rank(rows)
     assert rank(m) <= k
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A product of rank at most k, as _products draws it, with up to
+    two zero rows and two zero columns inserted at drawn places."""
+    rows, _ = draw(_products())
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * len(rows[0]))
+    for _ in range(draw(st.integers(0, 2))):
+        j = draw(st.integers(0, len(rows[0])))
+        for row in rows:
+            row.insert(j, 0)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_cases())
+@example([[0, 0, 0], [0, 0, 0]])             # rank 0
+@example([[2, 0, 0], [0, -3, 0], [0, 0, 5]])  # full rank, square
+@example([[1, 2, 3, 4], [0, 0, 0, 0], [5, 6, 7, 8]])
+@example([[0, 1, 2], [0, 3, 4]])             # a zero column first
+@example([[1], [2]])                         # full column rank
+def test_nullspace_matches_the_gauss_jordan_kernel(rows):
+    # One reduced elimination over reversed columns gives the reduced
+    # echelon form of the kernel that a Fraction Gauss-Jordan
+    # elimination of a first kernel basis gives.
+    m = QMatrix(rows)
+    assert nullspace(m) == frac_kernel_rref(rows, m.cols)
+    assert rank(m) == gauss_rank(rows)

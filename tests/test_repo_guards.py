@@ -39,3 +39,38 @@ def test_sources_parse_as_python_3_10():
     for path in files:
         ast.parse(path.read_text(), filename=str(path),
                   feature_version=(3, 10))
+
+
+def _unused_imports(tree):
+    """The names that the module's import statements bind and that no
+    Name node of the module reads, with the line of each import."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "*":
+                    imported.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_unused_imports():
+    """Every name imported under src/planelift and tests is used in its
+    module.  Package __init__ files are exempt: they import to
+    re-export."""
+    files = sorted(p for d in ("src/planelift", "tests")
+                   for p in (ROOT / d).rglob("*.py")
+                   if p.name != "__init__.py")
+    assert files
+    unused = ["%s:%d: %s" % (path.relative_to(ROOT), line, name)
+              for path in files
+              for line, name in _unused_imports(ast.parse(path.read_text()))]
+    assert unused == []
+
+
+def test_unused_import_scan_sees_every_import_form():
+    tree = ast.parse("import os\nimport a.b\nfrom c import d, e as f\n"
+                     "from g import h\nos.getcwd()\nf(h)\n")
+    assert _unused_imports(tree) == [(2, "a"), (3, "d")]

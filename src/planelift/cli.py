@@ -22,7 +22,7 @@ from .config import (bundled_config, bundled_names, config_from_dict,
                      grid_config, qs_config, realisation_to_dict, validate)
 from .ideals import (emit, g34_generators, qs_generators,
                      radical_ideal_generators, table1_verify)
-from .lifting import CollinMatrix, is_liftable_generic, lift
+from .lifting import build_collin, is_liftable_generic, lift
 from .linalg import parse_rat, rank
 from .probes import run_probe
 
@@ -34,7 +34,6 @@ EX_USAGE = 64
 EX_DATAERR = 65
 
 _CHECK_EXITS = {"liftable": EX_OK, "not-liftable": EX_NO_LIFT}
-_CHECK_TRIALS = 8
 _LIFT_EXITS = {"realising": EX_OK, "no-nontrivial-lift": EX_NO_LIFT}
 
 
@@ -131,17 +130,7 @@ def _emit_json(doc):
 # --- commands ----------------------------------------------------------------
 
 def cmd_check(args):
-    # --trials defaults to None so that an explicit value can be told
-    # apart: --deterministic draws its own number of tuples.
-    if args.deterministic and args.trials is not None:
-        raise UsageError("--trials does not apply with --deterministic")
-    c = _load_config(args.config)
-    trials = _CHECK_TRIALS if args.trials is None else args.trials
-    try:
-        v = is_liftable_generic(c, trials=trials, seed=args.seed,
-                                deterministic=args.deterministic)
-    except ValueError as e:
-        raise DataError(str(e))
+    v = is_liftable_generic(_load_config(args.config), seed=args.seed)
     _emit_json({"omega": v.omega, "genericRank": v.witness_rank,
                 "verdict": v.verdict})
     return _CHECK_EXITS[v.verdict]
@@ -150,12 +139,12 @@ def cmd_check(args):
 def cmd_lift(args):
     c = _load_config(args.config)
     xs = _load_abscissas(args.abscissas, c.n)
-    return _run_lift(c, xs, args.attempts, args.seed)
+    return _run_lift(c, xs, args.seed)
 
 
-def _run_lift(c, xs, attempts, seed):
+def _run_lift(c, xs, seed):
     try:
-        res = lift(c, xs, attempts=attempts, seed=seed)
+        res = lift(c, xs, seed=seed)
     except ValueError as e:
         raise DataError(str(e))
     doc = {"kind": res.kind, "realisation": None}
@@ -169,7 +158,7 @@ def cmd_fixed_check(args):
     """qs-check and grid-check: the rank test at the given abscissas."""
     c = args.fixed()
     try:
-        r = rank(CollinMatrix.at(c, args.x).line_basis)
+        r = rank(build_collin(c, args.x).line_basis)
     except ValueError as e:
         raise DataError(str(e))
     threshold = c.n - 3
@@ -179,7 +168,7 @@ def cmd_fixed_check(args):
 
 
 def cmd_fixed_lift(args):
-    return _run_lift(args.fixed(), args.x, args.attempts, args.seed)
+    return _run_lift(args.fixed(), args.x, args.seed)
 
 
 def cmd_gens(args):
@@ -226,13 +215,9 @@ def _triple(t):
 
 # --- parser ------------------------------------------------------------------
 
-def _add_seed(p, attempts=False):
+def _add_seed(p):
     p.add_argument("--seed", type=int, default=0, metavar="S",
                    help="random seed (default 0)")
-    if attempts:
-        p.add_argument("--attempts", type=_positive_int, default=32,
-                       metavar="N",
-                       help="random lift candidates to try (default 32)")
 
 
 @cache
@@ -248,18 +233,17 @@ def build_parser():
     sub = top.add_subparsers(dest="command", metavar="COMMAND",
                              parser_class=_Parser)
     sub.required = True
+    # main reports a UsageError with the usage line of its command.
+    top.commands = sub.choices
 
     p = sub.add_parser("check",
                        help="decide generic liftability of a configuration")
     p.add_argument("config", metavar="CONFIG",
                    help="bundled name (%s) or JSON file"
                         % ", ".join(bundled_names()))
-    p.add_argument("--trials", type=_positive_int, metavar="N",
-                   help="test at most N random abscissa tuples (default %d)"
-                        % _CHECK_TRIALS)
     p.add_argument("--deterministic", action="store_true",
-                   help="certified rank: sample until the rank meets the "
-                        "incidence count, which is the generic rank")
+                   help="no effect, kept for old scripts: every verdict "
+                        "is certified")
     _add_seed(p)
     p.set_defaults(func=cmd_check)
 
@@ -268,7 +252,7 @@ def build_parser():
     p.add_argument("config", metavar="CONFIG")
     p.add_argument("abscissas", metavar="ABSCISSAS",
                    help="JSON file with one rational per point")
-    _add_seed(p, attempts=True)
+    _add_seed(p)
     p.set_defaults(func=cmd_lift)
 
     for short, n, noun, fixed in (("qs", 6, "quadrilateral set", qs_config),
@@ -283,7 +267,7 @@ def build_parser():
         p = sub.add_parser(short + "-lift",
                            help="lift %d abscissas to a %s" % (n, noun))
         p.add_argument("x", type=_rat, nargs=n, metavar="X")
-        _add_seed(p, attempts=True)
+        _add_seed(p)
         p.set_defaults(func=cmd_fixed_lift, fixed=fixed)
 
     p = sub.add_parser("gens",
@@ -318,7 +302,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except UsageError as e:
-        parser.error(str(e))
+        parser.commands[args.command].error(str(e))
     except DataError as e:
         print("planelift: %s" % e, file=sys.stderr)
         return EX_DATAERR

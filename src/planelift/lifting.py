@@ -25,6 +25,7 @@ CONVENTIONAL_LINE = (0, 0, 1)
 ABSCISSA_RANGE = 65536
 FOREST_RETRY_BUDGET = 64
 GENERIC_RANK_BUDGET = 64
+LIFT_ATTEMPTS = 32
 
 
 def _row_pairs(triple):
@@ -55,7 +56,7 @@ class CollinMatrix:
     i1 < i2 < i3 has entries x_{i2}-x_{i3}, -(x_{i1}-x_{i3}),
     x_{i1}-x_{i2} in columns i1, i2, i3 and zeros elsewhere.
     `abscissas` and `line_basis` are filled when the matrix is
-    instantiated at a point (CollinMatrix.at); otherwise the instance
+    instantiated at a point (build_collin(c, x)); otherwise the instance
     only carries the symbolic pattern, and `numeric` is None.
 
     Ranks and kernels are taken from `line_basis`, an integer matrix
@@ -75,27 +76,6 @@ class CollinMatrix:
     row_triples: tuple
     abscissas: tuple = None
     line_basis: QMatrix = None
-
-    @classmethod
-    def at(cls, c, x):
-        """The collinearity matrix of c at abscissas x, which must be
-        pairwise distinct ints or Fractions."""
-        xs = _exact(x)
-        if len(xs) != c.n:
-            raise ValueError("expected %d abscissas, got %d"
-                             % (c.n, len(xs)))
-        nums = [v.numerator for v in xs]
-        dens = [v.denominator for v in xs]
-        # Keyed by the lowest-terms pair, which hashes faster than a
-        # Fraction.
-        seen = {}
-        for i, key in enumerate(zip(nums, dens), start=1):
-            if key in seen:
-                raise ValueError("duplicate abscissa: points %d and %d "
-                                 "both sit at %s" % (seen[key], i, xs[i - 1]))
-            seen[key] = i
-        return cls(c, _triples(c), xs,
-                   QMatrix.of_ints(_line_basis_rows(c, nums, dens), c.n))
 
     @cached_property
     def numeric(self):
@@ -141,14 +121,25 @@ def _line_basis_rows(c, nums, dens):
 
 
 def build_collin(c, x=None):
-    """Collinearity matrix of c, numeric at abscissas x when given
-    (CollinMatrix.at).
-
-    The abscissas must be pairwise distinct.
-    """
+    """Collinearity matrix of c, numeric at abscissas x when given,
+    which must be pairwise distinct ints or Fractions."""
     if x is None:
         return CollinMatrix(c, _triples(c))
-    return CollinMatrix.at(c, x)
+    xs = _exact(x)
+    if len(xs) != c.n:
+        raise ValueError("expected %d abscissas, got %d" % (c.n, len(xs)))
+    nums = [v.numerator for v in xs]
+    dens = [v.denominator for v in xs]
+    # Keyed by the lowest-terms pair, which hashes faster than a
+    # Fraction.
+    seen = {}
+    for i, key in enumerate(zip(nums, dens), start=1):
+        if key in seen:
+            raise ValueError("duplicate abscissa: points %d and %d "
+                             "both sit at %s" % (seen[key], i, xs[i - 1]))
+        seen[key] = i
+    return CollinMatrix(c, _triples(c), xs,
+                        QMatrix.of_ints(_line_basis_rows(c, nums, dens), c.n))
 
 
 @dataclass(frozen=True)
@@ -198,29 +189,27 @@ def classify_lift(c, r):
     return "degenerate"
 
 
-def lift(c, x, attempts=32, seed=0):
+def lift(c, x, seed=0):
     """Search the lift space at abscissas x for a realising lift.
 
     Returns a LiftResult of kind 'no-nontrivial-lift' when the lift
-    space is at most the trivial plane; otherwise tries random integer
-    combinations of the kernel basis (coefficients in [-10000, 10000])
-    and returns the first realising candidate, or the first degenerate
-    one if the attempt budget runs out.  Each candidate is judged once,
-    by classify_lift; trivial ones (all points collinear) are skipped.
+    space is at most the trivial plane; otherwise tries LIFT_ATTEMPTS
+    random integer combinations of the kernel basis (coefficients in
+    [-10000, 10000]) and returns the first realising candidate, or else
+    the first degenerate one.  Each candidate is judged once, by
+    classify_lift; trivial ones (all points collinear) are skipped.
     A lift space of dimension >= 3 means c is not one line through
     every point, so no trivial candidate realises c.  Deterministic for
-    a given seed; attempts must be at least 1.
+    a given seed.
     """
-    if attempts < 1:
-        raise ValueError("attempts must be at least 1, got %d" % attempts)
-    cm = CollinMatrix.at(c, x)
+    cm = build_collin(c, x)
     space = lift_space(cm)
     if space.dimension <= 2:
         return LiftResult("no-nontrivial-lift")
     rng = random.Random(seed)
     xs = cm.abscissas
     best = None
-    for _ in range(attempts):
+    for _ in range(LIFT_ATTEMPTS):
         coeffs = [rng.randint(-10000, 10000) for _ in space.basis]
         z = [sum(cv * bv[i] for cv, bv in zip(coeffs, space.basis))
              for i in range(c.n)]
@@ -392,11 +381,11 @@ class ComponentVerdict:
 class LiftabilityVerdict:
     """Outcome of the generic-rank liftability test.
 
-    witness_rank is the largest observed rank of the collinearity
-    matrix (summed over components, which is exact because the matrix
-    is block diagonal across them); threshold is n' - 3*omega' over the
-    components that carry lines.  Isolated points impose no conditions
-    and are excluded from both.  trials counts the tuples drawn.
+    witness_rank is the generic rank of the collinearity matrix, summed
+    over components (exact because the matrix is block diagonal across
+    them); threshold is n' - 3*omega' over the components that carry
+    lines.  Isolated points impose no conditions and are excluded from
+    both.  trials counts the tuples drawn to certify the rank.
     """
 
     verdict: str
@@ -404,7 +393,6 @@ class LiftabilityVerdict:
     threshold: int
     omega: int
     trials: int
-    deterministic: bool
     components: tuple
 
 
@@ -474,64 +462,55 @@ def generic_rank_bound(c):
     return kept - 2 * len(c.lines)
 
 
-def is_liftable_generic(c, trials=8, seed=0, deterministic=False):
+def is_liftable_generic(c, seed=0):
     """Decide liftability component by component.
 
     Forest components are liftable outright (a constructive lift always
-    exists).  For the others the rank of the component's collinearity
-    matrix is taken at random distinct integer abscissa tuples, trial t
-    drawn with seed seed+t: an observed rank above n_comp - 3 certifies
-    non-liftability.  A rank within the bound is reported liftable on
-    the rank test alone.  That is exact when the component's matroid is
-    maximal; otherwise the bound only guarantees a lift space beyond the
-    trivial plane, and lift() may find nothing but degenerate lifts in
-    it.  The rank at every tuple is at most generic_rank_bound, the
-    generic rank, so sampling stops at the first trial whose total
-    meets it, which certifies every component, and after `trials` >= 1
-    trials otherwise.  deterministic=True draws up to
-    GENERIC_RANK_BUDGET trials instead and raises RuntimeError if none
-    certifies.  The verdict counts the trials drawn.
+    exists).  Each other component is not liftable when its generic
+    rank, generic_rank_bound, exceeds n_comp - 3.  A rank within the
+    bound is reported liftable on the rank test alone.  That is exact
+    when the component's matroid is maximal; otherwise the bound only
+    guarantees a lift space beyond the trivial plane, and lift() may
+    find nothing but degenerate lifts in it.
+
+    The ranks are certified at random distinct integer abscissa
+    tuples, trial t drawn with seed seed+t, components in order.  The
+    rank at every tuple is at most the bound, so the first trial whose
+    total meets the summed bounds meets each component's own bound.
+    RuntimeError is raised if none does within GENERIC_RANK_BUDGET
+    trials.  The verdict counts the trials drawn.
     """
-    if deterministic:
-        trials = GENERIC_RANK_BUDGET
-    elif trials < 1:
-        raise ValueError("trials must be at least 1, got %d" % trials)
     comps = components(c)
     active = []
     for comp in comps:
         sub, _ = induced(c, comp)
         if sub.lines:
             active.append((comp, sub))
-    bound = sum(generic_rank_bound(sub) for _, sub in active)
-    comp_rank = [0] * len(active)
-    witness = drawn = 0
-    while witness < bound and drawn < trials:
+    bounds = [generic_rank_bound(sub) for _, sub in active]
+    bound = sum(bounds)
+    total = drawn = 0
+    while total < bound:
+        if drawn == GENERIC_RANK_BUDGET:
+            raise RuntimeError("generic rank not certified: sampled rank %d "
+                               "below the incidence count %d after %d trials"
+                               % (total, bound, drawn))
         rng = random.Random(seed + drawn)
         drawn += 1
-        total = 0
-        for ci, (comp, sub) in enumerate(active):
-            xs = random_distinct_abscissas(sub.n, rng)
-            r = rank(CollinMatrix.at(sub, xs).line_basis)
-            comp_rank[ci] = max(comp_rank[ci], r)
-            total += r
-        witness = max(witness, total)
-    if deterministic and witness < bound:
-        raise RuntimeError("generic rank not certified: sampled rank %d "
-                           "below the incidence count %d after %d trials"
-                           % (witness, bound, drawn))
+        total = sum(rank(build_collin(
+            sub, random_distinct_abscissas(sub.n, rng)).line_basis)
+            for _, sub in active)
     verdicts = []
     threshold = 0
-    for ci, (comp, sub) in enumerate(active):
+    for (comp, sub), r in zip(active, bounds):
         thr = sub.n - 3
         threshold += thr
         forest = analyze(sub).is_forest
-        v = "liftable" if forest or comp_rank[ci] <= thr else "not-liftable"
-        verdicts.append(ComponentVerdict(tuple(comp), v, comp_rank[ci],
-                                         thr, forest))
+        v = "liftable" if forest or r <= thr else "not-liftable"
+        verdicts.append(ComponentVerdict(tuple(comp), v, r, thr, forest))
     overall = ("not-liftable" if any(cv.verdict == "not-liftable"
                                      for cv in verdicts) else "liftable")
-    return LiftabilityVerdict(overall, witness, threshold, len(comps), drawn,
-                              deterministic, tuple(verdicts))
+    return LiftabilityVerdict(overall, bound, threshold, len(comps), drawn,
+                              tuple(verdicts))
 
 
 @dataclass(frozen=True)
@@ -541,15 +520,15 @@ class QuasiLiftability:
     deletions: tuple
 
 
-def is_quasi_liftable(c, trials=8, seed=0):
+def is_quasi_liftable(c, seed=0):
     """A configuration is quasi-liftable when it is not liftable itself
     but deleting any single line leaves a liftable configuration."""
-    base = is_liftable_generic(c, trials, seed)
+    base = is_liftable_generic(c, seed)
     ok = base.verdict == "not-liftable"
     deletions = []
     for li in range(1, len(c.lines) + 1):
         sub, _ = delete_line(c, li)
-        v = is_liftable_generic(sub, trials, seed)
+        v = is_liftable_generic(sub, seed)
         deletions.append((li, v))
         if v.verdict != "liftable":
             ok = False

@@ -387,26 +387,19 @@ def subset_count_bound(c):
 
 # --- reference decide loops --------------------------------------------------
 #
-# The liftability check and the lift search the long way: every sampled
-# trial is drawn, the deterministic mode takes each component's rank
-# from symbolic_collin_rank, and a rank tests each lift candidate
-# against the trivial plane before classify_lift judges it.  The
-# package must give the same answers.  Package functions are looked up
-# on the lifting module at call time, so a test that patches them
-# patches both.
+# The liftability check and the lift search the long way: the check
+# takes each component's rank from symbolic_collin_rank, and a rank
+# tests each lift candidate against the trivial plane before
+# classify_lift judges it.  The package must give the same answers.
+# Package functions are looked up on the lifting module at call time,
+# so a test that patches them patches both.
 
 
-def full_trial_is_liftable_generic(c, trials=8, seed=0, deterministic=False):
-    """is_liftable_generic without the early stop at the rank bound.
-
-    Sampled, every trial is drawn; deterministic, trials are drawn up
-    to the first that meets the incidence count, and the component
-    ranks come from symbolic_collin_rank.  Either way the verdict's
-    trials counts the trials up to that first one, or all of them."""
-    if deterministic:
-        trials = lifting.GENERIC_RANK_BUDGET
-    elif trials < 1:
-        raise ValueError("trials must be at least 1, got %d" % trials)
+def reference_is_liftable_generic(c, seed=0):
+    """is_liftable_generic with the component ranks of the verdict
+    taken from symbolic_collin_rank, and the tuples drawn (up to
+    GENERIC_RANK_BUDGET) ranked on the full collinearity matrix until
+    one meets the incidence count; the verdict's trials counts them."""
     full_omega = analyze(c).omega
     active = []
     for comp in components(c):
@@ -414,27 +407,20 @@ def full_trial_is_liftable_generic(c, trials=8, seed=0, deterministic=False):
         if sub.lines:
             active.append((comp, sub))
     bound = sum(lifting.generic_rank_bound(sub) for _, sub in active)
-    comp_rank = [0] * len(active)
-    witness = 0
-    drawn = 0 if bound == 0 else None
-    for t in range(trials):
-        if deterministic and drawn is not None:
-            break
-        rng = random.Random(seed + t)
-        total = 0
-        for ci, (comp, sub) in enumerate(active):
-            xs = lifting.random_distinct_abscissas(sub.n, rng)
-            r = lifting.rank(lifting.build_collin(sub, xs).numeric)
-            comp_rank[ci] = max(comp_rank[ci], r)
-            total += r
-        witness = max(witness, total)
-        if drawn is None and total == bound:
-            drawn = t + 1
-    if deterministic:
-        if drawn is None:
+    drawn = 0
+    if bound:
+        for t in range(lifting.GENERIC_RANK_BUDGET):
+            rng = random.Random(seed + t)
+            total = 0
+            for _, sub in active:
+                xs = lifting.random_distinct_abscissas(sub.n, rng)
+                total += lifting.rank(lifting.build_collin(sub, xs).numeric)
+            if total == bound:
+                drawn = t + 1
+                break
+        else:
             raise RuntimeError("no trial meets the incidence count")
-        comp_rank = [lifting.symbolic_collin_rank(sub) for _, sub in active]
-        witness = sum(comp_rank)
+    comp_rank = [lifting.symbolic_collin_rank(sub) for _, sub in active]
     verdicts = []
     threshold = 0
     for ci, (comp, sub) in enumerate(active):
@@ -454,14 +440,12 @@ def full_trial_is_liftable_generic(c, trials=8, seed=0, deterministic=False):
     else:
         overall = "liftable"
     return lifting.LiftabilityVerdict(
-        overall, witness, threshold, full_omega,
-        trials if drawn is None else drawn, deterministic, tuple(verdicts))
+        overall, sum(comp_rank), threshold, full_omega, drawn,
+        tuple(verdicts))
 
 
-def rank_check_lift(c, x, attempts=32, seed=0):
+def rank_check_lift(c, x, seed=0):
     """lift with a trivial-plane rank test before classify_lift."""
-    if attempts < 1:
-        raise ValueError("attempts must be at least 1, got %d" % attempts)
     cm = lifting.build_collin(c, x)
     space = lifting.lift_space(cm)
     if space.dimension <= 2:
@@ -470,7 +454,7 @@ def rank_check_lift(c, x, attempts=32, seed=0):
     xs = cm.abscissas
     ones = [1] * c.n
     best = None
-    for _ in range(attempts):
+    for _ in range(lifting.LIFT_ATTEMPTS):
         coeffs = [rng.randint(-10000, 10000) for _ in space.basis]
         z = [sum(cv * bv[i] for cv, bv in zip(coeffs, space.basis))
              for i in range(c.n)]

@@ -190,9 +190,10 @@ def test_acceptance_07_forest_lifting(capsys):
                   "%d failures" % bad)
 
 
-def random_linear_config(rng):
-    """Random configuration with pairwise intersections of at most one
-    point."""
+def _sparse_linear_config(rng):
+    """Random configuration of 1-5 lines of 3-4 points on 6-12 points,
+    any two lines sharing at most one point; not the differently drawn
+    helpers.random_linear_config."""
     n = rng.randint(6, 12)
     lines = []
     pairs = set()
@@ -214,7 +215,7 @@ def test_acceptance_08_line_rank(capsys):
     checked_lines = 0
     for t in range(500):
         rng = _trial_rng(8, t)
-        c = random_linear_config(rng)
+        c = _sparse_linear_config(rng)
         if validate(c):
             bad += 1
             continue

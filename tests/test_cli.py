@@ -10,7 +10,7 @@ import planelift
 from helpers import config_json
 from planelift import cli
 from planelift.cli import build_parser, main
-from planelift.config import grid_config
+from planelift.config import bundled_names, grid_config
 from planelift.lifting import random_distinct_abscissas
 from planelift.linalg import format_rat
 from planelift.probes import _project_generic, _trial_rng, sample_grid, \
@@ -69,9 +69,37 @@ def test_check_grid3x4(capsys):
 
 
 def test_check_is_byte_identical(capsys):
-    first = run_cli(capsys, "check", "grid3x3", "--trials", "4")
-    second = run_cli(capsys, "check", "grid3x3", "--trials", "4")
+    first = run_cli(capsys, "check", "grid3x3", "--seed", "4")
+    second = run_cli(capsys, "check", "grid3x3", "--seed", "4")
     assert first == second
+
+
+# The answer of `check` on each bundled configuration: exit code and
+# stdout.
+CHECK_BUNDLED = {
+    "forest_path10": (0, '{"genericRank": 6, "omega": 1, '
+                         '"verdict": "liftable"}\n'),
+    "forest_single_line": (0, '{"genericRank": 4, "omega": 1, '
+                              '"verdict": "liftable"}\n'),
+    "forest_two_lines": (0, '{"genericRank": 2, "omega": 1, '
+                            '"verdict": "liftable"}\n'),
+    "grid3x3": (0, '{"genericRank": 6, "omega": 1, "verdict": "liftable"}\n'),
+    "grid3x4": (2, '{"genericRank": 10, "omega": 1, '
+                   '"verdict": "not-liftable"}\n'),
+    "qs": (2, '{"genericRank": 4, "omega": 1, "verdict": "not-liftable"}\n'),
+}
+
+
+def test_check_answers_alike_at_every_seed(capsys):
+    # One certified path: the seed only picks the certifying tuple, and
+    # --deterministic changes nothing.
+    assert sorted(CHECK_BUNDLED) == sorted(bundled_names())
+    for name, (want_code, want_out) in CHECK_BUNDLED.items():
+        for seed in range(20):
+            for extra in ((), ("--deterministic",)):
+                assert run_cli(capsys, "check", name, "--seed", str(seed),
+                               *extra) == (want_code, want_out, ""), \
+                    (name, seed, extra)
 
 
 def test_check_deterministic_answers_large_configs(tmp_path, capsys):
@@ -101,21 +129,6 @@ def test_check_deterministic_below_the_structural_bound(tmp_path, capsys):
     assert code == 0 and err == ""
     assert out == ('{"genericRank": 9, "omega": 1, '
                    '"verdict": "liftable"}\n')
-
-
-def test_check_rejects_trials_with_deterministic(capsys):
-    # --deterministic draws its own tuples, so an explicit --trials is
-    # refused instead of ignored, in either order and at the default
-    # value too; each option alone is still accepted.
-    for argv in (["check", "qs", "--deterministic", "--trials", "3"],
-                 ["check", "qs", "--trials", "8", "--deterministic"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 64
-        err = capsys.readouterr().err
-        assert "--trials does not apply with --deterministic" in err
-    assert run_cli(capsys, "check", "qs", "--trials", "3")[0] == 2
-    assert run_cli(capsys, "check", "qs", "--deterministic")[0] == 2
 
 
 def test_qs_check_generic_tuple(capsys):
@@ -257,16 +270,9 @@ def test_usage_errors_exit_64(capsys):
     for argv in ([], ["frobnicate"], ["qs-check", "1", "2"],
                  ["qs-check", "a", "b", "c", "d", "e", "f"],
                  ["gens", "qs", "--format", "xml"],
-                 ["check", "qs", "--trials", "0"],
-                 ["check", "qs", "--trials", "-3"],
-                 ["check", "qs", "--trials", "two"],
+                 ["check", "qs", "--seed", "two"],
                  ["verify", "tfae-qs", "--trials", "0"],
                  ["verify", "decomp-qs", "--trials", "-3"],
-                 ["lift", "qs", "xs.json", "--attempts", "0"],
-                 ["qs-lift", "-4", "-3", "-2", "1", "0", "-1",
-                  "--attempts", "-5"],
-                 ["grid-lift"] + ["%d" % i for i in range(12)]
-                 + ["--attempts", "two"],
                  ["gens", "radical:qs", "--minor-size", "0"],
                  ["gens", "radical:qs", "--minor-size", "-1"],
                  ["gens", "radical:qs", "--minor-size", "two"],
@@ -278,6 +284,32 @@ def test_usage_errors_exit_64(capsys):
             main(argv)
         assert exc.value.code == 64
         capsys.readouterr()
+
+
+def test_removed_budget_options_exit_64(capsys, tmp_path):
+    # check has no tuple budget and the lifts no attempt budget.
+    xs = tmp_path / "xs.json"
+    xs.write_text("[-4, -3, -2, 1, 0, -1]")
+    for argv in (["check", "qs", "--trials", "3"],
+                 ["lift", "qs", str(xs), "--attempts", "3"],
+                 ["qs-lift", "-4", "-3", "-2", "1", "0", "-1",
+                  "--attempts", "3"],
+                 ["grid-lift"] + ["%d" % i for i in range(12)]
+                 + ["--attempts", "3"]):
+        err = _usage_error(capsys, argv)
+        assert "unrecognized arguments: " in err, argv
+
+
+def test_command_usage_errors_show_the_command_usage(capsys):
+    # Errors found after parsing print the usage line of their command,
+    # as argparse does for its own errors.
+    for argv in (["gens", "qs", "--minor-size", "3"],
+                 ["gens", "radical:qs", "--minor-size", "9"]):
+        err = _usage_error(capsys, argv)
+        assert err.startswith("usage: planelift gens "), err
+        assert "\nplanelift gens: error: " in err, err
+    assert _usage_error(capsys, ["verify", "tfae-qs", "--trials", "0"]) \
+        .startswith("usage: planelift verify ")
 
 
 def test_gens_qs_json(capsys):
@@ -380,8 +412,8 @@ def test_left_out_options_take_their_defaults():
              {"deterministic": False}),
             (["gens", "radical:qs", "--minor-size", "2"],
              ["gens", "radical:qs"], {"minor_size": None}),
-            (["qs-lift"] + xs + ["--attempts", "3", "--seed", "9"],
-             ["qs-lift"] + xs, {"attempts": 32, "seed": 0})):
+            (["qs-lift"] + xs + ["--seed", "9"],
+             ["qs-lift"] + xs, {"seed": 0})):
         first = build_parser().parse_args(with_opts)
         second = build_parser().parse_args(without)
         assert second is not first
@@ -399,7 +431,7 @@ def _usage_error(capsys, argv):
 
 def test_usage_error_leaves_no_trace(capsys, monkeypatch):
     valid = ["gens", "radical:qs", "--minor-size", "2"]
-    bad = (["check", "qs", "--trials", "0"],
+    bad = (["check", "qs", "--seed", "two"],
            ["gens", "qs", "--minor-size", "3"])
     shared = [(_usage_error(capsys, argv), run_cli(capsys, *valid))
               for argv in bad]

@@ -87,10 +87,10 @@ def test_deterministic_check_certifies_the_count(monkeypatch):
     calls = []
     monkeypatch.setattr(lifting, "symbolic_collin_rank", calls.append)
     for c, generic in GAP_CASES:
-        v = is_liftable_generic(c, deterministic=True)
+        v = is_liftable_generic(c)
         assert (v.witness_rank, v.trials) == (generic, 1), c
     for c in GRIDS:
-        v = is_liftable_generic(c, deterministic=True)
+        v = is_liftable_generic(c)
         assert v.witness_rank == c.n - 2 and v.verdict == "not-liftable"
     assert calls == []
 
@@ -106,8 +106,5 @@ def test_deterministic_check_raises_below_the_count(monkeypatch):
         return original(m) - 1
     monkeypatch.setattr(lifting, "rank", short)
     with pytest.raises(RuntimeError):
-        is_liftable_generic(GAP_CASES[0][0], deterministic=True)
+        is_liftable_generic(GAP_CASES[0][0])
     assert len(calls) == GENERIC_RANK_BUDGET
-    del calls[:]
-    v = is_liftable_generic(GAP_CASES[0][0], trials=3)
-    assert len(calls) == 3 and v.trials == 3 and v.witness_rank == 4

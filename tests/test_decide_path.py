@@ -1,8 +1,8 @@
 """The decide path asks each question once: the liftability check stops
 at its rank bound, and each lift candidate is judged only by
 classify_lift.  Every answer is compared with the reference loops of
-tests/helpers.py, which draw every trial and test the trivial plane
-with a rank."""
+tests/helpers.py, which take the ranks of the verdict from
+symbolic_collin_rank and test the trivial plane with a rank."""
 
 import random
 from types import SimpleNamespace
@@ -16,8 +16,8 @@ from planelift.lifting import (build_collin, is_liftable_generic, lift,
                                lift_space, project, random_distinct_abscissas)
 from planelift.probes import sample_grid, sample_quadset
 
-from helpers import (DENSE_CONFIGS, full_trial_is_liftable_generic,
-                     random_linear_config, rank_check_lift, structural_bound)
+from helpers import (DENSE_CONFIGS, random_linear_config, rank_check_lift,
+                     reference_is_liftable_generic, structural_bound)
 
 FANO = DENSE_CONFIGS[0]
 FANO_PLUS = Config(8, FANO.lines + ((1, 8),))
@@ -58,7 +58,7 @@ def rank_calls(monkeypatch):
     return calls
 
 
-def test_random_configs_are_linear_and_reach_every_case():
+def test_random_configs_are_linear_and_reach_every_case(symbolic_calls):
     # Every verdict, non-forest components found liftable on the rank
     # test alone, and several components occur, and many generic ranks
     # fall short of the structural bound: those are the cases the
@@ -69,7 +69,7 @@ def test_random_configs_are_linear_and_reach_every_case():
     verdicts = set()
     rank_only = False
     for c in CONFIGS:
-        v = full_trial_is_liftable_generic(c, trials=3)
+        v = reference_is_liftable_generic(c)
         verdicts.add(v.verdict)
         rank_only |= any(not cv.is_forest and cv.verdict == "liftable"
                          for cv in v.components)
@@ -82,25 +82,14 @@ def test_random_configs_are_linear_and_reach_every_case():
     assert sum(len(components(c)) > 1 for c in RANDOM_CONFIGS) >= 10
 
 
-@pytest.mark.parametrize("trials", (1, 3, 8))
-def test_check_matches_the_full_trial_loop(trials):
-    for i, c in enumerate(CONFIGS):
-        for seed in (0, 5, 1000 + i):
-            got = is_liftable_generic(c, trials, seed)
-            want = full_trial_is_liftable_generic(c, trials, seed)
-            assert got == want, (c, trials, seed)
-
-
 def test_deterministic_check_matches_the_reference(symbolic_calls):
     # The package never hands a component to the symbolic rank, and its
     # certified ranks are the ones the reference takes from it.
     for i, c in enumerate(CONFIGS):
-        for seed in (0, 7, 3000 + i):
-            got = is_liftable_generic(c, seed=seed, deterministic=True)
+        for seed in (0, 5, 7, 1000 + i, 3000 + i):
+            got = is_liftable_generic(c, seed)
             assert symbolic_calls == [], (c, seed)
-            want = full_trial_is_liftable_generic(c, seed=seed,
-                                                  deterministic=True)
-            assert got == want, (c, seed)
+            assert got == reference_is_liftable_generic(c, seed), (c, seed)
             del symbolic_calls[:]
 
 
@@ -111,11 +100,10 @@ def test_check_stops_at_the_rank_bound(rank_calls):
     v = is_liftable_generic(GRID34)
     assert len(rank_calls) == 1
     assert v.witness_rank == 10 and v.trials == 1
-    for trials in (1, 3, 8):
-        del rank_calls[:]
-        v = is_liftable_generic(FANO_PLUS, trials=trials)
-        assert len(rank_calls) == 1
-        assert v.witness_rank == 5 and v.trials == 1
+    del rank_calls[:]
+    v = is_liftable_generic(FANO_PLUS)
+    assert len(rank_calls) == 1
+    assert v.witness_rank == 5 and v.trials == 1
 
 
 def test_check_goes_on_below_the_bound(monkeypatch):
@@ -128,7 +116,7 @@ def test_check_goes_on_below_the_bound(monkeypatch):
         r = original(m)
         return r - 1 if len(calls) == 1 else r
     monkeypatch.setattr(lifting, "rank", short_first)
-    v = is_liftable_generic(GRID34, trials=4)
+    v = is_liftable_generic(GRID34)
     assert len(calls) == 2
     assert v.witness_rank == 10 and v.verdict == "not-liftable"
     assert v.trials == 2
@@ -153,17 +141,20 @@ LIFT_CASES = _lift_cases()
 
 
 def test_lift_cases_reach_every_kind():
-    kinds = {rank_check_lift(c, xs, attempts=4).kind for c, xs in LIFT_CASES}
+    kinds = {rank_check_lift(c, xs).kind for c, xs in LIFT_CASES}
     assert kinds == {"no-nontrivial-lift", "realising", "degenerate"}
     assert sum(lift_space(build_collin(c, xs)).dimension >= 3
                for c, xs in LIFT_CASES) >= 20
 
 
-def test_lift_matches_the_rank_check_loop():
-    for c, xs in LIFT_CASES:
-        for attempts, seed in ((1, 0), (4, 3), (32, 0)):
-            assert (lift(c, xs, attempts, seed)
-                    == rank_check_lift(c, xs, attempts, seed)), (c, xs)
+def test_lift_matches_the_rank_check_loop(monkeypatch):
+    # Small budgets too, so that some searches end without a realising
+    # candidate.
+    for attempts, seed in ((1, 0), (4, 3), (32, 0)):
+        monkeypatch.setattr(lifting, "LIFT_ATTEMPTS", attempts)
+        for c, xs in LIFT_CASES:
+            assert (lift(c, xs, seed)
+                    == rank_check_lift(c, xs, seed)), (c, xs, attempts)
 
 
 class _ZeroRandom(random.Random):
@@ -184,8 +175,8 @@ def test_lift_falls_back_to_a_basis_vector(monkeypatch):
         space = lift_space(build_collin(c, xs))
         if space.dimension <= 2:
             continue
-        res = lift(c, xs, attempts=3)
-        assert res == rank_check_lift(c, xs, attempts=3)
+        res = lift(c, xs)
+        assert res == rank_check_lift(c, xs)
         assert res.kind in ("realising", "degenerate")
         heights = tuple(col[2] for col in res.realisation.columns())
         assert heights == space.basis[0]

@@ -212,14 +212,8 @@ def test_lift_special_tuple_is_degenerate():
     xs = [0, 1, 2, 3, 4, 5, 6, 7, 9]
     space = lift_space(build_collin(c, xs))
     assert space.dimension == 3
-    res = lift(c, xs, attempts=64)
-    assert res.kind == "degenerate"
-
-
-def test_lift_needs_attempts():
-    for attempts in (0, -5):
-        with pytest.raises(ValueError):
-            lift(qs_config(), [-4, -3, -2, 1, 0, -1], attempts=attempts)
+    for seed in range(3):
+        assert lift(c, xs, seed).kind == "degenerate"
 
 
 def test_forest_lift_round_trip():
@@ -316,7 +310,7 @@ def test_project_generic_line():
 
 
 def test_liftable_qs():
-    v = is_liftable_generic(qs_config(), trials=4)
+    v = is_liftable_generic(qs_config())
     assert v.verdict == "not-liftable"
     assert v.witness_rank == 4
     assert v.threshold == 3
@@ -326,11 +320,11 @@ def test_liftable_qs():
 
 
 def test_liftable_grids():
-    v = is_liftable_generic(bundled_config("grid3x3"), trials=4)
+    v = is_liftable_generic(bundled_config("grid3x3"))
     assert v.verdict == "liftable"
     assert v.witness_rank == 6
     assert v.threshold == 6
-    v = is_liftable_generic(grid_config(3, 4), trials=4)
+    v = is_liftable_generic(grid_config(3, 4))
     assert v.verdict == "not-liftable"
     assert v.witness_rank == 10
     assert v.threshold == 9
@@ -338,21 +332,21 @@ def test_liftable_grids():
 
 def test_liftable_forests():
     for name in ("forest_single_line", "forest_two_lines", "forest_path10"):
-        v = is_liftable_generic(bundled_config(name), trials=2)
+        v = is_liftable_generic(bundled_config(name))
         assert v.verdict == "liftable"
         assert all(cv.is_forest for cv in v.components)
 
 
 def test_liftable_deterministic_mode():
+    # The first tuple certifies each bundled rank, at every seed tried.
     for name in ("qs", "grid3x3", "forest_two_lines"):
         c = bundled_config(name)
-        sampled = is_liftable_generic(c, trials=4)
-        exact = is_liftable_generic(c, deterministic=True)
-        assert exact.verdict == sampled.verdict
-        assert exact.witness_rank == sampled.witness_rank
-        assert exact.deterministic and exact.trials == 1
+        first = is_liftable_generic(c)
+        assert first.trials == 1
+        for seed in (1, 2, 3):
+            assert is_liftable_generic(c, seed) == first
     # No size limit.
-    v = is_liftable_generic(Config(13, ((1, 2, 3),)), deterministic=True)
+    v = is_liftable_generic(Config(13, ((1, 2, 3),)))
     assert (v.verdict, v.witness_rank, v.omega) == ("liftable", 1, 11)
 
 
@@ -366,46 +360,37 @@ def test_deterministic_rank_below_the_structural_bound(monkeypatch):
     fano = ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7),
             (3, 4, 7), (3, 5, 6))
     c = Config(8, fano + ((1, 8),))
-    v = is_liftable_generic(c, deterministic=True)
+    v = is_liftable_generic(c)
     assert v.witness_rank == 5 and v.trials == 1
-    v = is_liftable_generic(grid_config(3, 4), deterministic=True)
+    v = is_liftable_generic(grid_config(3, 4))
     assert v.witness_rank == 10 and v.verdict == "not-liftable"
     assert calls == []
 
 
-def test_liftable_needs_trials():
-    # zero trials would observe rank 0 and call anything liftable
-    for trials in (0, -3):
-        with pytest.raises(ValueError):
-            is_liftable_generic(qs_config(), trials=trials)
-    exact = is_liftable_generic(qs_config(), trials=0, deterministic=True)
-    assert exact.verdict == "not-liftable"
-
-
 def test_liftable_multi_component():
     lines = qs_config().lines + ((7, 8, 9),)
-    v = is_liftable_generic(Config(9, lines), trials=4)
+    v = is_liftable_generic(Config(9, lines))
     assert v.verdict == "not-liftable"
     assert v.omega == 2
     assert len(v.components) == 2
     assert v.components[1].is_forest
-    v = is_liftable_generic(Config(8, qs_config().lines), trials=4)
+    v = is_liftable_generic(Config(8, qs_config().lines))
     assert v.omega == 3
     assert len(v.components) == 1
     assert v.verdict == "not-liftable"
-    assert is_liftable_generic(Config(3), trials=1).verdict == "liftable"
+    assert is_liftable_generic(Config(3)).verdict == "liftable"
 
 
 def test_quasi_liftable_frozen_verdicts():
-    q = is_quasi_liftable(qs_config(), trials=4)
+    q = is_quasi_liftable(qs_config())
     assert q.is_quasi
     assert q.base.verdict == "not-liftable"
     assert len(q.deletions) == 4
     assert all(v.verdict == "liftable" for _, v in q.deletions)
-    q = is_quasi_liftable(bundled_config("grid3x3"), trials=4)
+    q = is_quasi_liftable(bundled_config("grid3x3"))
     assert not q.is_quasi
     assert q.base.verdict == "liftable"
-    q = is_quasi_liftable(grid_config(3, 4), trials=4)
+    q = is_quasi_liftable(grid_config(3, 4))
     assert q.is_quasi
     assert len(q.deletions) == 7
 

@@ -93,6 +93,47 @@ def test_deterministic_check_matches_the_reference(symbolic_calls):
             del symbolic_calls[:]
 
 
+def _outcome(decide, c, seed):
+    try:
+        return decide(c, seed)
+    except RuntimeError:
+        return RuntimeError
+
+
+@pytest.mark.parametrize("budget", (1, 3, 8))
+def test_check_matches_the_full_trial_loop(budget, symbolic_calls,
+                                           monkeypatch):
+    # The first two nonzero component ranks of each decision fall one
+    # short, so the loop runs past trial 0: a configuration needs three
+    # trials when one component has nonzero rank and two otherwise.
+    # Within the budget the package and the reference loop agree on the
+    # verdict and the trials drawn; beyond it both raise.
+    monkeypatch.setattr(lifting, "GENERIC_RANK_BUDGET", budget)
+    calls = []
+    original = lifting.rank
+
+    def short_first(m):
+        calls.append(m)
+        r = original(m)
+        return r - 1 if r and len(calls) <= 2 else r
+    monkeypatch.setattr(lifting, "rank", short_first)
+    raised = 0
+    drawn = set()
+    for i, c in enumerate(CONFIGS):
+        for seed in (0, 5, 1000 + i):
+            del calls[:]
+            got = _outcome(is_liftable_generic, c, seed)
+            del calls[:]
+            want = _outcome(reference_is_liftable_generic, c, seed)
+            assert got == want, (c, budget, seed)
+            if got is RuntimeError:
+                raised += 1
+            elif got.trials:
+                drawn.add(got.trials)
+    assert (raised > 0) == (budget == 1)
+    assert drawn == ({2, 3} if budget > 1 else set())
+
+
 def test_check_stops_at_the_rank_bound(rank_calls):
     # The 3x4 grid meets its bound 10 at trial 0, and so does the Fano
     # plane plus (1, 8), whose generic rank 5 is the incidence count

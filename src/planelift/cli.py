@@ -7,6 +7,7 @@ Exit codes follow a fixed partition so scripts can branch on them:
   3   only trivial or degenerate lifts found
   64  command line usage error
   65  unreadable or invalid input data
+  70  internal error: a generic rank could not be certified
 
 Identical invocations produce byte-identical output.
 """
@@ -22,7 +23,7 @@ from .config import (bundled_config, bundled_names, config_from_dict,
                      grid_config, qs_config, realisation_to_dict, validate)
 from .ideals import (emit, g34_generators, qs_generators,
                      radical_ideal_generators, table1_verify)
-from .lifting import build_collin, is_liftable_generic, lift
+from .lifting import RankNotCertified, build_collin, is_liftable_generic, lift
 from .linalg import parse_rat, rank
 from .probes import run_probe
 
@@ -32,6 +33,7 @@ EX_NO_LIFT = 2
 EX_DEGENERATE = 3
 EX_USAGE = 64
 EX_DATAERR = 65
+EX_SOFTWARE = 70
 
 _CHECK_EXITS = {"liftable": EX_OK, "not-liftable": EX_NO_LIFT}
 _LIFT_EXITS = {"realising": EX_OK, "no-nontrivial-lift": EX_NO_LIFT}
@@ -298,14 +300,19 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
     try:
+        if extra:
+            raise UsageError("unrecognized arguments: %s" % " ".join(extra))
         return args.func(args)
     except UsageError as e:
         parser.commands[args.command].error(str(e))
     except DataError as e:
         print("planelift: %s" % e, file=sys.stderr)
         return EX_DATAERR
+    except RankNotCertified as e:
+        print("planelift: %s" % e, file=sys.stderr)
+        return EX_SOFTWARE
     except BrokenPipeError:
         # The reader went away (e.g. piped into head).  Point stdout at
         # devnull so the interpreter's exit flush stays quiet.

@@ -92,10 +92,15 @@ class Rank3Matroid:
     circuits3: frozenset
 
 
+def line_triples(c):
+    """The collinear triples of c: each line's increasing 3-subsets in
+    lexicographic order, lines in configuration order."""
+    return tuple(t for line in c.lines for t in combinations(sorted(line), 3))
+
+
 def circuits(c):
     """Rank3Matroid whose 3-circuits are the collinear triples of c."""
-    return Rank3Matroid(c.n, frozenset(
-        t for line in c.lines for t in combinations(sorted(line), 3)))
+    return Rank3Matroid(c.n, frozenset(line_triples(c)))
 
 
 @dataclass(frozen=True)

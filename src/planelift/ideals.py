@@ -17,10 +17,10 @@ from itertools import combinations, combinations_with_replacement, \
     permutations, product
 from json.encoder import encode_basestring_ascii
 
-from .config import grid_config, qs_config
+from .config import grid_config, line_triples, qs_config
 from .lifting import build_collin
 from .linalg import _exact, det3, format_rat
-from .poly import (FRAME_COFACTORS, MultiDeg, Poly, bracket, expand_products,
+from .poly import (FRAME_COFACTORS, Poly, bracket, expand_products,
                    frame_terms, multidegree, point_bracket, poly_to_plain,
                    var_names)
 
@@ -224,8 +224,6 @@ def g34_value(cols, ci, *frames):
 class GenEntry:
     poly: Poly
     label: str
-    degree: int
-    multideg: MultiDeg
 
 
 @dataclass(frozen=True)
@@ -235,28 +233,24 @@ class GeneratorSet:
     entries: tuple
 
 
-def _entry(p, label, degree, npoints):
-    return GenEntry(p, label, degree, multidegree(p, npoints))
+def _bracket_formulas(c):
+    """One bracket (label, formula) pair per collinear triple of c."""
+    return [("bracket(%d,%d,%d)" % t, ("bracket", t))
+            for t in line_triples(c)]
 
 
 # Each generating set is declared once, as (label, formula) pairs.  A
 # formula is ("bracket", (i, j, k)), ("qs", frames) on the line 123, or
 # ("g34", frames) on column 1: generator_poly expands it, and
 # generator_value evaluates its bracket products at explicit columns.
-# _DEGREE is the degree of each kind.
-
-_DEGREE = {"bracket": 3, "qs": 6, "g34": 12}
-
-GRID34_LINES = grid_config(3, 4).lines
 
 QS_FORMULAS = tuple(
-    [("bracket(%d,%d,%d)" % line, ("bracket", line)) for line in QS_LINES]
+    _bracket_formulas(qs_config())
     + [("qs(%d,%d,%d)" % f, ("qs", f))
        for f in combinations_with_replacement((1, 2, 3), 3)])
 
 G34_FORMULAS = tuple(
-    [("bracket(%d,%d,%d)" % t, ("bracket", t))
-     for line in GRID34_LINES for t in combinations(line, 3)]
+    _bracket_formulas(grid_config(3, 4))
     + [("g34(%s)" % ",".join(map(str, f)), ("g34", f))
        for f in combinations_with_replacement((1, 2, 3), 6)])
 
@@ -285,7 +279,7 @@ def generator_value(cols, formula):
 
 def _generator_set(name, npoints, formulas):
     return GeneratorSet(name, npoints, tuple(
-        _entry(generator_poly(formula), label, _DEGREE[formula[0]], npoints)
+        GenEntry(generator_poly(formula), label)
         for label, formula in formulas))
 
 
@@ -366,12 +360,11 @@ def radical_ideal_generators(c, minor_size=None):
                          "got %d" % (min(nrows, c.n), k))
     entries = []
     seen = set()
-    for line in c.lines:
-        for t in combinations(sorted(line), 3):
-            p = bracket(*t).canonical()
-            if p not in seen:
-                seen.add(p)
-                entries.append(_entry(p, "bracket(%d,%d,%d)" % t, 3, c.n))
+    for t in cm.row_triples:
+        p = bracket(*t).canonical()
+        if p not in seen:
+            seen.add(p)
+            entries.append(GenEntry(p, "bracket(%d,%d,%d)" % t))
     if k <= nrows and k <= c.n:
         for rows in combinations(range(1, nrows + 1), k):
             for cols in combinations(range(1, c.n + 1), k):
@@ -390,7 +383,7 @@ def radical_ideal_generators(c, minor_size=None):
                         ".".join(map(str, rows)),
                         ".".join(map(str, cols)),
                         ".".join(map(str, frames)))
-                    entries.append(_entry(p, label, p.total_degree(), c.n))
+                    entries.append(GenEntry(p, label))
     return GeneratorSet("J_radical", c.n, tuple(entries))
 
 
@@ -429,14 +422,15 @@ def _json_text(g, names):
             terms.append('{\n          "coeff": "%s",\n          "exps": %s'
                          '\n        }' % (format_rat(coeff), exps))
         md = "null"
-        if e.multideg is not None:
+        multideg = multidegree(e.poly, g.npoints)
+        if multideg is not None:
             md = ('{\n        "letter": %s,\n        "point": %s\n      }'
-                  % (_json_array(list(map(str, e.multideg.letter)), " " * 8),
-                     _json_array(list(map(str, e.multideg.point)), " " * 8)))
+                  % (_json_array(list(map(str, multideg.letter)), " " * 8),
+                     _json_array(list(map(str, multideg.point)), " " * 8)))
         gens.append('{\n      "degree": %d,\n      "label": %s,'
                     '\n      "multidegree": %s,\n      "terms": %s\n    }'
-                    % (e.degree, encode_basestring_ascii(e.label), md,
-                       _json_array(terms, " " * 6)))
+                    % (e.poly.total_degree(), encode_basestring_ascii(e.label),
+                       md, _json_array(terms, " " * 6)))
     return ('{\n  "generators": %s,\n  "ideal": %s,\n  "points": %d\n}\n'
             % (_json_array(gens, "  "), encode_basestring_ascii(g.ideal_name),
                g.npoints))

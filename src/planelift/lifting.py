@@ -12,11 +12,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from math import lcm
 
 from .config import (Realisation, _non_simple, analyze, circuits,
-                     components, delete_line, induced, membership)
+                     components, delete_line, induced, line_triples,
+                     membership)
 from .linalg import QMatrix, _exact, bareiss, cross, nullspace, rank
 from .poly import Poly, var_id
 
@@ -51,10 +51,10 @@ def _collin_rows(triples, xs, zero):
 class CollinMatrix:
     """The collinearity matrix Lambda of a configuration.
 
-    One row per 3-subset of each line (lines in configuration order,
-    triples lexicographic within a line).  The row of triple
-    i1 < i2 < i3 has entries x_{i2}-x_{i3}, -(x_{i1}-x_{i3}),
-    x_{i1}-x_{i2} in columns i1, i2, i3 and zeros elsewhere.
+    One row per collinear triple, in the order of config.line_triples.
+    The row of triple i1 < i2 < i3 has entries x_{i2}-x_{i3},
+    -(x_{i1}-x_{i3}), x_{i1}-x_{i2} in columns i1, i2, i3 and zeros
+    elsewhere.
     `abscissas` and `line_basis` are filled when the matrix is
     instantiated at a point (build_collin(c, x)); otherwise the instance
     only carries the symbolic pattern, and `numeric` is None.
@@ -90,10 +90,6 @@ class CollinMatrix:
         return dict(_row_pairs(self.row_triples[row - 1])).get(col)
 
 
-def _triples(c):
-    return tuple(t for line in c.lines for t in combinations(sorted(line), 3))
-
-
 def _line_basis_rows(c, nums, dens):
     """The integer rows of CollinMatrix.line_basis at the abscissas
     x_p = a_p / b_p, with a_p = nums[p - 1] and b_p = dens[p - 1].  The
@@ -120,11 +116,10 @@ def _line_basis_rows(c, nums, dens):
     return rows
 
 
-def build_collin(c, x=None):
-    """Collinearity matrix of c, numeric at abscissas x when given,
-    which must be pairwise distinct ints or Fractions."""
-    if x is None:
-        return CollinMatrix(c, _triples(c))
+def _checked_abscissas(c, x):
+    """(xs, nums, dens): the abscissas x as a tuple of ints and
+    Fractions, with their numerators and denominators, after checking
+    that there is one per point of c and that no two are equal."""
     xs = _exact(x)
     if len(xs) != c.n:
         raise ValueError("expected %d abscissas, got %d" % (c.n, len(xs)))
@@ -138,7 +133,16 @@ def build_collin(c, x=None):
             raise ValueError("duplicate abscissa: points %d and %d "
                              "both sit at %s" % (seen[key], i, xs[i - 1]))
         seen[key] = i
-    return CollinMatrix(c, _triples(c), xs,
+    return xs, nums, dens
+
+
+def build_collin(c, x=None):
+    """Collinearity matrix of c, numeric at abscissas x when given,
+    which must be pairwise distinct ints or Fractions."""
+    if x is None:
+        return CollinMatrix(c, line_triples(c))
+    xs, nums, dens = _checked_abscissas(c, x)
+    return CollinMatrix(c, line_triples(c), xs,
                         QMatrix.of_ints(_line_basis_rows(c, nums, dens), c.n))
 
 
@@ -242,11 +246,7 @@ def forest_lift(c, x):
     """
     if not analyze(c).is_forest:
         raise ValueError("not a forest configuration")
-    xs = tuple(x)
-    if len(xs) != c.n:
-        raise ValueError("expected %d abscissas, got %d" % (c.n, len(xs)))
-    if len(set(xs)) != c.n:
-        raise ValueError("duplicate abscissa")
+    xs = _checked_abscissas(c, x)[0]
     rng = random.Random(0x1f2e3d)
     for _ in range(FOREST_RETRY_BUDGET):
         z = [None] * (c.n + 1)
@@ -396,6 +396,10 @@ class LiftabilityVerdict:
     components: tuple
 
 
+class RankNotCertified(RuntimeError):
+    """No sampled tuple met the incidence count within the budget."""
+
+
 def random_distinct_abscissas(n, rng):
     while True:
         xs = [rng.randint(-ABSCISSA_RANGE, ABSCISSA_RANGE)
@@ -477,8 +481,8 @@ def is_liftable_generic(c, seed=0):
     tuples, trial t drawn with seed seed+t, components in order.  The
     rank at every tuple is at most the bound, so the first trial whose
     total meets the summed bounds meets each component's own bound.
-    RuntimeError is raised if none does within GENERIC_RANK_BUDGET
-    trials.  The verdict counts the trials drawn.
+    RankNotCertified, a RuntimeError, is raised if none does within
+    GENERIC_RANK_BUDGET trials.  The verdict counts the trials drawn.
     """
     comps = components(c)
     active = []
@@ -491,9 +495,9 @@ def is_liftable_generic(c, seed=0):
     total = drawn = 0
     while total < bound:
         if drawn == GENERIC_RANK_BUDGET:
-            raise RuntimeError("generic rank not certified: sampled rank %d "
-                               "below the incidence count %d after %d trials"
-                               % (total, bound, drawn))
+            raise RankNotCertified("generic rank not certified: sampled "
+                                   "rank %d below the incidence count %d "
+                                   "after %d trials" % (total, bound, drawn))
         rng = random.Random(seed + drawn)
         drawn += 1
         total = sum(rank(build_collin(

@@ -13,8 +13,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb
 
-from .config import (Realisation, _non_simple, circuits,
-                     config_of_realisation, grid_config, membership, qs_config)
+from .config import (Realisation, _non_simple, circuits, grid_config,
+                     membership, qs_config)
 from .ideals import (G34_FORMULAS, QS_FORMULAS, QS_LINES, g34_value,
                      generator_value, qs_value)
 from .lifting import (build_collin, classify_lift, epsilon_scale, lift,
@@ -58,8 +58,10 @@ def sample_quadset(rng):
 
     Point 1 lies on lines A and B, 2 on A and C, 3 on A and D, 4 on C
     and D, 5 on B and D, 6 on B and C; then A, B, C, D recover the
-    lines 123, 156, 246 and 345.
+    lines 123, 156, 246 and 345.  A draw is kept when it realises
+    qs_config() (lifting.classify_lift).
     """
+    target = qs_config()
     for _ in range(RETRY_BUDGET):
         a, b, c, d = (_rand_line(rng, COEFF_RANGE) for _ in range(4))
         pts = [_meet(a, b), _meet(a, c), _meet(a, d),
@@ -67,19 +69,9 @@ def sample_quadset(rng):
         if any(p is None for p in pts):
             continue
         r = Realisation.from_columns(pts)
-        if _same_config(r, qs_config()):
+        if classify_lift(target, r) == "realising":
             return r
     raise SampleError("retry budget exhausted sampling a quadrilateral set")
-
-
-def _same_config(r, target):
-    """True when r's collinearity pattern is exactly target's (line
-    order is immaterial)."""
-    try:
-        found = config_of_realisation(r)
-    except ValueError:
-        return False
-    return found.n == target.n and set(found.lines) == set(target.lines)
 
 
 def sample_grid(rng, rows=3, cols=4):
@@ -88,6 +80,7 @@ def sample_grid(rng, rows=3, cols=4):
     One pencil of `cols` lines through a random apex plays the columns,
     one of `rows` lines through a second apex the rows; the point on
     column i and row j gets label rows*(i-1)+j, matching grid_config.
+    A draw is kept when it realises grid_config(rows, cols).
     """
     target = grid_config(rows, cols)
     for _ in range(RETRY_BUDGET):
@@ -99,23 +92,11 @@ def sample_grid(rng, rows=3, cols=4):
                      for _ in range(cols)]
         row_lines = [cross(apex_r, _rand_vec(rng, COEFF_RANGE))
                      for _ in range(rows)]
-        if any(not any(l) for l in col_lines + row_lines):
-            continue
-        pts = []
-        ok = True
-        for i in range(cols):
-            for j in range(rows):
-                w = _meet(col_lines[i], row_lines[j])
-                if w is None:
-                    ok = False
-                    break
-                pts.append(w)
-            if not ok:
-                break
-        if not ok:
+        pts = [_meet(cl, rl) for cl in col_lines for rl in row_lines]
+        if any(p is None for p in pts):
             continue
         r = Realisation.from_columns(pts)
-        if _same_config(r, target):
+        if classify_lift(target, r) == "realising":
             return r
     raise SampleError("retry budget exhausted sampling a grid")
 
@@ -237,19 +218,21 @@ def _sample_grid34(rng):
     return sample_grid(rng, 3, 4)
 
 
-def _probe_tfae(suite, trials, seed, conf, sample, bound, matrix, noun,
-                values, minors_on_first_trial=False):
+def _probe_tfae(suite, trials, seed, conf, sample, matrix, noun, values,
+                minors_on_first_trial=False):
     """Exercise the equivalences of a fixed example on random samples.
 
     Positive branch, per trial: sample(rng) is projected to a generic
-    line; its abscissas must give rank(matrix) <= bound (and, on trial 0
-    with minors_on_first_trial, zero for every (bound+1)-minor), every
-    value of values(image, rng) must vanish, and lift() must realise
+    line; its abscissas must give rank(matrix) <= bound = conf.n - 3,
+    the liftability threshold (and, on trial 0 with
+    minors_on_first_trial, zero for every (bound+1)-minor), every value
+    of values(image, rng) must vanish, and lift() must realise
     conf and project back to the same abscissas.  Negative branch: a
     random collinear tuple should generically show rank bound+1 and a
     nonzero value of values(pts); the report counts how often it did.
     """
     report = ProbeReport(suite, trials)
+    bound = conf.n - 3
     k = bound + 1
     for t in range(trials):
         rng = _trial_rng(seed, t)
@@ -295,7 +278,7 @@ def probe_tfae_qs(trials, seed):
     a realising quadrilateral set; random collinear 6-tuples generically
     show rank 4 and a nonzero QS value."""
     return _probe_tfae("tfae-qs", trials, seed, qs_config(), sample_quadset,
-                       3, "Lambda_QS", "QS", _qs_values)
+                       "Lambda_QS", "QS", _qs_values)
 
 
 def probe_tfae_grid(trials, seed, minors_on_first_trial=True):
@@ -307,7 +290,7 @@ def probe_tfae_grid(trials, seed, minors_on_first_trial=True):
     collinear 12-tuples generically show rank 10 and a nonzero grid
     value."""
     return _probe_tfae("tfae-grid", trials, seed, grid_config(3, 4),
-                       _sample_grid34, 9, "Lambda_G34", "grid", _g34_values,
+                       _sample_grid34, "Lambda_G34", "grid", _g34_values,
                        minors_on_first_trial)
 
 

@@ -16,7 +16,7 @@ from planelift import lifting
 from planelift.config import (Config, MembershipReport, Realisation, analyze,
                               components, induced)
 from planelift.linalg import QMatrix
-from planelift.poly import Poly, var_id
+from planelift.poly import Poly, multidegree, var_id
 
 
 def leibniz_det(rows):
@@ -336,14 +336,16 @@ def json_emit_oracle(g):
     generators = []
     for e in g.entries:
         md = None
-        if e.multideg is not None:
-            md = {"letter": list(e.multideg.letter),
-                  "point": list(e.multideg.point)}
+        multideg = multidegree(e.poly, g.npoints)
+        if multideg is not None:
+            md = {"letter": list(multideg.letter),
+                  "point": list(multideg.point)}
         terms = [{"coeff": str(Fraction(coeff)),
                   "exps": {"%s_%d" % ("xyz"[v % 3], v // 3 + 1): x
                            for v, x in mono}}
                  for mono, coeff in e.poly.terms_sorted()]
-        generators.append({"label": e.label, "degree": e.degree,
+        generators.append({"label": e.label,
+                           "degree": e.poly.total_degree(),
                            "multidegree": md, "terms": terms})
     doc = {"ideal": g.ideal_name, "points": g.npoints,
            "generators": generators}

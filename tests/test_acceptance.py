@@ -53,8 +53,8 @@ def test_acceptance_01_golden_expansion(capsys):
 def test_acceptance_02_generator_counts(capsys):
     qs = qs_generators()
     g34 = g34_generators()
-    qs_deg = Counter(e.degree for e in qs.entries)
-    g34_deg = Counter(e.degree for e in g34.entries)
+    qs_deg = Counter(e.poly.total_degree() for e in qs.entries)
+    g34_deg = Counter(e.poly.total_degree() for e in g34.entries)
     ok = (len(qs.entries) == 14 and qs_deg == {3: 4, 6: 10}
           and len(g34.entries) == 44 and g34_deg == {3: 16, 12: 28})
     report(capsys, 2, ok,

@@ -8,7 +8,7 @@ import pytest
 
 import planelift
 from helpers import config_json
-from planelift import cli
+from planelift import cli, lifting
 from planelift.cli import build_parser, main
 from planelift.config import bundled_names, grid_config
 from planelift.lifting import random_distinct_abscissas
@@ -233,6 +233,41 @@ def test_lift_duplicate_abscissas(tmp_path, capsys):
     assert "duplicate abscissa" in err
 
 
+def test_fixed_check_duplicate_abscissas(capsys):
+    code, out, err = run_cli(capsys, "qs-check", "0", "0", "1", "2", "3",
+                             "4")
+    assert code == 65
+    assert out == ""
+    assert err == ("planelift: duplicate abscissa: points 1 and 2 both "
+                   "sit at 0\n")
+
+
+@pytest.mark.parametrize("doc, why", [
+    ({"x": 1}, "expected a JSON list of rationals"),
+    (["1/0", 1, 2, 3, 4, 5], "not a rational number: '1/0'"),
+])
+def test_lift_bad_abscissa_file(tmp_path, capsys, doc, why):
+    absf = tmp_path / "xs.json"
+    absf.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "lift", "qs", str(absf))
+    assert code == 65
+    assert out == ""
+    assert err.startswith("planelift: %s: " % absf), err
+    assert why in err, err
+
+
+def test_uncertified_rank_exits_70(capsys, monkeypatch):
+    # With a rank that under-reports, no tuple meets the incidence
+    # count: check reports it in one line, with no traceback.
+    original = lifting.rank
+    monkeypatch.setattr(lifting, "rank", lambda m: original(m) - 1)
+    code, out, err = run_cli(capsys, "check", "qs")
+    assert code == 70
+    assert out == ""
+    assert err.startswith("planelift: generic rank not certified: "), err
+    assert err.count("\n") == 1, err
+
+
 def test_lift_wrong_count(tmp_path, capsys):
     absf = tmp_path / "xs.json"
     absf.write_text(json.dumps([0, 1, 2]))
@@ -287,7 +322,8 @@ def test_usage_errors_exit_64(capsys):
 
 
 def test_removed_budget_options_exit_64(capsys, tmp_path):
-    # check has no tuple budget and the lifts no attempt budget.
+    # check has no tuple budget and the lifts no attempt budget.  The
+    # leftover arguments are reported with the command's usage line.
     xs = tmp_path / "xs.json"
     xs.write_text("[-4, -3, -2, 1, 0, -1]")
     for argv in (["check", "qs", "--trials", "3"],
@@ -297,7 +333,10 @@ def test_removed_budget_options_exit_64(capsys, tmp_path):
                  ["grid-lift"] + ["%d" % i for i in range(12)]
                  + ["--attempts", "3"]):
         err = _usage_error(capsys, argv)
-        assert "unrecognized arguments: " in err, argv
+        assert err.startswith("usage: planelift %s " % argv[0]), err
+        assert err.endswith("\nplanelift %s: error: unrecognized "
+                            "arguments: %s\n"
+                            % (argv[0], " ".join(argv[-2:]))), err
 
 
 def test_command_usage_errors_show_the_command_usage(capsys):

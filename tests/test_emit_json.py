@@ -18,10 +18,6 @@ from planelift.ideals import (GenEntry, GeneratorSet, emit, g34_generators,
 from planelift.poly import Poly, multidegree, var_id
 
 
-def _entry(p, label, npoints):
-    return GenEntry(p, label, p.total_degree(), multidegree(p, npoints))
-
-
 def _checked(g):
     text = emit(g, "json")
     assert text == json_emit_oracle(g)
@@ -47,10 +43,10 @@ def test_empty_generator_list():
 
 def test_constant_and_zero_polynomials():
     p = Poly.monomial(Fraction(-3, 2), [(var_id("x", 1), 2)]) + 1
-    g = GeneratorSet("J", 2, (_entry(p, "p", 2),
-                              _entry(Poly.constant(Fraction(-7, 3)), "c", 2),
-                              _entry(Poly.constant(7), "seven", 2),
-                              _entry(Poly.zero(), "zero", 2)))
+    g = GeneratorSet("J", 2, (GenEntry(p, "p"),
+                              GenEntry(Poly.constant(Fraction(-7, 3)), "c"),
+                              GenEntry(Poly.constant(7), "seven"),
+                              GenEntry(Poly.zero(), "zero")))
     gens = json.loads(_checked(g))["generators"]
     assert gens[0]["terms"] == [{"coeff": "-3/2", "exps": {"x_1": 2}},
                                 {"coeff": "1", "exps": {}}]
@@ -58,15 +54,15 @@ def test_constant_and_zero_polynomials():
     assert gens[2]["terms"] == [{"coeff": "7", "exps": {}}]
     assert gens[3]["terms"] == []
     # No points: the point multidegree is an empty list.
-    text = _checked(GeneratorSet("J", 0, (_entry(Poly.constant(1), "one",
-                                                 0),)))
+    text = _checked(GeneratorSet("J", 0, (GenEntry(Poly.constant(1),
+                                                   "one"),)))
     assert json.loads(text)["generators"][0]["multidegree"]["point"] == []
 
 
 def test_none_multidegree():
     p = Poly.variable(var_id("x", 1)) + 1
     assert multidegree(p, 1) is None
-    text = _checked(GeneratorSet("J", 1, (_entry(p, "p", 1),)))
+    text = _checked(GeneratorSet("J", 1, (GenEntry(p, "p"),)))
     assert '"multidegree": null,' in text
     assert json.loads(text)["generators"][0]["multidegree"] is None
 
@@ -75,7 +71,7 @@ def test_labels_and_names_are_escaped():
     p = Poly.variable(var_id("z", 2))
     labels = ['quote"d', "back\\slash", "tab\tnew\nline", "naïve ∑",
               "\U0001d53d_2", "\x00\x1f\x7f"]
-    g = GeneratorSet('I_"ß"\\', 2, tuple(_entry(p, label, 2)
+    g = GeneratorSet('I_"ß"\\', 2, tuple(GenEntry(p, label)
                                           for label in labels))
     text = _checked(g)
     assert text.isascii()
@@ -87,7 +83,7 @@ def test_labels_and_names_are_escaped():
 def test_exponent_keys_in_string_order():
     p = Poly.monomial(1, [(var_id("x", 2), 1), (var_id("x", 10), 3),
                           (var_id("y", 1), 2)])
-    text = _checked(GeneratorSet("J", 10, (_entry(p, "p", 10),)))
+    text = _checked(GeneratorSet("J", 10, (GenEntry(p, "p"),)))
     assert text.index('"x_10": 3') < text.index('"x_2": 1') \
         < text.index('"y_1": 2')
 
@@ -106,7 +102,7 @@ def _generator_sets(draw):
             exps = draw(st.dictionaries(st.integers(0, 3 * n - 1),
                                         st.integers(1, 4), max_size=6))
             p = p + Poly.monomial(draw(_COEFFS), exps.items())
-        entries.append(_entry(p, draw(st.text(max_size=8)), n))
+        entries.append(GenEntry(p, draw(st.text(max_size=8))))
     return GeneratorSet(draw(st.text(max_size=8)), n, tuple(entries))
 
 

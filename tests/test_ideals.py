@@ -2,7 +2,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -11,7 +11,7 @@ from helpers import (assignment_from_columns, dense_bracket,
                      rand_fraction)
 from planelift import ideals
 from planelift.config import bundled_config, grid_config, qs_config
-from planelift.ideals import (G34_FORMULAS, GRID34_LINES, QS_FORMULAS,
+from planelift.ideals import (G34_FORMULAS, QS_FORMULAS,
                               QS_LINES, FramePoint, R1, R3,
                               RewriteRow, _g34_products, _qs_formula,
                               _minor_products, _qs_line, _qs_pairing, emit,
@@ -239,7 +239,7 @@ def test_qs_generators():
     assert g.ideal_name == "I_QS"
     assert g.npoints == 6
     assert len(g.entries) == 14
-    assert Counter(e.degree for e in g.entries) == {3: 4, 6: 10}
+    assert Counter(e.poly.total_degree() for e in g.entries) == {3: 4, 6: 10}
     labels = [e.label for e in g.entries]
     assert labels[:4] == ["bracket(1,2,3)", "bracket(1,5,6)",
                           "bracket(2,4,6)", "bracket(3,4,5)"]
@@ -247,7 +247,7 @@ def test_qs_generators():
     assert labels[-1] == "qs(3,3,3)"
     for e in g.entries:
         assert e.poly == e.poly.canonical()
-        assert e.multideg is not None
+        assert multidegree(e.poly, 6) is not None
     assert qs_generators() is g
 
 
@@ -256,18 +256,27 @@ def test_g34_generators():
     assert g.ideal_name == "I_G34"
     assert g.npoints == 12
     assert len(g.entries) == 44
-    assert Counter(e.degree for e in g.entries) == {3: 16, 12: 28}
-    bracket_labels = [e.label for e in g.entries if e.degree == 3]
+    assert Counter(e.poly.total_degree() for e in g.entries) == {3: 16, 12: 28}
+    bracket_labels = [e.label for e in g.entries
+                      if e.poly.total_degree() == 3]
     assert bracket_labels[0] == "bracket(1,2,3)"
     assert bracket_labels[4] == "bracket(1,4,7)"
     assert "g34(1,1,1,1,1,1)" in [e.label for e in g.entries]
-    counts = {len(e.poly.terms) for e in g.entries if e.degree == 12}
+    counts = {len(e.poly.terms) for e in g.entries
+              if e.poly.total_degree() == 12}
     assert counts == {216, 276, 300, 336, 360, 376}
     assert g34_generators() is g
 
 
 def test_grid34_lines_match_grid_config():
-    assert GRID34_LINES == grid_config(3, 4).lines
+    # The 16 bracket generators of the grid ideal are the collinear
+    # triples of grid_config(3, 4), line by line.
+    triples = [t for line in grid_config(3, 4).lines
+               for t in combinations(line, 3)]
+    assert [args for _, (kind, args) in G34_FORMULAS
+            if kind == "bracket"] == triples
+    assert [args for _, (kind, args) in QS_FORMULAS
+            if kind == "bracket"] == list(QS_LINES)
 
 
 def test_extend_minor_full_rows_is_qs():

@@ -234,7 +234,8 @@ def test_forest_lift_errors():
     c = bundled_config("forest_two_lines")
     with pytest.raises(ValueError):
         forest_lift(c, [0, 1, 2, 3])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate abscissa: points 1 and "
+                                         "5 both sit at 0"):
         forest_lift(c, [0, 1, 2, 3, 0])
 
 
@@ -393,6 +394,18 @@ def test_quasi_liftable_frozen_verdicts():
     q = is_quasi_liftable(grid_config(3, 4))
     assert q.is_quasi
     assert len(q.deletions) == 7
+
+
+def test_quasi_liftable_needs_every_deletion_liftable():
+    # The 3x5 grid is not liftable, and so is what remains after
+    # deleting any one of its five columns; deleting a row leaves a
+    # liftable configuration.
+    q = is_quasi_liftable(grid_config(3, 5))
+    assert not q.is_quasi
+    assert q.base.verdict == "not-liftable"
+    assert [(li, v.verdict) for li, v in q.deletions] == (
+        [(li, "not-liftable") for li in range(1, 6)]
+        + [(li, "liftable") for li in range(6, 9)])
 
 
 def test_poly_matrix_rank_on_constants():

@@ -5,6 +5,9 @@ import ast
 import importlib
 import importlib.util
 import pathlib
+import re
+
+from planelift import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -74,3 +77,22 @@ def test_unused_import_scan_sees_every_import_form():
     tree = ast.parse("import os\nimport a.b\nfrom c import d, e as f\n"
                      "from g import h\nos.getcwd()\nf(h)\n")
     assert _unused_imports(tree) == [(2, "a"), (3, "d")]
+
+
+def _table_codes(text, row):
+    """The codes of the table rows in text that match the regex row,
+    whose one group is the code."""
+    return sorted(int(code) for code in re.findall(row, text, re.M))
+
+
+def test_exit_code_tables_agree():
+    """cli's EX_* constants, the exit table of cli's docstring and the
+    exit-code table of README.md list the same codes."""
+    constants = sorted(value for name, value in vars(cli).items()
+                       if name.startswith("EX_"))
+    docstring = _table_codes(cli.__doc__, r"^  (\d+)  ")
+    readme = _table_codes((ROOT / "README.md").read_text(),
+                          r"^\| (\d+) +\|")
+    assert len(set(constants)) == len(constants)
+    assert docstring == constants
+    assert readme == constants

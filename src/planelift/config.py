@@ -16,15 +16,20 @@ from .linalg import _exact, _int_rows, cross, det3, format_rat
 
 @dataclass(frozen=True)
 class Config:
-    """Points 1..n and lines given as tuples of point indices."""
+    """Points 1..n and lines given as tuples of point indices, which
+    must be ints: any other label raises TypeError."""
 
     n: int
     lines: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "lines",
-            tuple(tuple(int(p) for p in line) for line in self.lines))
+        lines = tuple(tuple(line) for line in self.lines)
+        for line in lines:
+            for p in line:
+                # A bool is an int, but no label: True == 1.
+                if not isinstance(p, int) or isinstance(p, bool):
+                    raise TypeError("point label is not an int: %r" % (p,))
+        object.__setattr__(self, "lines", lines)
 
     def lines_through(self, p):
         """1-based indices of the lines containing point p."""
@@ -96,6 +101,13 @@ def line_triples(c):
     """The collinear triples of c: each line's increasing 3-subsets in
     lexicographic order, lines in configuration order."""
     return tuple(t for line in c.lines for t in combinations(sorted(line), 3))
+
+
+def row_pairs(triple):
+    """The nonzero entries of the collinearity row of triple i1 < i2 < i3,
+    as (column, (a, b)) for the entry x_a - x_b."""
+    i1, i2, i3 = triple
+    return ((i1, (i2, i3)), (i2, (i3, i1)), (i3, (i1, i2)))
 
 
 def circuits(c):

@@ -5,9 +5,12 @@ projection of a quadrilateral set, resp. that twelve collinear points
 are the projection of a 3x4 grid.  Both arise by extending minors of
 the collinearity matrix: every scalar entry x_a - x_b of a minor's
 Leibniz products is replaced by a bracket [a b F] against a frame
-point, one frame per product slot.
+point, one frame per product slot.  A minor is named by 1-based rows,
+the collinear triples of config.line_triples, and columns, the points;
+config.row_pairs gives its entries.
 
-The fixed frame is R_1 = (1,0,0), R_2 = (0,1,0), R_3 = (0,0,1).
+A frame point is 1, 2 or 3 for R_1 = (1,0,0), R_2 = (0,1,0),
+R_3 = (0,0,1), or an exact 3-vector.
 """
 
 import re
@@ -17,86 +20,60 @@ from itertools import combinations, combinations_with_replacement, \
     permutations, product
 from json.encoder import encode_basestring_ascii
 
-from .config import grid_config, line_triples, qs_config
-from .lifting import build_collin
+from .config import grid_config, line_triples, qs_config, row_pairs
 from .linalg import _exact, det3, format_rat
 from .poly import (FRAME_COFACTORS, Poly, bracket, expand_products,
                    frame_terms, multidegree, point_bracket, poly_to_plain,
-                   var_names)
+                   var_id, var_names)
 
 
-class FramePoint:
-    """One of the frame points R_1, R_2, R_3, or an explicit 3-vector."""
-
-    __slots__ = ("frame_index", "vector")
-
-    def __init__(self, frame_index=None, vector=None):
-        if frame_index is not None:
-            if isinstance(frame_index, bool):
-                raise TypeError("frame index must be an int, not a bool")
-            if frame_index not in (1, 2, 3):
-                raise ValueError("frame index must be 1, 2 or 3")
-            vector = tuple(1 if t == frame_index else 0 for t in (1, 2, 3))
-        else:
-            vector = _exact(vector)
-            if len(vector) != 3:
-                raise ValueError("frame point needs 3 coordinates")
-        self.frame_index = frame_index
-        self.vector = vector
-
-    def __repr__(self):
-        if self.frame_index:
-            return "R%d" % self.frame_index
-        return "FramePoint(vector=%r)" % (self.vector,)
-
-
-R1 = FramePoint(1)
-R2 = FramePoint(2)
-R3 = FramePoint(3)
-
-
-def frame_point(spec):
-    """Coerce 1/2/3, a 3-vector, or a FramePoint to a FramePoint; any
-    other int raises ValueError and a bool raises TypeError."""
-    if isinstance(spec, FramePoint):
-        return spec
+def _frame(spec):
+    """The frame point spec, checked: 1, 2 or 3 as given, or a 3-vector
+    of ints and Fractions as a tuple.  Any other int raises ValueError
+    and a bool TypeError."""
     if isinstance(spec, int):
-        if spec in (1, 2, 3) and not isinstance(spec, bool):
-            return (R1, R2, R3)[spec - 1]
-        return FramePoint(spec)
-    return FramePoint(vector=spec)
+        if isinstance(spec, bool):
+            raise TypeError("frame index must be an int, not a bool")
+        if spec not in (1, 2, 3):
+            raise ValueError("frame index must be 1, 2 or 3")
+        return spec
+    vector = _exact(spec)
+    if len(vector) != 3:
+        raise ValueError("frame point needs 3 coordinates")
+    return vector
 
 
-def _pair_terms(i, j, fp):
-    if fp.frame_index:
-        return frame_terms(i, j, fp.frame_index)
-    return point_bracket(i, j, fp.vector).terms.items()
+def _pair_terms(i, j, f):
+    if isinstance(f, int):
+        return frame_terms(i, j, f)
+    return point_bracket(i, j, f).terms.items()
 
 
-def _pair_value(cols, i, j, fp):
+def _pair_value(cols, i, j, f):
     a, b = cols[i - 1], cols[j - 1]
-    if fp.frame_index:
-        u, w = FRAME_COFACTORS[fp.frame_index]
+    if isinstance(f, int):
+        u, w = FRAME_COFACTORS[f]
         return a[u] * b[w] - b[u] * a[w]
-    return det3(a, b, fp.vector)
+    return det3(a, b, f)
 
 
 def _bracket_sum(products, frames, pair=None):
     """Sum over products = [(sign, ((a1, b1), ..., (ak, bk))), ...] of
-    sign * [a1 b1 F1] * ... * [ak bk Fk] for the frame points F = frames,
-    expanded as a Poly; with pair=partial(_pair_value, cols), its value
-    at the columns cols.
+    sign * [a1 b1 F1] * ... * [ak bk Fk] for the checked frame points
+    F = frames, expanded as a Poly: zero when there are no products, and
+    1 for the one empty product.  With pair=partial(_pair_value, cols),
+    its value at the columns cols.
     """
     if pair is None:
         return expand_products(
-            [(sign, [_pair_terms(a, b, fp)
-                     for (a, b), fp in zip(pairs, frames)])
+            [(sign, [_pair_terms(a, b, f)
+                     for (a, b), f in zip(pairs, frames)])
              for sign, pairs in products])
     total = 0
     for sign, pairs in products:
         prod = sign
-        for (a, b), fp in zip(pairs, frames):
-            prod = prod * pair(a, b, fp)
+        for (a, b), f in zip(pairs, frames):
+            prod = prod * pair(a, b, f)
         total = total + prod
     return total
 
@@ -146,8 +123,7 @@ def _qs_formula(line, f1, f2, f3, pair=None):
     (p1, p2, p3), (m1, m2, m3) = _qs_pairing(line)
     products = ((1, ((p1, m1), (p2, m2), (p3, m3))),
                 (-1, ((p1, m2), (p2, m3), (p3, m1))))
-    return _bracket_sum(products, [frame_point(f) for f in (f1, f2, f3)],
-                        pair)
+    return _bracket_sum(products, [_frame(f) for f in (f1, f2, f3)], pair)
 
 
 def qs_poly(line, f1, f2, f3):
@@ -169,8 +145,9 @@ _S3 = (((1, 2, 3), 1), ((2, 3, 1), 1), ((3, 1, 2), 1),
        ((1, 3, 2), -1), ((2, 1, 3), -1), ((3, 2, 1), -1))
 
 
-def _grid_point(col, row):
-    return 3 * (col - 1) + row
+# The points of each column of the 3x4 grid, by row: grid_config lists
+# its four column lines first.
+_G34_COLUMNS = grid_config(3, 4).lines[:4]
 
 
 def _g34_products(ci):
@@ -183,18 +160,15 @@ def _g34_products(ci):
     """
     if ci not in (1, 2, 3, 4):
         raise ValueError("grid column index must be 1..4")
-    ks = [c for c in (1, 2, 3, 4) if c != ci]
+    fixed = _G34_COLUMNS[ci - 1]
+    others = [col for i, col in enumerate(_G34_COLUMNS, 1) if i != ci]
     out = []
     for perm, sign in _S3:
-        pairs = []
-        for j in (1, 2, 3):
-            pairs.append((_grid_point(ci, j),
-                          _grid_point(ks[perm[j - 1] - 1], j)))
+        pairs = [(fixed[j], others[perm[j] - 1][j]) for j in range(3)]
         for m in (1, 2, 3):
-            used_row = perm.index(m) + 1
-            rest = [_grid_point(ks[m - 1], r) for r in (1, 2, 3)
-                    if r != used_row]
-            pairs.append((rest[0], rest[1]))
+            used_row = perm.index(m)
+            pairs.append(tuple(p for r, p in enumerate(others[m - 1])
+                               if r != used_row))
         out.append((sign, tuple(pairs)))
     return out
 
@@ -202,10 +176,10 @@ def _g34_products(ci):
 def _g34_formula(ci, frames, pair=None):
     """The grid polynomial of column ci (sign as built); with
     pair=partial(_pair_value, cols) its value at the columns cols."""
-    fps = [frame_point(f) for f in frames]
-    if len(fps) != 6:
+    frames = [_frame(f) for f in frames]
+    if len(frames) != 6:
         raise ValueError("the grid polynomial takes 6 frame points")
-    return _bracket_sum(_g34_products(ci), fps, pair)
+    return _bracket_sum(_g34_products(ci), frames, pair)
 
 
 def g34_poly(ci, *frames):
@@ -297,14 +271,17 @@ def g34_generators():
     return _generator_set("I_G34", 12, G34_FORMULAS)
 
 
-def _minor_products(cm, rows, cols):
+def _minor_products(triples, rows, cols):
     """The signed Leibniz products (sign, ((a1, b1), ..., (ak, bk))) of
-    the minor of cm on the 1-based rows and cols whose entries
-    x_{a_t} - x_{b_t} are all nonzero, in permutation order."""
+    the minor on the 1-based rows and cols of the collinearity matrix
+    with one row per triple of triples (config.line_triples), keeping
+    those whose entries x_{a_t} - x_{b_t} are all nonzero, in
+    permutation order."""
     k = len(rows)
+    entries = [dict(row_pairs(triples[r - 1])) for r in rows]
     out = []
     for perm in permutations(range(k)):
-        pairs = tuple(cm.pair(rows[t], cols[perm[t]]) for t in range(k))
+        pairs = tuple(entries[t].get(cols[perm[t]]) for t in range(k))
         if None in pairs:
             continue
         inv = sum(1 for a, b in combinations(range(k), 2)
@@ -313,66 +290,62 @@ def _minor_products(cm, rows, cols):
     return out
 
 
-def _extension(products, frames):
-    """The bracket sum of a minor's products as a Poly: zero when there
-    are no products, and 1 for the 0 x 0 minor."""
-    return _bracket_sum(products, [frame_point(f) for f in frames])
-
-
-def extend_minor(cm, row_idx, col_idx, frame_tuple):
-    """Extension of a minor of the symbolic collinearity matrix.
+def extend_minor(c, row_idx, col_idx, frame_tuple):
+    """Extension of a minor of the collinearity matrix of c.
 
     Expands the k x k minor on the given 1-based rows and columns by
     Leibniz products, replacing the scalar entry x_a - x_b at each slot
-    with the frame bracket [a b R_f]; slot t (the t-th smallest row)
-    uses frame_tuple[t].  The result keeps the sign the Leibniz
-    expansion produces, so the multilinear relation with the
-    unextended minor holds on the nose.
+    with the bracket [a b F] against the frame point F = frame_tuple[t]
+    of slot t (the t-th smallest row).  The result keeps the sign the
+    Leibniz expansion produces, so the multilinear relation with the
+    unextended minor holds on the nose.  It is zero when every product
+    has a zero entry, and 1 for the 0 x 0 minor.
     """
     rows = tuple(row_idx)
     cols = tuple(col_idx)
-    frames = tuple(frame_tuple)
+    frames = [_frame(f) for f in frame_tuple]
     k = len(rows)
     if len(cols) != k or len(frames) != k:
         raise ValueError("rows, columns and frame tuple must have equal "
                          "length")
-    return _extension(_minor_products(cm, rows, cols), frames)
+    return _bracket_sum(_minor_products(line_triples(c), rows, cols), frames)
 
 
 def radical_ideal_generators(c, minor_size=None):
     """Bracket generators of every collinear triple of c plus the
-    extensions of all minor_size x minor_size minors of its symbolic
-    collinearity matrix over every frame tuple.
+    extensions of all minor_size x minor_size minors of its collinearity
+    matrix over every frame tuple.
 
-    minor_size defaults to n - 2.  It must be at least 1, since the 0 x 0
-    minor is 1, whose ideal is the whole ring; an explicit minor_size
-    must also be at most min(rows of the matrix, n), while a default
-    above that bound emits the brackets alone.  Zero extensions are
-    dropped and duplicates (after sign canonicalisation) are kept once.
-    The number of extensions grows as 3^k times the minor count, so
-    large configurations need a deliberate minor_size choice.
+    minor_size defaults to n - 2.  An explicit minor_size must be from 1
+    to min(rows of the matrix, n): the 0 x 0 minor is 1, whose ideal is
+    the whole ring.  A default outside that range emits the brackets
+    alone.  Zero extensions are dropped and duplicates (after sign
+    canonicalisation) are kept once.  The number of extensions grows as
+    3^k times the minor count, so large configurations need a
+    deliberate minor_size choice.
     """
-    cm = build_collin(c)
-    nrows = len(cm.row_triples)
+    triples = line_triples(c)
+    nrows = len(triples)
+    top = min(nrows, c.n)
     k = c.n - 2 if minor_size is None else minor_size
-    if k < 1 or (minor_size is not None and k > min(nrows, c.n)):
+    if minor_size is not None and not 1 <= k <= top:
         raise ValueError("minor size must be from 1 to min(rows, n) = %d, "
-                         "got %d" % (min(nrows, c.n), k))
+                         "got %d" % (top, k))
     entries = []
     seen = set()
-    for t in cm.row_triples:
+    for t in triples:
         p = bracket(*t).canonical()
         if p not in seen:
             seen.add(p)
             entries.append(GenEntry(p, "bracket(%d,%d,%d)" % t))
-    if k <= nrows and k <= c.n:
+    if 1 <= k <= top:
         for rows in combinations(range(1, nrows + 1), k):
             for cols in combinations(range(1, c.n + 1), k):
-                products = _minor_products(cm, rows, cols)
+                products = _minor_products(triples, rows, cols)
                 if not products:
                     continue
                 for frames in product((1, 2, 3), repeat=k):
-                    p = _extension(products, frames)
+                    p = _bracket_sum(products, frames)
                     if p.is_zero():
                         continue
                     p = p.canonical()
@@ -494,8 +467,7 @@ def _parse_compact(text):
         sign = -1 if m.group(1) == "-" else 1
         mono = Poly.constant(sign)
         for letter, idx in re.findall(r"([xyz])_(\d+)", m.group(2)):
-            mono = mono * Poly.variable(3 * (int(idx) - 1)
-                                        + "xyz".index(letter))
+            mono = mono * Poly.variable(var_id(letter, int(idx)))
         p = p + mono
     return p
 

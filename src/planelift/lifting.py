@@ -16,7 +16,7 @@ from math import lcm
 
 from .config import (Realisation, _non_simple, analyze, circuits,
                      components, delete_line, induced, line_triples,
-                     membership)
+                     membership, row_pairs)
 from .linalg import QMatrix, _exact, bareiss, cross, nullspace, rank
 from .poly import Poly, var_id
 
@@ -28,20 +28,13 @@ GENERIC_RANK_BUDGET = 64
 LIFT_ATTEMPTS = 32
 
 
-def _row_pairs(triple):
-    """The nonzero entries of the collinearity row of triple i1 < i2 < i3,
-    as (column, (a, b)) for the entry x_a - x_b."""
-    i1, i2, i3 = triple
-    return ((i1, (i2, i3)), (i2, (i3, i1)), (i3, (i1, i2)))
-
-
 def _collin_rows(triples, xs, zero):
     """Collinearity rows of the triples over any ring, with xs[p - 1]
     standing for x_p and zero for the ring's zero."""
     rows = []
     for t in triples:
         row = [zero] * len(xs)
-        for col, (a, b) in _row_pairs(t):
+        for col, (a, b) in row_pairs(t):
             row[col - 1] = xs[a - 1] - xs[b - 1]
         rows.append(row)
     return rows
@@ -49,15 +42,12 @@ def _collin_rows(triples, xs, zero):
 
 @dataclass(frozen=True)
 class CollinMatrix:
-    """The collinearity matrix Lambda of a configuration.
+    """The collinearity matrix Lambda of a configuration at abscissas.
 
-    One row per collinear triple, in the order of config.line_triples.
-    The row of triple i1 < i2 < i3 has entries x_{i2}-x_{i3},
-    -(x_{i1}-x_{i3}), x_{i1}-x_{i2} in columns i1, i2, i3 and zeros
-    elsewhere.
-    `abscissas` and `line_basis` are filled when the matrix is
-    instantiated at a point (build_collin(c, x)); otherwise the instance
-    only carries the symbolic pattern, and `numeric` is None.
+    Lambda has one row per collinear triple, in the order of
+    config.line_triples.  The row of triple i1 < i2 < i3 has entries
+    x_{i2}-x_{i3}, -(x_{i1}-x_{i3}), x_{i1}-x_{i2} in columns i1, i2, i3
+    (config.row_pairs) and zeros elsewhere.
 
     Ranks and kernels are taken from `line_basis`, an integer matrix
     with the row space of Lambda.  For a line with sorted points
@@ -73,21 +63,14 @@ class CollinMatrix:
     """
 
     config: object
-    row_triples: tuple
-    abscissas: tuple = None
-    line_basis: QMatrix = None
+    abscissas: tuple
+    line_basis: QMatrix
 
     @cached_property
     def numeric(self):
-        if self.abscissas is None:
-            return None
-        return QMatrix(_collin_rows(self.row_triples, self.abscissas, 0),
+        return QMatrix(_collin_rows(line_triples(self.config),
+                                    self.abscissas, 0),
                        cols=self.config.n)
-
-    def pair(self, row, col):
-        """Ordered point pair (a, b) such that the entry at 1-based
-        (row, col) is x_a - x_b, or None where the entry is zero."""
-        return dict(_row_pairs(self.row_triples[row - 1])).get(col)
 
 
 def _line_basis_rows(c, nums, dens):
@@ -136,32 +119,28 @@ def _checked_abscissas(c, x):
     return xs, nums, dens
 
 
-def build_collin(c, x=None):
-    """Collinearity matrix of c, numeric at abscissas x when given,
-    which must be pairwise distinct ints or Fractions."""
-    if x is None:
-        return CollinMatrix(c, line_triples(c))
+def build_collin(c, x):
+    """Collinearity matrix of c at the abscissas x, which must be
+    pairwise distinct ints or Fractions."""
     xs, nums, dens = _checked_abscissas(c, x)
-    return CollinMatrix(c, line_triples(c), xs,
+    return CollinMatrix(c, xs,
                         QMatrix.of_ints(_line_basis_rows(c, nums, dens), c.n))
 
 
 @dataclass(frozen=True)
 class LiftSpace:
-    """Kernel of a numeric collinearity matrix."""
+    """Kernel of a collinearity matrix."""
 
     basis: tuple
     dimension: int
 
 
 def lift_space(cm):
-    """Exact kernel of the numeric collinearity matrix cm, taken from
+    """Exact kernel of the collinearity matrix cm, taken from
     cm.line_basis, which has the same kernel, in the canonical form of
     nullspace().  It contains the trivial plane spanned by the all-ones
     vector and the abscissa vector, so heights outside that plane exist
     iff the dimension is at least 3."""
-    if cm.line_basis is None:
-        raise ValueError("collinearity matrix has no numeric instance")
     basis = nullspace(cm.line_basis)
     return LiftSpace(tuple(tuple(v) for v in basis), len(basis))
 
@@ -340,6 +319,8 @@ def project(r, center=CONVENTIONAL_CENTER, target_line=CONVENTIONAL_LINE):
     cen = _exact(center)
     if not any(ln):
         raise ValueError("target line must have a nonzero coefficient")
+    if not any(cen):
+        raise ValueError("projection center must be nonzero")
     if sum(a * b for a, b in zip(cen, ln)) == 0:
         raise ValueError("projection center lies on the target line")
     m = max(range(3), key=lambda k: abs(ln[k]))
@@ -551,5 +532,4 @@ def symbolic_collin_rank(c):
     polynomial ring: slow, and only the tests' reference for
     generic_rank_bound, which decides instead."""
     xs = [Poly.variable(var_id("x", p)) for p in range(1, c.n + 1)]
-    return poly_matrix_rank(_collin_rows(build_collin(c).row_triples, xs,
-                                         Poly.zero()))
+    return poly_matrix_rank(_collin_rows(line_triples(c), xs, Poly.zero()))

@@ -17,6 +17,7 @@ sorts by it, the leading term of exact_div is its minimum, and the
 least monomial that canonical normalises is its maximum.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
@@ -315,25 +316,9 @@ def point_bracket(i, j, vec):
     return out
 
 
-class MultiDeg:
-    """Pair of multidegrees of a multihomogeneous polynomial."""
-
-    __slots__ = ("letter", "point")
-
-    def __init__(self, letter, point):
-        self.letter = tuple(letter)
-        self.point = tuple(point)
-
-    def __eq__(self, other):
-        return (isinstance(other, MultiDeg)
-                and self.letter == other.letter
-                and self.point == other.point)
-
-    def __hash__(self):
-        return hash((self.letter, self.point))
-
-    def __repr__(self):
-        return "MultiDeg(letter=%r, point=%r)" % (self.letter, self.point)
+# The letter and point multidegrees of a multihomogeneous polynomial,
+# as tuples.
+MultiDeg = namedtuple("MultiDeg", "letter point")
 
 
 @lru_cache(maxsize=32)
@@ -386,7 +371,7 @@ def multidegree(p, npoints=None):
     if nbytes > 1:
         fields = [int.from_bytes(fields[i:i + nbytes], "little")
                   for i in range(0, len(fields), nbytes)]
-    return MultiDeg(fields[:3], fields[3:3 + n])
+    return MultiDeg(tuple(fields[:3]), tuple(fields[3:3 + n]))
 
 
 def var_names(npoints):

@@ -14,7 +14,7 @@ from itertools import combinations, permutations
 
 from planelift import lifting
 from planelift.config import (Config, MembershipReport, Realisation, analyze,
-                              components, induced)
+                              components, induced, line_triples, row_pairs)
 from planelift.linalg import QMatrix
 from planelift.poly import Poly, multidegree, var_id
 
@@ -298,6 +298,12 @@ def dense_det3(cols):
             term = dense_mul(term, cols[col][row])
         total = total + term
     return total
+
+
+def collin_pair(c, row, col):
+    """The pair (a, b) of the entry x_a - x_b of the collinearity matrix
+    of c at 1-based (row, col), or None where the entry is zero."""
+    return dict(row_pairs(line_triples(c)[row - 1])).get(col)
 
 
 def _symbolic_column(point):

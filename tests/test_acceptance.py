@@ -11,8 +11,8 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
-from helpers import (assignment_from_columns, golden_poly, leibniz_det,
-                     matvec, rand_fraction)
+from helpers import (assignment_from_columns, collin_pair, golden_poly,
+                     leibniz_det, matvec, rand_fraction)
 from planelift.config import Config, analyze, grid_config, qs_config, validate
 from planelift.ideals import (QS_LINES, RewriteRow, extend_minor,
                               g34_generators, g34_value, qs_generators,
@@ -274,7 +274,7 @@ def test_acceptance_10_variable_support(capsys):
 
 
 def test_acceptance_11_extension_identity(capsys):
-    cm = build_collin(qs_config())
+    c = qs_config()
     rng = random.Random(11)
     bad = 0
     cache = {}
@@ -291,7 +291,7 @@ def test_acceptance_11_extension_identity(capsys):
         for i in range(k):
             row = []
             for j in range(k):
-                pair = cm.pair(rows[i], cidx[j])
+                pair = collin_pair(c, rows[i], cidx[j])
                 if pair is None:
                     row.append(Fraction(0))
                 else:
@@ -308,7 +308,7 @@ def test_acceptance_11_extension_identity(capsys):
             if factor:
                 key = (rows, cidx, frames)
                 if key not in cache:
-                    cache[key] = extend_minor(cm, rows, cidx, frames)
+                    cache[key] = extend_minor(c, rows, cidx, frames)
                 rhs += factor * cache[key].evaluate(a)
         if lhs != rhs:
             bad += 1

@@ -380,6 +380,18 @@ def test_gens_radical(tmp_path, capsys):
     assert any(l.startswith("ext(") for l in labels)
 
 
+def test_gens_radical_default_below_one(tmp_path, capsys):
+    # The default minor size n - 2 is 0 here; only an explicit size
+    # below 1 is a usage error.
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"points": 2, "lines": []}))
+    code, out, err = run_cli(capsys, "gens", "radical:%s" % path)
+    assert (code, out, err) == (0, "# J_radical: 0 generators\n", "")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["gens", "radical:%s" % path, "--minor-size", "0"])
+    assert exit_info.value.code == 64
+
+
 def test_gens_unknown_target(capsys):
     code, _, err = run_cli(capsys, "gens", "radical:/missing.json")
     assert code == 65
@@ -430,14 +442,27 @@ def test_module_entrypoint():
 
 def test_gens_survives_broken_pipe():
     # head closes the pipe after one line; no traceback, clean exit
-    script = ("%s -m planelift gens grid34 | head -1; exit ${PIPESTATUS[0]}"
-              % sys.executable)
-    proc = subprocess.run(["bash", "-c", script],
-                          capture_output=True, text=True,
-                          env=subprocess_env())
-    assert proc.returncode == 0
-    assert proc.stdout.splitlines()[0] == "# I_G34: 44 generators"
-    assert proc.stderr == ""
+    for args, first in (("gens grid34", "# I_G34: 44 generators"),
+                        ("gens radical:qs --minor-size 3",
+                         "# J_radical: 1831 generators")):
+        script = ("%s -m planelift %s | head -n 1; exit ${PIPESTATUS[0]}"
+                  % (sys.executable, args))
+        proc = subprocess.run(["bash", "-c", script],
+                              capture_output=True, text=True,
+                              env=subprocess_env())
+        assert proc.returncode == 0, args
+        assert proc.stdout == first + "\n"
+        assert proc.stderr == "", args
+
+
+def test_broken_pipe_exits_0_in_process(monkeypatch):
+    # A pipe whose reader is gone: the first flush of the 455 kB grid34
+    # text fails with EPIPE, and main points the descriptor at devnull.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stream:
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main(["gens", "grid34"]) == 0
 
 
 def test_parser_is_built_once():

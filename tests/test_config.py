@@ -35,6 +35,16 @@ def test_config_normalises_lines():
     assert c.lines_through(1) == [1]
 
 
+def test_config_rejects_labels_that_are_not_ints():
+    # int() would truncate 3.9 to 3 and parse "1", silently giving the
+    # quadrilateral set.
+    for lines in (((1, 2, 3.9), ("1", 5, 6), (2, 4, 6), (3, 4, 5)),
+                  ((1, 2, 3.9),), (("1", 5, 6),), ((True, 2, 3),),
+                  ((1, 2, Fraction(3)),)):
+        with pytest.raises(TypeError):
+            Config(6, lines)
+
+
 def test_validate_clean_configs():
     for name in bundled_names():
         assert validate(bundled_config(name)) == []

@@ -2,27 +2,28 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
-from helpers import (assignment_from_columns, dense_bracket,
+from helpers import (assignment_from_columns, collin_pair, dense_bracket,
                      dense_bracket_sum, golden_poly, leibniz_det,
                      rand_fraction)
 from planelift import ideals
-from planelift.config import bundled_config, grid_config, qs_config
+from planelift.config import (bundled_config, grid_config, line_triples,
+                              qs_config)
 from planelift.ideals import (G34_FORMULAS, QS_FORMULAS,
-                              QS_LINES, FramePoint, R1, R3,
-                              RewriteRow, _g34_products, _qs_formula,
-                              _minor_products, _qs_line, _qs_pairing, emit,
-                              extend_minor, frame_point, g34_generators,
+                              QS_LINES, RewriteRow, _frame, _g34_products,
+                              _qs_formula, _minor_products, _parse_compact,
+                              _qs_line, _qs_pairing, emit,
+                              extend_minor, g34_generators,
                               g34_poly, generator_poly,
                               g34_value, qs_generators, qs_poly, qs_value,
                               radical_ideal_generators, REWRITE_ROWS,
                               table1_verify, verify_rewrite_rows)
-from planelift.lifting import build_collin
 from planelift.linalg import det3
-from planelift.poly import bracket, frame_bracket, multidegree, var_id
+from planelift.poly import Poly, bracket, frame_bracket, multidegree, var_id
 
 # The full expansion of the quadrilateral-set polynomial
 # QS(l123; R1, R1, R2), 14 terms, transcribed term by term.
@@ -78,29 +79,26 @@ def rand_columns(rng, n, bound=9):
 
 
 def test_frame_point_coercion():
-    assert frame_point(2).frame_index == 2
-    assert frame_point(2).vector == (0, 1, 0)
-    assert frame_point(R3) is R3
-    fp = frame_point((1, 2, Fraction(1, 3)))
-    assert fp.frame_index is None
-    assert fp.vector == (1, 2, Fraction(1, 3))
-    assert repr(R1) == "R1"
-    with pytest.raises(ValueError):
-        FramePoint(4)
-    with pytest.raises(ValueError):
-        FramePoint(vector=(1, 2))
-    for bad in (0, 4, -1):
-        with pytest.raises(ValueError):
-            frame_point(bad)
-    with pytest.raises(ValueError):
-        qs_value([(i, 1, 1) for i in range(6)], "123", 4, 1, 1)
-    # True == 1, so a bool would pass as frame 1 without its own check.
-    for bad in (1.0, True, False):
-        with pytest.raises(TypeError):
-            frame_point(bad)
-    for bad in (True, False):
-        with pytest.raises(TypeError):
-            FramePoint(bad)
+    # A frame point is 1, 2 or 3 for R_1..R_3, or an exact 3-vector,
+    # and every public function that takes frames checks each one.
+    assert _frame(2) == 2
+    assert _frame([1, 2, Fraction(1, 3)]) == (1, 2, Fraction(1, 3))
+    assert qs_poly("123", (0, 1, 0), 1, 3) == qs_poly("123", 2, 1, 3)
+    cols = [(i, 1, i * i) for i in range(12)]
+    takers = (partial(qs_poly, "123", 1, 1),
+              partial(qs_value, cols[:6], "123", 1, 1),
+              partial(g34_poly, 1, 1, 1, 1, 1, 1),
+              partial(g34_value, cols, 1, 1, 1, 1, 1, 1),
+              lambda f: extend_minor(qs_config(), (1,), (1,), (f,)))
+    for take in (_frame,) + takers:
+        for bad in (0, 4, -1, (1, 2)):
+            with pytest.raises(ValueError):
+                take(bad)
+        # True == 1, so a bool would pass as frame 1 without its own
+        # check.
+        for bad in (1.0, True, False, (1, 0, 0.5), (True, False, 2)):
+            with pytest.raises(TypeError):
+                take(bad)
 
 
 def test_qs_line_coercion():
@@ -280,30 +278,28 @@ def test_grid34_lines_match_grid_config():
 
 
 def test_extend_minor_full_rows_is_qs():
-    cm = build_collin(qs_config())
     for frames in product((1, 2, 3), repeat=3):
-        ext = extend_minor(cm, (2, 3, 4), (4, 5, 6), frames)
+        ext = extend_minor(qs_config(), (2, 3, 4), (4, 5, 6), frames)
         assert ext == -_qs_formula((1, 2, 3), *frames)
 
 
 def test_extend_minor_empty_support_vanishes():
-    cm = build_collin(qs_config())
-    assert extend_minor(cm, (1, 2), (4, 5), (1, 1)).is_zero()
+    assert extend_minor(qs_config(), (1, 2), (4, 5), (1, 1)).is_zero()
 
 
 def test_extend_minor_validates_lengths():
-    cm = build_collin(qs_config())
+    c = qs_config()
     with pytest.raises(ValueError):
-        extend_minor(cm, (1, 2), (1, 2, 3), (1, 1))
+        extend_minor(c, (1, 2), (1, 2, 3), (1, 1))
     with pytest.raises(ValueError):
-        extend_minor(cm, (1, 2), (1, 2), (1, 1, 1))
+        extend_minor(c, (1, 2), (1, 2), (1, 1, 1))
 
 
 def test_extension_identity_small():
     # Summing extensions against products of frame coordinates
     # recovers the determinant whose entries are full point brackets.
     rng = random.Random(11)
-    cm = build_collin(qs_config())
+    c = qs_config()
     cols = rand_columns(rng, 6)
     for rows, cidx in (((1, 2), (1, 2)), ((2, 3), (1, 6)),
                        ((1, 3), (2, 6))):
@@ -314,7 +310,7 @@ def test_extension_identity_small():
         for t in range(k):
             row = []
             for s in range(k):
-                pair = cm.pair(rows[t], cidx[s])
+                pair = collin_pair(c, rows[t], cidx[s])
                 if pair is None:
                     row.append(Fraction(0))
                 else:
@@ -329,7 +325,7 @@ def test_extension_identity_small():
             for t, f in enumerate(frames):
                 factor *= pts[t][f - 1]
             if factor:
-                rhs += factor * extend_minor(cm, rows, cidx,
+                rhs += factor * extend_minor(c, rows, cidx,
                                              frames).evaluate(a)
         assert lhs == rhs
 
@@ -342,7 +338,7 @@ def test_formula_expansions_match_dense_products(monkeypatch):
 
     def recording(products, frames, pair=None):
         out = expand(products, frames, pair)
-        calls.append((products, [fp.frame_index for fp in frames], out))
+        calls.append((products, frames, out))
         return out
 
     monkeypatch.setattr(ideals, "_bracket_sum", recording)
@@ -363,18 +359,19 @@ def test_minor_extensions_match_dense_products(name):
     # 200 seeded random minors of size 1 to 3 with at least one
     # product, each with random frames.
     rng = random.Random(47)
-    cm = build_collin(bundled_config(name))
-    nrows, npoints = len(cm.row_triples), bundled_config(name).n
+    c = bundled_config(name)
+    triples = line_triples(c)
+    nrows, npoints = len(triples), c.n
     done = 0
     while done < 200:
         k = rng.randint(1, 3)
         rows = tuple(sorted(rng.sample(range(1, nrows + 1), k)))
         cols = tuple(sorted(rng.sample(range(1, npoints + 1), k)))
-        products = _minor_products(cm, rows, cols)
+        products = _minor_products(triples, rows, cols)
         if not products:
             continue
         frames = tuple(rng.randint(1, 3) for _ in range(k))
-        assert (extend_minor(cm, rows, cols, frames)
+        assert (extend_minor(c, rows, cols, frames)
                 == dense_bracket_sum(products, frames)), (rows, cols, frames)
         done += 1
 
@@ -482,3 +479,17 @@ def test_table1_detects_broken_coefficients():
                          (row.coeffs[0] * 0,) + row.coeffs[1:])
     ok, _ = verify_rewrite_rows((dropped,))
     assert not ok
+
+
+def test_parse_compact():
+    assert _parse_compact("-y_6z_4z_5 + y_5z_4z_6") == (
+        Poly.monomial(-1, [(var_id("y", 6), 1), (var_id("z", 4), 1),
+                           (var_id("z", 5), 1)])
+        + Poly.monomial(1, [(var_id("y", 5), 1), (var_id("z", 4), 1),
+                            (var_id("z", 6), 1)]))
+    assert _parse_compact("x_12x_12") == Poly.monomial(
+        1, [(var_id("x", 12), 2)])
+    for bad in ("2x_1", "x_1*y_2", "w_1", "x1"):
+        with pytest.raises(ValueError) as err:
+            _parse_compact("x_1+" + bad)
+        assert "bad monomial %r" % ("+" + bad) in str(err.value)

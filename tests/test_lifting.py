@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (frac_kernel_rref, gauss_rank, matvec,
+from helpers import (collin_pair, frac_kernel_rref, gauss_rank, matvec,
                      random_linear_config)
 from planelift import lifting
 from planelift.config import (Config, Realisation, bundled_config,
-                              grid_config, qs_config)
+                              grid_config, line_triples, qs_config)
+from planelift.ideals import _frame
 from planelift.lifting import (build_collin, classify_lift, epsilon_scale,
                                forest_lift, is_liftable_generic,
                                is_quasi_liftable, lift, lift_space,
@@ -30,41 +31,45 @@ QS_PAIRS = {
 
 
 def test_qs_collin_pattern():
-    cm = build_collin(qs_config())
-    assert cm.row_triples == ((1, 2, 3), (1, 5, 6), (2, 4, 6), (3, 4, 5))
-    assert cm.numeric is None and cm.abscissas is None
+    c = qs_config()
+    assert line_triples(c) == ((1, 2, 3), (1, 5, 6), (2, 4, 6), (3, 4, 5))
+    xs = (3, -1, 4, 1, -5, 9)
+    numeric = build_collin(c, xs).numeric
     for row in range(1, 5):
         for col in range(1, 7):
-            assert cm.pair(row, col) == QS_PAIRS.get((row, col))
+            pair = QS_PAIRS.get((row, col))
+            assert collin_pair(c, row, col) == pair
+            assert numeric.entry(row - 1, col - 1) == (
+                0 if pair is None else xs[pair[0] - 1] - xs[pair[1] - 1])
 
 
 def test_grid3x3_collin_pattern():
-    cm = build_collin(bundled_config("grid3x3"))
-    assert len(cm.row_triples) == 6
-    assert cm.row_triples[1] == (1, 4, 7)
-    assert cm.pair(2, 1) == (4, 7)
-    assert cm.pair(2, 4) == (7, 1)
-    assert cm.pair(2, 7) == (1, 4)
-    assert cm.row_triples[4] == (4, 5, 6)
-    assert cm.pair(5, 4) == (5, 6)
-    assert cm.pair(5, 5) == (6, 4)
-    assert cm.pair(5, 6) == (4, 5)
+    c = bundled_config("grid3x3")
+    triples = line_triples(c)
+    assert len(triples) == 6
+    assert triples[1] == (1, 4, 7)
+    assert collin_pair(c, 2, 1) == (4, 7)
+    assert collin_pair(c, 2, 4) == (7, 1)
+    assert collin_pair(c, 2, 7) == (1, 4)
+    assert triples[4] == (4, 5, 6)
+    assert collin_pair(c, 5, 4) == (5, 6)
+    assert collin_pair(c, 5, 5) == (6, 4)
+    assert collin_pair(c, 5, 6) == (4, 5)
 
 
 def test_grid3x4_collin_pattern():
-    cm = build_collin(grid_config(3, 4))
-    assert len(cm.row_triples) == 16
-    assert cm.row_triples[:4] == ((1, 2, 3), (4, 5, 6), (7, 8, 9),
-                                  (10, 11, 12))
-    assert cm.row_triples[4:8] == ((1, 4, 7), (1, 4, 10), (1, 7, 10),
-                                   (4, 7, 10))
-    assert cm.pair(5, 1) == (4, 7)
-    assert cm.pair(5, 4) == (7, 1)
-    assert cm.pair(5, 7) == (1, 4)
-    assert cm.pair(8, 4) == (7, 10)
-    assert cm.pair(8, 7) == (10, 4)
-    assert cm.pair(8, 10) == (4, 7)
-    assert cm.pair(8, 1) is None
+    c = grid_config(3, 4)
+    triples = line_triples(c)
+    assert len(triples) == 16
+    assert triples[:4] == ((1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12))
+    assert triples[4:8] == ((1, 4, 7), (1, 4, 10), (1, 7, 10), (4, 7, 10))
+    assert collin_pair(c, 5, 1) == (4, 7)
+    assert collin_pair(c, 5, 4) == (7, 1)
+    assert collin_pair(c, 5, 7) == (1, 4)
+    assert collin_pair(c, 8, 4) == (7, 10)
+    assert collin_pair(c, 8, 7) == (10, 4)
+    assert collin_pair(c, 8, 10) == (4, 7)
+    assert collin_pair(c, 8, 1) is None
 
 
 def test_qs_collin_numeric_golden():
@@ -142,11 +147,6 @@ def test_lift_space_dimensions():
     xs9 = random_distinct_abscissas(9, rng)
     g = lift_space(build_collin(bundled_config("grid3x3"), xs9))
     assert g.dimension == 3
-
-
-def test_lift_space_needs_numeric():
-    with pytest.raises(ValueError):
-        lift_space(build_collin(qs_config()))
 
 
 def test_classify_lift():
@@ -289,8 +289,12 @@ def test_project_reports_coincidences():
 
 def test_project_errors():
     r = Realisation.from_columns([(1, 1, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="target line must have"):
         project(r, target_line=(0, 0, 0))
+    with pytest.raises(ValueError, match="center must be nonzero"):
+        project(r, center=(0, 0, 0))
+    with pytest.raises(ValueError, match="center lies on the target line"):
+        project(r, center=(0, 1, 0), target_line=(1, 0, 0))
     with pytest.raises(ValueError):
         project(r, center=(1, 0, 0), target_line=(1, 0, 0))
     at_center = Realisation.from_columns([(0, 0, 2)])
@@ -422,7 +426,6 @@ def test_symbolic_collin_rank():
 
 
 def test_values_keep_the_ring_of_their_inputs():
-    from planelift.ideals import FramePoint
     from planelift.probes import sample_grid, sample_quadset
 
     def ints(cols):
@@ -451,7 +454,7 @@ def test_values_keep_the_ring_of_their_inputs():
         with pytest.raises(TypeError):
             Realisation.from_columns([(1, 0, bad)])
         with pytest.raises(TypeError):
-            FramePoint(vector=(bad, 1, 0))
+            _frame((bad, 1, 0))
         with pytest.raises(TypeError):
             epsilon_scale(forest, bad)
         with pytest.raises(TypeError):
@@ -462,6 +465,6 @@ def test_values_keep_the_ring_of_their_inputs():
     with pytest.raises(TypeError):
         QMatrix([[True, False], [False, True]])
     with pytest.raises(TypeError):
-        FramePoint(vector=(True, False, 2))
+        _frame((True, False, 2))
     with pytest.raises(TypeError):
         Realisation.from_columns([(1, 0, False)])

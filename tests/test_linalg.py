@@ -227,6 +227,14 @@ def test_all_minors_against_direct_minor():
             assert value == leibniz_det(sub)
 
 
+def test_all_minors_rejects_sizes_out_of_range():
+    m = QMatrix([[1, 2, 3], [4, 5, 6]])
+    for k in (-1, 3):
+        with pytest.raises(ValueError, match="minor size %d out of range "
+                                             "for 2 x 3" % k):
+            list(all_minors(m, k))
+
+
 def _check_all_minors(rows, k):
     """all_minors(rows, k) against the permutation expansion, with its
     order and count."""

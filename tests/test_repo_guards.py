@@ -79,6 +79,23 @@ def test_unused_import_scan_sees_every_import_form():
     assert _unused_imports(tree) == [(2, "a"), (3, "d")]
 
 
+def test_ideals_imports_no_higher_layer():
+    """ideals builds its generators from config, linalg and poly: no
+    dotted part of a module or name that its imports mention is
+    lifting, probes or cli."""
+    tree = ast.parse((ROOT / "src" / "planelift" / "ideals.py").read_text())
+    parts = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom):
+                names.append(node.module or "")
+            for name in names:
+                parts.update(name.split("."))
+    assert "config" in parts
+    assert not parts & {"lifting", "probes", "cli"}
+
+
 def _table_codes(text, row):
     """The codes of the table rows in text that match the regex row,
     whose one group is the code."""

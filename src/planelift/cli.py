@@ -25,7 +25,7 @@ from .ideals import (emit, g34_generators, qs_generators,
                      radical_ideal_generators, table1_verify)
 from .lifting import RankNotCertified, build_collin, is_liftable_generic, lift
 from .linalg import parse_rat, rank
-from .probes import run_probe
+from .probes import SUITES, run_probe
 
 EX_OK = 0
 EX_FAIL = 1
@@ -284,8 +284,7 @@ def build_parser():
 
     p = sub.add_parser("verify",
                        help="run an experimental probe suite")
-    p.add_argument("suite", choices=("tfae-qs", "tfae-grid",
-                                     "decomp-qs", "decomp-grid34"))
+    p.add_argument("suite", choices=tuple(SUITES))
     p.add_argument("--trials", type=_positive_int, default=8, metavar="N",
                    help="trials to run (default 8)")
     _add_seed(p)

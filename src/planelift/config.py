@@ -247,11 +247,11 @@ def _graph(c):
     points along each line close no cycle, and a function mapping each
     point to the root of its component.
     """
-    edges = set()
+    # A list: two lines through the same pair of points close a cycle.
+    edges = []
     for line in c.lines:
         pts = sorted(line)
-        for a, b in zip(pts, pts[1:]):
-            edges.add((a, b))
+        edges += zip(pts, pts[1:])
     parent = list(range(c.n + 1))
 
     def find(x):

@@ -1,13 +1,17 @@
 """Bracket-polynomial families and generating sets of matroid ideals.
 
-The two families built here certify that six collinear points are the
-projection of a quadrilateral set, resp. that twelve collinear points
-are the projection of a 3x4 grid.  Both arise by extending minors of
-the collinearity matrix: every scalar entry x_a - x_b of a minor's
-Leibniz products is replaced by a bracket [a b F] against a frame
-point, one frame per product slot.  A minor is named by 1-based rows,
-the collinear triples of config.line_triples, and columns, the points;
-config.row_pairs gives its entries.
+The two families built here certify that six, resp. twelve, collinear
+points are the projection of a quadrilateral set, resp. a 3x4 grid.
+Each is a fixed skeleton of signed products of brackets [a b F], one
+frame point F per slot (SKELETONS).  A QS polynomial is, up to sign
+and frame order, the extended minor of the collinearity matrix on the
+rows of the other three lines and the columns of the off-line points
+(extend_minor): each entry x_a - x_b of the minor's Leibniz products
+becomes [a b F].  A minor is named by 1-based rows, the collinear
+triples of config.line_triples, and columns, the points;
+config.row_pairs gives its entries.  A grid polynomial extends no
+minor: its products put each other column's leftover pair at all three
+of that column's points, nine columns where a 6 x 6 minor has six.
 
 A frame point is 1, 2 or 3 for R_1 = (1,0,0), R_2 = (0,1,0),
 R_3 = (0,0,1), or an exact 3-vector.
@@ -67,18 +71,18 @@ def _bracket_sum(products, frames, pair=None):
     if pair is None:
         return expand_products(
             [(sign, [_pair_terms(a, b, f)
-                     for (a, b), f in zip(pairs, frames)])
+                     for (a, b), f in zip(pairs, frames, strict=True)])
              for sign, pairs in products])
     total = 0
     for sign, pairs in products:
         prod = sign
-        for (a, b), f in zip(pairs, frames):
+        for (a, b), f in zip(pairs, frames, strict=True):
             prod = prod * pair(a, b, f)
         total = total + prod
     return total
 
 
-# --- quadrilateral set -------------------------------------------------------
+# --- the worked examples: quadrilateral set and 3x4 grid --------------------
 
 QS_LINES = qs_config().lines
 
@@ -114,33 +118,6 @@ def _qs_pairing(line):
     return (p1, p2, p3), (m1, m2, m3)
 
 
-def _qs_formula(line, f1, f2, f3, pair=None):
-    """The QS polynomial in its construction order (sign as built).
-
-    With pair=partial(_pair_value, cols) the same formula gives its
-    value at the point columns cols.
-    """
-    (p1, p2, p3), (m1, m2, m3) = _qs_pairing(line)
-    products = ((1, ((p1, m1), (p2, m2), (p3, m3))),
-                (-1, ((p1, m2), (p2, m3), (p3, m1))))
-    return _bracket_sum(products, [_frame(f) for f in (f1, f2, f3)], pair)
-
-
-def qs_poly(line, f1, f2, f3):
-    """Fully expanded quadrilateral-set polynomial of a line, with the
-    canonical sign."""
-    return _qs_formula(_qs_line(line), f1, f2, f3).canonical()
-
-
-def qs_value(cols, line, f1, f2, f3):
-    """Value of the QS polynomial at explicit point columns, computed
-    via the bracket products (no symbolic expansion)."""
-    return _qs_formula(_qs_line(line), f1, f2, f3,
-                       partial(_pair_value, cols))
-
-
-# --- 3x4 grid ----------------------------------------------------------------
-
 _S3 = (((1, 2, 3), 1), ((2, 3, 1), 1), ((3, 1, 2), 1),
        ((1, 3, 2), -1), ((2, 1, 3), -1), ((3, 2, 1), -1))
 
@@ -158,8 +135,6 @@ def _g34_products(ci):
     from each remaining column (a permutation pattern), the last three
     the leftover point pairs of the remaining columns.
     """
-    if ci not in (1, 2, 3, 4):
-        raise ValueError("grid column index must be 1..4")
     fixed = _G34_COLUMNS[ci - 1]
     others = [col for i, col in enumerate(_G34_COLUMNS, 1) if i != ci]
     out = []
@@ -173,23 +148,55 @@ def _g34_products(ci):
     return out
 
 
-def _g34_formula(ci, frames, pair=None):
-    """The grid polynomial of column ci (sign as built); with
-    pair=partial(_pair_value, cols) its value at the columns cols."""
+def _skeletons():
+    """The signed bracket products (as _bracket_sum takes them) of the QS
+    polynomial of each line, in construction order, at ("qs", line), and
+    of the grid polynomial of each column ci = 1..4 at ("g34", ci)."""
+    table = {("g34", ci): tuple(_g34_products(ci)) for ci in (1, 2, 3, 4)}
+    for line in QS_LINES:
+        ps, ms = _qs_pairing(line)
+        table["qs", line] = ((1, tuple(zip(ps, ms))),
+                             (-1, tuple(zip(ps, ms[1:] + ms[:1]))))
+    return table
+
+
+SKELETONS = _skeletons()
+
+
+def qs_poly(line, f1, f2, f3):
+    """Fully expanded quadrilateral-set polynomial of a line, with the
+    canonical sign."""
+    return _bracket_sum(SKELETONS["qs", _qs_line(line)],
+                        [_frame(f) for f in (f1, f2, f3)]).canonical()
+
+
+def qs_value(cols, line, f1, f2, f3):
+    """Value of the QS polynomial at explicit point columns, computed
+    via the bracket products (no symbolic expansion)."""
+    return _bracket_sum(SKELETONS["qs", _qs_line(line)],
+                        [_frame(f) for f in (f1, f2, f3)],
+                        partial(_pair_value, cols))
+
+
+def _g34_skeleton(ci, frames):
+    """The skeleton of column ci and its 6 checked frame points."""
     frames = [_frame(f) for f in frames]
     if len(frames) != 6:
         raise ValueError("the grid polynomial takes 6 frame points")
-    return _bracket_sum(_g34_products(ci), frames, pair)
+    if ci not in (1, 2, 3, 4):
+        raise ValueError("grid column index must be 1..4")
+    return SKELETONS["g34", ci], frames
 
 
 def g34_poly(ci, *frames):
     """Fully expanded grid polynomial of column ci, canonical sign."""
-    return _g34_formula(ci, frames).canonical()
+    return _bracket_sum(*_g34_skeleton(ci, frames)).canonical()
 
 
 def g34_value(cols, ci, *frames):
     """Value of the grid polynomial at explicit point columns."""
-    return _g34_formula(ci, frames, partial(_pair_value, cols))
+    return _bracket_sum(*_g34_skeleton(ci, frames),
+                        partial(_pair_value, cols))
 
 
 # --- generating sets ---------------------------------------------------------
@@ -214,18 +221,18 @@ def _bracket_formulas(c):
 
 
 # Each generating set is declared once, as (label, formula) pairs.  A
-# formula is ("bracket", (i, j, k)), ("qs", frames) on the line 123, or
-# ("g34", frames) on column 1: generator_poly expands it, and
+# formula is ("bracket", (i, j, k)) or (key, frames) for the SKELETONS
+# key ("qs", (1, 2, 3)) or ("g34", 1): generator_poly expands it, and
 # generator_value evaluates its bracket products at explicit columns.
 
 QS_FORMULAS = tuple(
     _bracket_formulas(qs_config())
-    + [("qs(%d,%d,%d)" % f, ("qs", f))
+    + [("qs(%d,%d,%d)" % f, (("qs", (1, 2, 3)), f))
        for f in combinations_with_replacement((1, 2, 3), 3)])
 
 G34_FORMULAS = tuple(
     _bracket_formulas(grid_config(3, 4))
-    + [("g34(%s)" % ",".join(map(str, f)), ("g34", f))
+    + [("g34(%s)" % ",".join(map(str, f)), (("g34", 1), f))
        for f in combinations_with_replacement((1, 2, 3), 6)])
 
 
@@ -234,9 +241,7 @@ def generator_poly(formula):
     kind, args = formula
     if kind == "bracket":
         return bracket(*args).canonical()
-    if kind == "qs":
-        return qs_poly((1, 2, 3), *args)
-    return g34_poly(1, *args)
+    return _bracket_sum(SKELETONS[kind], args).canonical()
 
 
 def generator_value(cols, formula):
@@ -246,9 +251,7 @@ def generator_value(cols, formula):
     kind, args = formula
     if kind == "bracket":
         return det3(*(cols[i - 1] for i in args))
-    if kind == "qs":
-        return qs_value(cols, (1, 2, 3), *args)
-    return g34_value(cols, 1, *args)
+    return _bracket_sum(SKELETONS[kind], args, partial(_pair_value, cols))
 
 
 def _generator_set(name, npoints, formulas):
@@ -548,9 +551,10 @@ def verify_rewrite_rows(rows):
     """
     checks = []
     brackets = [bracket(*line) for line in QS_LINES]
+    skeleton = SKELETONS["qs", (1, 2, 3)]
     for row in rows:
-        lhs = _qs_formula((1, 2, 3), *row.excluded)
-        rhs = _qs_formula((1, 2, 3), *row.generator)
+        lhs = _bracket_sum(skeleton, [_frame(f) for f in row.excluded])
+        rhs = _bracket_sum(skeleton, [_frame(f) for f in row.generator])
         for coeff, br in zip(row.coeffs, brackets):
             rhs = rhs + coeff * br
         checks.append(RowCheck(row.excluded, row.generator, lhs == rhs))

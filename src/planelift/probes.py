@@ -10,6 +10,7 @@ negative controls record how often genericity delivered a witness.
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement, product
 from math import comb
 
@@ -214,10 +215,6 @@ def _g34_values(cols, rng=None):
             yield g34_value(cols, ci, *frames)
 
 
-def _sample_grid34(rng):
-    return sample_grid(rng, 3, 4)
-
-
 def _probe_tfae(suite, trials, seed, conf, sample, matrix, noun, values,
                 minors_on_first_trial=False):
     """Exercise the equivalences of a fixed example on random samples.
@@ -290,7 +287,7 @@ def probe_tfae_grid(trials, seed, minors_on_first_trial=True):
     collinear 12-tuples generically show rank 10 and a nonzero grid
     value."""
     return _probe_tfae("tfae-grid", trials, seed, grid_config(3, 4),
-                       _sample_grid34, "Lambda_G34", "grid", _g34_values,
+                       sample_grid, "Lambda_G34", "grid", _g34_values,
                        minors_on_first_trial)
 
 
@@ -317,15 +314,15 @@ def probe_decomposition(matroid, trials, seed):
     ideal.  Random general-position tuples serve as non-members and
     should leave some generator nonzero.  A generator vanishes when the
     bracket products it is expanded from do (ideals.generator_value:
-    det3 for a line bracket, qs_value or g34_value for the rest), so no
-    Poly is built or evaluated.
+    det3 for a line bracket, the skeleton's products for the rest), so
+    no Poly is built or evaluated.
     """
-    if matroid == "qs":
-        formulas, conf, make = QS_FORMULAS, qs_config(), sample_quadset
-    elif matroid == "grid34":
-        formulas, conf, make = G34_FORMULAS, grid_config(3, 4), _sample_grid34
-    else:
+    # Built per call, so that a sampler wrapped by a tracer is called.
+    examples = {"qs": (QS_FORMULAS, qs_config(), sample_quadset),
+                "grid34": (G34_FORMULAS, grid_config(3, 4), sample_grid)}
+    if matroid not in examples:
         raise ValueError("matroid must be 'qs' or 'grid34'")
+    formulas, conf, make = examples[matroid]
     m = circuits(conf)
     report = ProbeReport("decomp-%s" % matroid, trials)
     for t in range(trials):
@@ -372,19 +369,18 @@ def probe_decomposition(matroid, trials, seed):
     return report
 
 
-PROBES = {
+SUITES = {
     "tfae-qs": probe_tfae_qs,
     "tfae-grid": probe_tfae_grid,
+    "decomp-qs": partial(probe_decomposition, "qs"),
+    "decomp-grid34": partial(probe_decomposition, "grid34"),
 }
 
 
 def run_probe(name, trials, seed):
-    """Run a named probe suite: tfae-qs, tfae-grid, decomp-qs or
-    decomp-grid34, with trials >= 1."""
+    """Run the probe suite SUITES[name] with trials >= 1."""
     if trials < 1:
         raise ValueError("trials must be at least 1, got %d" % trials)
-    if name in PROBES:
-        return PROBES[name](trials, seed)
-    if name.startswith("decomp-"):
-        return probe_decomposition(name[len("decomp-"):], trials, seed)
-    raise ValueError("unknown probe suite: %r" % (name,))
+    if name not in SUITES:
+        raise ValueError("unknown probe suite: %r" % (name,))
+    return SUITES[name](trials, seed)

@@ -8,7 +8,7 @@ import pytest
 
 import planelift
 from helpers import config_json
-from planelift import cli, lifting
+from planelift import cli, ideals, lifting
 from planelift.cli import build_parser, main
 from planelift.config import bundled_names, grid_config
 from planelift.lifting import random_distinct_abscissas
@@ -430,6 +430,21 @@ def test_table1(capsys):
     assert lines[0] == "excluded (1,2,1) -> generator (1,1,2): ok"
     assert all(l.endswith(": ok") for l in lines[:-1])
     assert lines[-1] == "17/17 rewriting identities hold"
+
+
+def test_commands_reuse_the_skeletons_built_at_import(capsys, monkeypatch):
+    def rebuild(*args):
+        raise AssertionError("a skeleton was rebuilt after import")
+
+    monkeypatch.setattr(ideals, "_qs_pairing", rebuild)
+    monkeypatch.setattr(ideals, "_g34_products", rebuild)
+    ideals.qs_generators.cache_clear()
+    ideals.g34_generators.cache_clear()
+    for argv in (("verify", "tfae-qs", "--trials", "1"),
+                 ("verify", "decomp-grid34", "--trials", "1"),
+                 ("gens", "qs"), ("gens", "grid34"), ("table1",)):
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
 
 
 def test_module_entrypoint():

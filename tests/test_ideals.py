@@ -11,12 +11,12 @@ from helpers import (assignment_from_columns, collin_pair, dense_bracket,
                      dense_bracket_sum, golden_poly, leibniz_det,
                      rand_fraction)
 from planelift import ideals
-from planelift.config import (bundled_config, grid_config, line_triples,
-                              qs_config)
+from planelift.config import (Config, bundled_config, grid_config,
+                              line_triples, qs_config)
 from planelift.ideals import (G34_FORMULAS, QS_FORMULAS,
-                              QS_LINES, RewriteRow, _frame, _g34_products,
-                              _qs_formula, _minor_products, _parse_compact,
-                              _qs_line, _qs_pairing, emit,
+                              QS_LINES, SKELETONS, RewriteRow, _bracket_sum,
+                              _frame, _g34_products, _minor_products,
+                              _parse_compact, _qs_line, _qs_pairing, emit,
                               extend_minor, g34_generators,
                               g34_poly, generator_poly,
                               g34_value, qs_generators, qs_poly, qs_value,
@@ -73,6 +73,11 @@ QS_MISSING_VARS = {
 ALL_QS_VARS = {(letter, p) for letter in "xyz" for p in range(1, 7)}
 
 
+def qs_as_built(line, *frames):
+    """The QS polynomial of line, with the sign its skeleton gives."""
+    return _bracket_sum(SKELETONS["qs", line], frames)
+
+
 def rand_columns(rng, n, bound=9):
     return [tuple(rand_fraction(rng, bound) for _ in range(3))
             for _ in range(n)]
@@ -118,7 +123,7 @@ def test_qs_pairing():
 
 
 def test_qs_formula_is_the_bracket_product_difference():
-    lhs = _qs_formula((1, 2, 3), 1, 1, 2)
+    lhs = qs_as_built((1, 2, 3), 1, 1, 2)
     rhs = (frame_bracket(1, 5, 1) * frame_bracket(2, 6, 1)
            * frame_bracket(3, 4, 2)
            - frame_bracket(1, 6, 1) * frame_bracket(2, 4, 1)
@@ -129,7 +134,7 @@ def test_qs_formula_is_the_bracket_product_difference():
 def test_qs_112_expansion_verbatim():
     golden = golden_poly(QS_112_TERMS)
     assert len(golden.terms) == 14
-    assert _qs_formula((1, 2, 3), 1, 1, 2) == golden
+    assert qs_as_built((1, 2, 3), 1, 1, 2) == golden
     # the canonical representative flips the sign: the grevlex-least
     # monomial x_3*y_1*y_4*z_2*z_5*z_6 carries -1 above
     assert qs_poly((1, 2, 3), 1, 1, 2) == -golden
@@ -143,7 +148,7 @@ def test_qs_value_matches_formula():
         a = assignment_from_columns(cols)
         for line in QS_LINES:
             f = tuple(rng.choice((1, 2, 3)) for _ in range(3))
-            expected = _qs_formula(line, *f).evaluate(a)
+            expected = qs_as_built(line, *f).evaluate(a)
             assert qs_value(cols, line, *f) == expected
             canon = qs_poly(line, *f).evaluate(a)
             assert canon in (expected, -expected)
@@ -192,8 +197,13 @@ def test_qs_letter_multidegrees_distinct():
 def test_g34_products_golden():
     assert _g34_products(1) == [
         (sign, pairs) for sign, pairs in G34_C1_PRODUCTS]
-    with pytest.raises(ValueError):
-        _g34_products(5)
+    for ci in (1, 2, 3, 4):
+        assert SKELETONS["g34", ci] == tuple(_g34_products(ci))
+    for ci in (0, 5, (1,)):
+        with pytest.raises(ValueError, match="grid column index must be"):
+            g34_poly(ci, 1, 1, 1, 1, 1, 1)
+        with pytest.raises(ValueError, match="grid column index must be"):
+            g34_value([(0, 0, 1)] * 12, ci, 1, 1, 1, 1, 1, 1)
 
 
 def test_g34_products_cover_all_points_once():
@@ -278,9 +288,22 @@ def test_grid34_lines_match_grid_config():
 
 
 def test_extend_minor_full_rows_is_qs():
-    for frames in product((1, 2, 3), repeat=3):
-        ext = extend_minor(qs_config(), (2, 3, 4), (4, 5, 6), frames)
-        assert ext == -_qs_formula((1, 2, 3), *frames)
+    # The QS polynomial of a line L is the extended minor on the rows of
+    # the other three lines and the columns of the off-line points; the
+    # frame of each row is the one L's polynomial puts at the point where
+    # that row's line meets L.
+    c = qs_config()
+    triples = line_triples(c)
+    for line in QS_LINES:
+        rows = tuple(r for r, t in enumerate(triples, 1) if t != line)
+        cols = tuple(p for p in range(1, 7) if p not in line)
+        meets = [line.index(next(p for p in triples[r - 1] if p in line))
+                 for r in rows]
+        for frames in product((1, 2, 3), repeat=3):
+            ext = extend_minor(c, rows, cols, [frames[i] for i in meets])
+            assert ext.canonical() == qs_poly(line, *frames)
+            if line == (1, 2, 3):
+                assert ext == -qs_as_built(line, *frames)
 
 
 def test_extend_minor_empty_support_vanishes():
@@ -390,6 +413,16 @@ def test_radical_generators_contain_qs():
     assert any(l.startswith("ext(2.3.4|") for l in labels)
 
 
+def test_radical_generators_drop_zero_extensions():
+    # On a four-point line, ext(1.2.3|1.2.3|1.1.1) has nonzero Leibniz
+    # products that cancel.
+    g = radical_ideal_generators(Config(4, ((1, 2, 3, 4),)), 3)
+    labels = [e.label for e in g.entries]
+    assert labels[4] == "ext(1.2.3|1.2.3|1.1.2)"
+    assert "ext(1.2.3|1.2.3|1.1.1)" not in labels
+    assert not any(e.poly.is_zero() for e in g.entries)
+
+
 def test_radical_generators_forest_has_only_brackets():
     c = bundled_config("forest_two_lines")
     g = radical_ideal_generators(c)
@@ -479,6 +512,10 @@ def test_table1_detects_broken_coefficients():
                          (row.coeffs[0] * 0,) + row.coeffs[1:])
     ok, _ = verify_rewrite_rows((dropped,))
     assert not ok
+    # A frame missing from a row is an error, not a shorter product.
+    short = RewriteRow(row.excluded[:2], row.generator, row.coeffs)
+    with pytest.raises(ValueError):
+        verify_rewrite_rows((short,))
 
 
 def test_parse_compact():

@@ -6,7 +6,7 @@ import pytest
 from helpers import (collin_pair, frac_kernel_rref, gauss_rank, matvec,
                      random_linear_config)
 from planelift import lifting
-from planelift.config import (Config, Realisation, bundled_config,
+from planelift.config import (Config, Realisation, analyze, bundled_config,
                               grid_config, line_triples, qs_config)
 from planelift.ideals import _frame
 from planelift.lifting import (build_collin, classify_lift, epsilon_scale,
@@ -237,6 +237,17 @@ def test_forest_lift_errors():
     with pytest.raises(ValueError, match="duplicate abscissa: points 1 and "
                                          "5 both sit at 0"):
         forest_lift(c, [0, 1, 2, 3, 0])
+
+
+def test_lines_through_one_pair_are_not_a_forest():
+    # Two lines through the points 1 and 2 close a cycle of the
+    # configuration graph.
+    c = Config(4, ((1, 2, 3), (1, 2, 4)))
+    assert not analyze(c).is_forest
+    with pytest.raises(ValueError, match="not a forest configuration"):
+        forest_lift(c, [0, 1, 2, 3])
+    v = is_liftable_generic(c)
+    assert (v.verdict, v.witness_rank, v.threshold) == ("not-liftable", 2, 1)
 
 
 def test_forest_lift_handles_isolated_points():

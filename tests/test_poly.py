@@ -38,6 +38,9 @@ def test_constructors():
     assert not Poly.zero() and Poly.constant(5)
     assert sum([Poly.constant(2), Poly.constant(3)]) == 5
     assert Poly.constant(5) == 5
+    assert Poly.constant(5) - 2 == 3
+    assert Poly.constant(5).__eq__("x") is NotImplemented
+    assert Poly.constant(5) != "x"
     v = var_id("y", 2)
     p = Poly.variable(v)
     assert p.terms == {((v, 1),): Fraction(1)}

@@ -24,6 +24,20 @@ class ConstantRandom(random.Random):
         return b
 
 
+class ScriptedRandom(random.Random):
+    """Random(0) whose first randint calls return the values of script
+    instead of drawing."""
+
+    def __init__(self, script):
+        super().__init__(0)
+        self.script = list(script)
+
+    def randint(self, a, b):
+        if self.script:
+            return self.script.pop(0)
+        return super().randint(a, b)
+
+
 def test_sample_is_deterministic():
     forest = bundled_config("forest_path10")
     for make in (sample_quadset,
@@ -80,6 +94,30 @@ def test_samplers_give_up_on_degenerate_randomness():
         sample_grid(ConstantRandom())
     with pytest.raises(SampleError):
         sample_collinear(ConstantRandom(), 4)
+
+
+def test_samplers_redraw_degenerate_draws():
+    # Each scripted draw is rejected and the next one is Random(0)'s
+    # first: both apexes of a grid zero, both direction vectors of a
+    # line zero, and a projection centre (0, 1, 0) on the target line
+    # x = 0.  A script RETRY_BUDGET draws long exhausts the budget.
+    budget = probes.RETRY_BUDGET
+    zero_apexes = [0] * 6
+    assert (sample_grid(ScriptedRandom(zero_apexes))
+            == sample_grid(random.Random(0)))
+    with pytest.raises(SampleError):
+        sample_grid(ScriptedRandom(zero_apexes * budget))
+    zero_line = [0] * 6
+    assert (probes._line_points(ScriptedRandom(zero_line), 6)
+            == probes._line_points(random.Random(0), 6))
+    with pytest.raises(SampleError):
+        probes._line_points(ScriptedRandom(zero_line * budget), 6)
+    r = sample_quadset(random.Random(3))
+    centre_on_line = [1, 0, 0, 0, 1, 0]
+    assert (probes._project_generic(r, ScriptedRandom(centre_on_line))
+            == probes._project_generic(r, random.Random(0)))
+    with pytest.raises(SampleError):
+        probes._project_generic(r, ScriptedRandom(centre_on_line * budget))
 
 
 def test_membership_detects_swapped_points():

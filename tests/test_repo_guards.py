@@ -7,7 +7,7 @@ import importlib.util
 import pathlib
 import re
 
-from planelift import cli
+from planelift import cli, probes
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -18,6 +18,17 @@ def _tracing_targets():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.TARGETS
+
+
+def test_probe_suite_lists_agree():
+    """probes.SUITES, the choices of `verify` and the `verify` row of
+    README.md's command table name the same suites in the same order."""
+    verify = cli.build_parser().commands["verify"]
+    choices = [a.choices for a in verify._actions if a.dest == "suite"]
+    row = re.search(r"^\| `verify` +\|([^(]*)",
+                    (ROOT / "README.md").read_text(), re.M).group(1)
+    assert choices == [tuple(probes.SUITES)]
+    assert re.findall(r"`([^`]+)`", row) == list(probes.SUITES)
 
 
 def test_traced_names_resolve():

@@ -50,12 +50,14 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors, which collides with the
     no-nontrivial-lift status; use 64 instead.  The negative-number
-    matcher is widened so arguments like -3/4 count as values, not
-    options."""
+    matcher is widened so that every negative rational parse_rat reads,
+    such as -3/4, -0.5, -.5 or -1e3, counts as a value, not an option:
+    after its sign such a number starts with a digit or a point and a
+    digit."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+(?:/\d+)?$")
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)

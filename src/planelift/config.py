@@ -7,42 +7,41 @@ the labels); its component count and forest property drive the
 liftability results.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from math import comb
 
 from .linalg import _exact, _int_rows, cross, det3, format_rat
 
 
-@dataclass(frozen=True)
-class Config:
+# The records below are namedtuples: immutable, compared and hashed by
+# value, and cheap to define, which keeps the package's import fast.
+
+class Config(namedtuple("Config", "n lines")):
     """Points 1..n and lines given as tuples of point indices, which
     must be ints: any other label raises TypeError."""
 
-    n: int
-    lines: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        lines = tuple(tuple(line) for line in self.lines)
+    def __new__(cls, n, lines=()):
+        lines = tuple(tuple(line) for line in lines)
         for line in lines:
             for p in line:
                 # A bool is an int, but no label: True == 1.
                 if not isinstance(p, int) or isinstance(p, bool):
                     raise TypeError("point label is not an int: %r" % (p,))
-        object.__setattr__(self, "lines", lines)
+        return super().__new__(cls, n, lines)
 
     def lines_through(self, p):
         """1-based indices of the lines containing point p."""
         return [i for i, line in enumerate(self.lines, start=1) if p in line]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(namedtuple("Violation", "kind points lines",
+                           defaults=((), ()))):
     """One well-formedness failure found by validate()."""
 
-    kind: str
-    points: tuple = ()
-    lines: tuple = ()
+    __slots__ = ()
 
     def __str__(self):
         bits = [self.kind]
@@ -84,17 +83,15 @@ def validate(c):
     return out
 
 
-@dataclass(frozen=True)
-class Rank3Matroid:
+class Rank3Matroid(namedtuple("Rank3Matroid", "n circuits3")):
     """Rank-3 matroid on 1..n whose 3-element circuits are given, as
-    increasing triples.
+    increasing triples, in the frozenset circuits3.
 
     Every 4-subset not containing a listed triple is implicitly a
     circuit as well.
     """
 
-    n: int
-    circuits3: frozenset
+    __slots__ = ()
 
 
 def line_triples(c):
@@ -115,13 +112,10 @@ def circuits(c):
     return Rank3Matroid(c.n, frozenset(line_triples(c)))
 
 
-@dataclass(frozen=True)
-class MembershipReport:
-    in_circuit_variety: bool
-    in_v0: bool
-    realises: bool
-    violated_circuit: tuple = None
-    violated_independence: tuple = None
+class MembershipReport(namedtuple(
+        "MembershipReport", "in_circuit_variety in_v0 realises "
+        "violated_circuit violated_independence", defaults=(None, None))):
+    __slots__ = ()
 
 
 def _dependent(cols):
@@ -234,10 +228,8 @@ def config_of_realisation(r):
                                    for flat in through.values()})))
 
 
-@dataclass(frozen=True)
-class ConfigAnalysis:
-    omega: int
-    is_forest: bool
+class ConfigAnalysis(namedtuple("ConfigAnalysis", "omega is_forest")):
+    __slots__ = ()
 
 
 def _graph(c):

@@ -18,7 +18,7 @@ R_3 = (0,0,1), or an exact 3-vector.
 """
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement, \
     permutations, product
@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii
 
 from .config import grid_config, line_triples, qs_config, row_pairs
 from .linalg import _exact, det3, format_rat
-from .poly import (FRAME_COFACTORS, Poly, bracket, expand_products,
+from .poly import (FRAME_COFACTORS, Poly, _merge, bracket, expand_products,
                    frame_terms, multidegree, point_bracket, poly_to_plain,
                    var_id, var_names)
 
@@ -201,17 +201,12 @@ def g34_value(cols, ci, *frames):
 
 # --- generating sets ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class GenEntry:
-    poly: Poly
-    label: str
+class GenEntry(namedtuple("GenEntry", "poly label")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    ideal_name: str
-    npoints: int
-    entries: tuple
+class GeneratorSet(namedtuple("GeneratorSet", "ideal_name npoints entries")):
+    __slots__ = ()
 
 
 def _bracket_formulas(c):
@@ -456,39 +451,26 @@ def emit(g, fmt):
 # --- rewriting table ---------------------------------------------------------
 
 _TERM_RE = re.compile(r"([+-]?)((?:[xyz]_\d+)+)$")
+_VAR_RE = re.compile(r"([xyz])_(\d+)")
 
 
 def _parse_compact(text):
-    """Parse coefficient polynomials written like '-y_6z_4z_5+y_5z_4z_6'."""
-    s = text.replace(" ", "")
-    chunks = re.findall(r"[+-]?[^+-]+", s)
-    p = Poly.zero()
-    for chunk in chunks:
+    """Parse coefficient polynomials written like '-y_6z_4z_5+y_5z_4z_6'
+    straight into their terms, with no Poly arithmetic: each signed
+    monomial adds its sign to the coefficient of its merged variables."""
+    terms = {}
+    for chunk in re.findall(r"[+-]?[^+-]+", text.replace(" ", "")):
         m = _TERM_RE.match(chunk)
         if not m:
             raise ValueError("bad monomial %r in %r" % (chunk, text))
-        sign = -1 if m.group(1) == "-" else 1
-        mono = Poly.constant(sign)
-        for letter, idx in re.findall(r"([xyz])_(\d+)", m.group(2)):
-            mono = mono * Poly.variable(var_id(letter, int(idx)))
-        p = p + mono
-    return p
+        mono = _merge([(var_id(letter, int(idx)), 1)
+                       for letter, idx in _VAR_RE.findall(m.group(2))])
+        terms[mono] = terms.get(mono, 0) + (-1 if m.group(1) == "-" else 1)
+    return Poly(terms)
 
 
-@dataclass(frozen=True)
-class RewriteRow:
-    excluded: tuple
-    generator: tuple
-    coeffs: tuple
-
-
-def _rows(data):
-    out = []
-    for excluded, generator, c123, c156, c246, c345 in data:
-        out.append(RewriteRow(excluded, generator,
-                              tuple(_parse_compact(s)
-                                    for s in (c123, c156, c246, c345))))
-    return tuple(out)
+class RewriteRow(namedtuple("RewriteRow", "excluded generator coeffs")):
+    __slots__ = ()
 
 
 # Every non-weakly-increasing frame triple rewrites as its
@@ -496,7 +478,7 @@ def _rows(data):
 # coefficients below (one per line bracket, in QS_LINES order) pin the
 # combination down exactly.  Each block shares one letter multidegree,
 # which forces the (2,2,3) block to consist of (2,3,2) and (3,2,2).
-REWRITE_ROWS = _rows([
+_REWRITE_TABLE = (
     ((1, 2, 1), (1, 1, 2), "-y_6z_4z_5+y_5z_4z_6", "y_3z_2z_4-y_2z_3z_4",
      "-y_5z_1z_3+y_1z_3z_5", "-y_6z_1z_2+y_1z_2z_6"),
     ((2, 1, 1), (1, 1, 2), "-y_6z_4z_5+y_4z_5z_6", "y_4z_2z_3-y_2z_3z_4",
@@ -531,14 +513,15 @@ REWRITE_ROWS = _rows([
      "x_1x_5y_3-x_1x_3y_5", "x_2x_6y_1-x_1x_6y_2"),
     ((3, 3, 2), (2, 3, 3), "-x_5x_6y_4+x_4x_5y_6", "x_3x_4y_2-x_2x_3y_4",
      "-x_3x_5y_1+x_1x_5y_3", "-x_1x_6y_2+x_1x_2y_6"),
-])
+)
+
+REWRITE_ROWS = tuple(
+    RewriteRow(excluded, generator, tuple(map(_parse_compact, coeffs)))
+    for excluded, generator, *coeffs in _REWRITE_TABLE)
 
 
-@dataclass(frozen=True)
-class RowCheck:
-    excluded: tuple
-    generator: tuple
-    ok: bool
+class RowCheck(namedtuple("RowCheck", "excluded generator ok")):
+    __slots__ = ()
 
 
 def verify_rewrite_rows(rows):

@@ -9,7 +9,7 @@ constructs one.
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -40,7 +40,6 @@ def _collin_rows(triples, xs, zero):
     return rows
 
 
-@dataclass(frozen=True)
 class CollinMatrix:
     """The collinearity matrix Lambda of a configuration at abscissas.
 
@@ -62,9 +61,10 @@ class CollinMatrix:
     is built on first read: its minors are the paper's objects.
     """
 
-    config: object
-    abscissas: tuple
-    line_basis: QMatrix
+    def __init__(self, config, abscissas, line_basis):
+        self.config = config
+        self.abscissas = abscissas
+        self.line_basis = line_basis
 
     @cached_property
     def numeric(self):
@@ -127,12 +127,10 @@ def build_collin(c, x):
                         QMatrix.of_ints(_line_basis_rows(c, nums, dens), c.n))
 
 
-@dataclass(frozen=True)
-class LiftSpace:
+class LiftSpace(namedtuple("LiftSpace", "basis dimension")):
     """Kernel of a collinearity matrix."""
 
-    basis: tuple
-    dimension: int
+    __slots__ = ()
 
 
 def lift_space(cm):
@@ -145,10 +143,9 @@ def lift_space(cm):
     return LiftSpace(tuple(tuple(v) for v in basis), len(basis))
 
 
-@dataclass(frozen=True)
-class LiftResult:
-    kind: str
-    realisation: Realisation = None
+class LiftResult(namedtuple("LiftResult", "kind realisation",
+                            defaults=(None,))):
+    __slots__ = ()
 
 
 def classify_lift(c, r):
@@ -287,23 +284,20 @@ def epsilon_scale(l, eps):
         [(col[0], col[1], col[2] * f) for col in cols]))
 
 
-@dataclass(frozen=True)
-class ChartMap:
+class ChartMap(namedtuple("ChartMap", "basis")):
     """Affine chart of a projective line with basis (A, B): the point
     at abscissa t is t*A + B."""
 
-    basis: tuple
+    __slots__ = ()
 
     def to_point(self, t):
         a, b = self.basis
         return tuple(t * u + v for u, v in zip(a, b))
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
-    abscissas: tuple
-    chart: ChartMap
-    distinct: bool
+class ProjectionResult(namedtuple("ProjectionResult",
+                                  "abscissas chart distinct")):
+    __slots__ = ()
 
 
 def project(r, center=CONVENTIONAL_CENTER, target_line=CONVENTIONAL_LINE):
@@ -349,17 +343,15 @@ def project(r, center=CONVENTIONAL_CENTER, target_line=CONVENTIONAL_LINE):
 
 # --- liftability decisions ---------------------------------------------------
 
-@dataclass(frozen=True)
-class ComponentVerdict:
-    points: tuple
-    verdict: str
-    witness_rank: int
-    threshold: int
-    is_forest: bool
+class ComponentVerdict(namedtuple(
+        "ComponentVerdict", "points verdict witness_rank threshold "
+        "is_forest")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LiftabilityVerdict:
+class LiftabilityVerdict(namedtuple(
+        "LiftabilityVerdict", "verdict witness_rank threshold omega trials "
+        "components")):
     """Outcome of the generic-rank liftability test.
 
     witness_rank is the generic rank of the collinearity matrix, summed
@@ -369,12 +361,7 @@ class LiftabilityVerdict:
     both.  trials counts the tuples drawn to certify the rank.
     """
 
-    verdict: str
-    witness_rank: int
-    threshold: int
-    omega: int
-    trials: int
-    components: tuple
+    __slots__ = ()
 
 
 class RankNotCertified(RuntimeError):
@@ -498,11 +485,9 @@ def is_liftable_generic(c, seed=0):
                               tuple(verdicts))
 
 
-@dataclass(frozen=True)
-class QuasiLiftability:
-    is_quasi: bool
-    base: LiftabilityVerdict
-    deletions: tuple
+class QuasiLiftability(namedtuple("QuasiLiftability",
+                                  "is_quasi base deletions")):
+    __slots__ = ()
 
 
 def is_quasi_liftable(c, seed=0):

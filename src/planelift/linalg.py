@@ -18,7 +18,8 @@ from math import gcd, prod
 
 
 def parse_rat(text):
-    """Parse a rational written as 'p' or 'p/q' into a Fraction."""
+    """Parse a rational written as 'p', 'p/q' or a decimal such as '0.5'
+    or '-1e3' into a Fraction; a decimal is read exactly."""
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -8,7 +8,6 @@ negative controls record how often genericity delivered a witness.
 """
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement, product
@@ -129,14 +128,17 @@ def sample_collinear(rng, n):
 # --- probe reports ------------------------------------------------------------
 
 
-@dataclass
 class ProbeReport:
-    suite: str
-    trials: int
-    passed: int = 0
-    failed: int = 0
-    counts: dict = field(default_factory=dict)
-    witnesses: list = field(default_factory=list)
+    """The exact tallies of one probe suite run: checks passed and
+    failed, named counts, and the first failed checks' witnesses."""
+
+    def __init__(self, suite, trials):
+        self.suite = suite
+        self.trials = trials
+        self.passed = 0
+        self.failed = 0
+        self.counts = {}
+        self.witnesses = []
 
     def check(self, ok, label, detail=""):
         if ok:

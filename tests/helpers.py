@@ -7,6 +7,7 @@ between the two is meaningful.
 
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
@@ -154,6 +155,24 @@ def golden_poly(terms):
     for coeff, vs in terms:
         mono = tuple((var_id(letter, point), 1) for letter, point in vs)
         p = p + Poly.monomial(Fraction(coeff), mono)
+    return p
+
+
+def reference_parse_compact(text):
+    """Parse a coefficient polynomial written like '-y_6z_4z_5+y_5z_4z_6'
+    by Poly arithmetic: each monomial is the product of its sign and its
+    variables, and the polynomial the sum of its monomials.  The
+    reference for ideals._parse_compact, which builds the terms
+    directly."""
+    p = Poly.zero()
+    for chunk in re.findall(r"[+-]?[^+-]+", text.replace(" ", "")):
+        m = re.match(r"([+-]?)((?:[xyz]_\d+)+)$", chunk)
+        if not m:
+            raise ValueError("bad monomial %r in %r" % (chunk, text))
+        mono = Poly.constant(-1 if m.group(1) == "-" else 1)
+        for letter, idx in re.findall(r"([xyz])_(\d+)", m.group(2)):
+            mono = mono * Poly.variable(var_id(letter, int(idx)))
+        p = p + mono
     return p
 
 

@@ -145,6 +145,19 @@ def test_qs_check_accepts_rationals(capsys):
     assert json.loads(out)["rank"] == 4
 
 
+@pytest.mark.parametrize("command", ["qs-check", "qs-lift", "grid-check"])
+@pytest.mark.parametrize("token, exact", [("-0.5", "-1/2"), ("-.5", "-1/2"),
+                                          ("-1e3", "-1000"),
+                                          ("-3/4", "-3/4")])
+def test_negative_abscissas_in_every_form(capsys, command, token, exact):
+    """A negative abscissa is a value, not an option, in every form
+    parse_rat reads, and means the same as its exact 'p/q' spelling."""
+    rest = [str(v) for v in range(1, 12 if command == "grid-check" else 6)]
+    code, out, err = run_cli(capsys, command, token, *rest)
+    assert (code, out, err) == run_cli(capsys, command, exact, *rest)
+    assert code in (0, 2) and out and not err
+
+
 def test_qs_check_projected_tuple(capsys):
     xs = projected_abscissas("qs")
     code, out, _ = run_cli(capsys, "qs-check", *[format_rat(x) for x in xs])

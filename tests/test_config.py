@@ -31,6 +31,8 @@ def grid9_points():
 def test_config_normalises_lines():
     c = Config(4, [[1, 2, 3], (2, 3, 4)])
     assert c.lines == ((1, 2, 3), (2, 3, 4))
+    assert Config(n=4, lines=iter([[1, 2, 3], [2, 3, 4]])) == c
+    assert Config(2).lines == ()
     assert c.lines_through(2) == [1, 2]
     assert c.lines_through(1) == [1]
 
@@ -43,6 +45,8 @@ def test_config_rejects_labels_that_are_not_ints():
                   ((1, 2, Fraction(3)),)):
         with pytest.raises(TypeError):
             Config(6, lines)
+        with pytest.raises(TypeError):
+            Config(n=6, lines=lines)
 
 
 def test_validate_clean_configs():

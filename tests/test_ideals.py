@@ -9,7 +9,7 @@ import pytest
 
 from helpers import (assignment_from_columns, collin_pair, dense_bracket,
                      dense_bracket_sum, golden_poly, leibniz_det,
-                     rand_fraction)
+                     rand_fraction, reference_parse_compact)
 from planelift import ideals
 from planelift.config import (Config, bundled_config, grid_config,
                               line_triples, qs_config)
@@ -527,6 +527,24 @@ def test_parse_compact():
     assert _parse_compact("x_12x_12") == Poly.monomial(
         1, [(var_id("x", 12), 2)])
     for bad in ("2x_1", "x_1*y_2", "w_1", "x1"):
-        with pytest.raises(ValueError) as err:
-            _parse_compact("x_1+" + bad)
-        assert "bad monomial %r" % ("+" + bad) in str(err.value)
+        for parse in (_parse_compact, reference_parse_compact):
+            with pytest.raises(ValueError) as err:
+                parse("x_1+" + bad)
+            assert "bad monomial %r" % ("+" + bad) in str(err.value)
+    for text in ("x_1-x_1", "x_2y_1x_2+y_1x_2x_2", "-z_3 + y_2 - x_1",
+                 "x_1+y_1-x_1+x_1"):
+        assert _parse_compact(text) == reference_parse_compact(text)
+
+
+def test_rewrite_rows_match_the_reference_parse():
+    """Each coefficient of the table, parsed term by term at import,
+    equals the Poly arithmetic of its text: the same monomials, merged
+    alike, with the same int coefficients."""
+    assert len(ideals._REWRITE_TABLE) == len(REWRITE_ROWS)
+    for raw, row in zip(ideals._REWRITE_TABLE, REWRITE_ROWS):
+        assert (row.excluded, row.generator) == raw[:2]
+        assert len(row.coeffs) == len(raw[2:]) == 4
+        for coeff, text in zip(row.coeffs, raw[2:]):
+            ref = reference_parse_compact(text)
+            assert coeff.terms == ref.terms
+            assert all(type(c) is int for c in coeff.terms.values())

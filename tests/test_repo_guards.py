@@ -4,8 +4,11 @@ otherwise be the first to catch."""
 import ast
 import importlib
 import importlib.util
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 from planelift import cli, probes
 
@@ -124,3 +127,18 @@ def test_exit_code_tables_agree():
     assert len(set(constants)) == len(constants)
     assert docstring == constants
     assert readme == constants
+
+
+def test_imports_load_no_dataclasses_or_inspect():
+    """Importing the command line, or lifting alone, loads neither
+    dataclasses nor the inspect module it pulls in: every `planelift`
+    process pays for its imports before it answers.  The child runs
+    with -S, so that no site hook loads them first."""
+    code = ("import sys, %s; print(sorted({'dataclasses', 'inspect'}"
+            " & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for module in ("planelift.cli", "planelift.lifting"):
+        out = subprocess.run([sys.executable, "-S", "-c", code % module],
+                             env=env, capture_output=True, text=True,
+                             check=True).stdout
+        assert out == "[]\n", module

@@ -17,14 +17,15 @@ import json
 import os
 import re
 import sys
+from fractions import Fraction
 from functools import cache, partial
 
 from .config import (bundled_config, bundled_names, config_from_dict,
                      grid_config, qs_config, realisation_to_dict, validate)
 from .ideals import (emit, g34_generators, qs_generators,
                      radical_ideal_generators, table1_verify)
-from .lifting import RankNotCertified, build_collin, is_liftable_generic, lift
-from .linalg import parse_rat, rank
+from .lifting import RankNotCertified, is_liftable_generic, lift, rank_test
+from .linalg import parse_rat
 from .probes import SUITES, run_probe
 
 EX_OK = 0
@@ -83,9 +84,11 @@ def _positive_int(text):
 
 
 def _load_json(path):
+    """The JSON document at path, with every decimal number read as the
+    exact Fraction it writes, never as a float."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=Fraction)
     except OSError as e:
         raise DataError("%s: %s" % (path, e.strerror or e))
     except json.JSONDecodeError as e:
@@ -110,7 +113,8 @@ def _load_config(spec):
 
 def _load_abscissas(path, n):
     """JSON file holding either a list of rationals or an object with
-    an "abscissas" list; entries are integers or "p/q" strings."""
+    an "abscissas" list; entries are integers, decimals, or strings
+    that parse_rat reads, such as "p/q".  A decimal is read exactly."""
     doc = _load_json(path)
     if isinstance(doc, dict):
         doc = doc.get("abscissas")
@@ -160,12 +164,10 @@ def _run_lift(c, xs, seed):
 
 def cmd_fixed_check(args):
     """qs-check and grid-check: the rank test at the given abscissas."""
-    c = args.fixed()
     try:
-        r = rank(build_collin(c, args.x).line_basis)
+        r, threshold = rank_test(args.fixed(), args.x)
     except ValueError as e:
         raise DataError(str(e))
-    threshold = c.n - 3
     verdict = "liftable" if r <= threshold else "not-liftable"
     _emit_json({"rank": r, "threshold": threshold, "verdict": verdict})
     return _CHECK_EXITS[verdict]

@@ -11,7 +11,7 @@ from collections import namedtuple
 from itertools import combinations
 from math import comb
 
-from .linalg import _exact, _int_rows, cross, det3, format_rat
+from .linalg import _exact, _int_row, cross, det3
 
 
 # The records below are namedtuples: immutable, compared and hashed by
@@ -184,7 +184,7 @@ class Realisation:
         """Columns, each scaled to integers by the lcm of its
         denominators; a multihomogeneous polynomial, such as a bracket,
         vanishes on these exactly when it vanishes on the columns."""
-        return _int_rows(self.cols)[0]
+        return [_int_row(col)[0] for col in self.cols]
 
     def __eq__(self, other):
         return isinstance(other, Realisation) and self.cols == other.cols
@@ -329,7 +329,7 @@ def config_from_dict(d):
 
 
 def realisation_to_dict(r):
-    return {"columns": [[format_rat(x) for x in col] for col in r.columns()]}
+    return {"columns": [[str(x) for x in col] for col in r.columns()]}
 
 
 # --- standard configurations -----------------------------------------------

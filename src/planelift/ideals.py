@@ -25,7 +25,7 @@ from itertools import combinations, combinations_with_replacement, \
 from json.encoder import encode_basestring_ascii
 
 from .config import grid_config, line_triples, qs_config, row_pairs
-from .linalg import _exact, det3, format_rat
+from .linalg import _exact, det3
 from .poly import (FRAME_COFACTORS, Poly, _merge, bracket, expand_products,
                    frame_terms, multidegree, point_bracket, poly_to_plain,
                    var_id, var_names)
@@ -331,11 +331,11 @@ def radical_ideal_generators(c, minor_size=None):
                          "got %d" % (top, k))
     entries = []
     seen = set()
-    for t in triples:
-        p = bracket(*t).canonical()
+    for label, formula in _bracket_formulas(c):
+        p = generator_poly(formula)
         if p not in seen:
             seen.add(p)
-            entries.append(GenEntry(p, "bracket(%d,%d,%d)" % t))
+            entries.append(GenEntry(p, label))
     if 1 <= k <= top:
         for rows in combinations(range(1, nrows + 1), k):
             for cols in combinations(range(1, c.n + 1), k):
@@ -391,7 +391,7 @@ def _json_text(g, names):
                                 for v, x in mono])
                 exps = "{\n            %s\n          }" % sep.join(items)
             terms.append('{\n          "coeff": "%s",\n          "exps": %s'
-                         '\n        }' % (format_rat(coeff), exps))
+                         '\n        }' % (str(coeff), exps))
         md = "null"
         multideg = multidegree(e.poly, g.npoints)
         if multideg is not None:

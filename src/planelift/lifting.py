@@ -127,6 +127,14 @@ def build_collin(c, x):
                         QMatrix.of_ints(_line_basis_rows(c, nums, dens), c.n))
 
 
+def rank_test(c, x):
+    """(rank, threshold): the rank of the collinearity matrix of c at
+    the abscissas x, taken from its line basis, and the liftability
+    threshold c.n - 3.  Generically, x lifts when the rank is at most
+    the threshold: the lift space then exceeds the trivial plane."""
+    return rank(build_collin(c, x).line_basis), c.n - 3
+
+
 class LiftSpace(namedtuple("LiftSpace", "basis dimension")):
     """Kernel of a collinearity matrix."""
 
@@ -468,9 +476,8 @@ def is_liftable_generic(c, seed=0):
                                    "after %d trials" % (total, bound, drawn))
         rng = random.Random(seed + drawn)
         drawn += 1
-        total = sum(rank(build_collin(
-            sub, random_distinct_abscissas(sub.n, rng)).line_basis)
-            for _, sub in active)
+        total = sum(rank_test(sub, random_distinct_abscissas(sub.n, rng))[0]
+                    for _, sub in active)
     verdicts = []
     threshold = 0
     for (comp, sub), r in zip(active, bounds):

@@ -26,12 +26,9 @@ def parse_rat(text):
         raise ValueError("not a rational number: %r" % (text,)) from exc
 
 
-def format_rat(q):
-    """Render a Fraction (or int) as 'p' or 'p/q' with positive
-    denominator."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
+# str prints an int or a Fraction as 'p' or 'p/q', with a positive
+# denominator; the name stays for callers that import it.
+format_rat = str
 
 
 def _exact(values):
@@ -45,15 +42,26 @@ def _exact(values):
     return values
 
 
+def _int_row(row):
+    """(row times the lcm m of its denominators, as ints; m)."""
+    m = 1
+    for e in row:
+        m = m * e.denominator // gcd(m, e.denominator)
+    return [e.numerator * (m // e.denominator) for e in row], m
+
+
 class QMatrix:
     """Dense matrix of ints and Fractions, immutable by convention.
 
     The constructor copies its input rows and checks that every entry
-    is exact, so instances can be shared freely.  `integral` is True
-    for a matrix made by of_ints, whose entries are all ints.
+    is exact, so instances can be shared freely.  It also keeps each
+    row cleared to integers, times its scale (the lcm of the row's
+    denominators), which every routine below reads: row scaling changes
+    neither rank nor kernel, and a minor of the integer rows divided by
+    the product of their scales is the minor of the matrix.
     """
 
-    __slots__ = ("rows", "cols", "integral", "_data")
+    __slots__ = ("rows", "cols", "_data", "_ints", "_scales")
 
     def __init__(self, rows_of_entries, cols=None):
         data = [_exact(row) for row in rows_of_entries]
@@ -65,15 +73,18 @@ class QMatrix:
         for row in data:
             if len(row) != self.cols:
                 raise ValueError("ragged rows")
-        self.integral = False
         self._data = data
+        cleared = [_int_row(row) for row in data]
+        self._ints = [ints for ints, _ in cleared]
+        self._scales = [m for _, m in cleared]
 
     @classmethod
     def of_ints(cls, rows, cols):
         """A matrix that takes over rows, lists of cols ints each,
-        without copying or checking them."""
+        without copying or checking them; every row has scale 1."""
         m = cls.__new__(cls)
-        m.rows, m.cols, m.integral, m._data = len(rows), cols, True, rows
+        m.rows, m.cols, m._data, m._ints = len(rows), cols, rows, rows
+        m._scales = [1] * len(rows)
         return m
 
     def entry(self, i, j):
@@ -88,37 +99,6 @@ class QMatrix:
 
     def __repr__(self):
         return "QMatrix(%d x %d)" % (self.rows, self.cols)
-
-
-def _int_row(row):
-    """(row times the lcm m of its denominators, as ints; m)."""
-    m = 1
-    for e in row:
-        m = m * e.denominator // gcd(m, e.denominator)
-    return [int(e * m) for e in row], m
-
-
-def _int_rows(rows):
-    """Scale each row of ints and Fractions to integers.
-
-    Returns (int rows, denominator): row i of the result is rows[i]
-    times the lcm of its denominators, and denominator is the product
-    of those scales, so a determinant of the integer rows divided by it
-    is the determinant of the input.
-    """
-    out = []
-    denom = 1
-    for row in rows:
-        ints, m = _int_row(row)
-        out.append(ints)
-        denom *= m
-    return out, denom
-
-
-def _int_matrix(m):
-    """Fresh integer rows of the QMatrix m, each row scaled by the lcm
-    of its denominators."""
-    return m.to_lists() if m.integral else _int_rows(m.to_lists())[0]
 
 
 def _eliminate(rows, pivot_row, c, prev, lo):
@@ -197,17 +177,16 @@ def det(m):
     """Exact determinant of a square QMatrix."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    a, denom = _int_rows(m.to_lists())
-    return Fraction(_det(a), denom)
+    return Fraction(_det([row[:] for row in m._ints]), prod(m._scales))
 
 
 def rank(m):
     """Exact rank over the rationals.
 
-    Row scaling does not change the rank, so the matrix is first cleared
-    to integers row by row.
+    Row scaling does not change the rank, so it is taken from the
+    integer rows.
     """
-    return len(bareiss(_int_matrix(m))[0])
+    return len(bareiss([row[:] for row in m._ints])[0])
 
 
 _ZERO = Fraction(0)
@@ -234,7 +213,7 @@ def nullspace(m):
     reduced echelon form.
     """
     n = m.cols
-    a = [row[::-1] for row in _int_matrix(m)]
+    a = [row[::-1] for row in m._ints]
     pivots, _ = bareiss(a, reduce=True)
     d = a[len(pivots) - 1][pivots[-1]] if pivots else 1
     pivot_set = set(pivots)
@@ -276,9 +255,8 @@ def minor(m, row_idx, col_idx):
     _check_index_set(col_idx, m.cols, "column")
     if not row_idx:
         return Fraction(1)
-    a, denom = _int_rows([[m.entry(i - 1, j - 1) for j in col_idx]
-                          for i in row_idx])
-    return Fraction(_det(a), denom)
+    a = [[m._ints[i - 1][j - 1] for j in col_idx] for i in row_idx]
+    return Fraction(_det(a), prod(m._scales[i - 1] for i in row_idx))
 
 
 def _full_rank_minors(ints, denom, col_sets):
@@ -323,9 +301,9 @@ def all_minors(m, k):
     set), with 1-based index tuples, so output is reproducible no
     matter how the work is scheduled.
 
-    Each row is cleared to integers once.  The row sets are walked in
-    order as a depth-first search over their prefixes: a prefix keeps
-    the fraction-free echelon form of its rows, and each next row is
+    The row sets of m's integer rows are walked in order as a
+    depth-first search over their prefixes: a prefix keeps the
+    fraction-free echelon form of its rows, and each next row is
     reduced against it by bareiss()'s update, _eliminate().  A row that
     reduces to zero makes the prefix with it dependent, so every row
     set that contains that prefix is emitted as zeros, each certified
@@ -336,7 +314,7 @@ def all_minors(m, k):
     if k < 0 or k > min(m.rows, m.cols):
         raise ValueError("minor size %d out of range for %d x %d"
                          % (k, m.rows, m.cols))
-    rows = [_int_row(row) for row in m.to_lists()]
+    ints, scales = m._ints, m._scales
     col_sets = list(combinations(range(1, m.cols + 1), k))
     zero = Fraction(0)
     n = m.rows
@@ -349,15 +327,15 @@ def all_minors(m, k):
             if depth == k:
                 head = tuple(r + 1 for r in sel)
                 for cols_sel, value in _full_rank_minors(
-                        [rows[r][0] for r in sel],
-                        prod(rows[r][1] for r in sel), col_sets):
+                        [ints[r] for r in sel],
+                        prod(scales[r] for r in sel), col_sets):
                     yield head, cols_sel, value
             if not sel:
                 return
             i = sel.pop() + 1
             echelon.pop()
             continue
-        x = rows[i][0][:]
+        x = ints[i][:]
         prev = 1
         for c, p in echelon:
             _eliminate((x,), p, c, prev, 0)

@@ -22,7 +22,6 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 
-from .linalg import format_rat
 
 LETTERS = "xyz"
 
@@ -394,10 +393,10 @@ def poly_to_plain(p, names=None):
         else:
             out.append(" + ")
         if not mono:
-            out.append(format_rat(coeff))
+            out.append(str(coeff))
             continue
         if coeff != 1:
-            out.append(format_rat(coeff) + "*")
+            out.append(str(coeff) + "*")
         out.append("*".join([names[v] if e == 1 else "%s^%d" % (names[v], e)
                              for v, e in mono]))
     # The first term takes its sign without spaces, and no "+".

@@ -18,8 +18,9 @@ from .config import (Realisation, _non_simple, circuits, grid_config,
 from .ideals import (G34_FORMULAS, QS_FORMULAS, QS_LINES, g34_value,
                      generator_value, qs_value)
 from .lifting import (build_collin, classify_lift, epsilon_scale, lift,
-                      forest_lift, project, random_distinct_abscissas)
-from .linalg import all_minors, cross, rank
+                      forest_lift, project, random_distinct_abscissas,
+                      rank_test)
+from .linalg import all_minors, cross
 
 
 def _trial_rng(seed, t):
@@ -109,20 +110,10 @@ def sample_forest(rng, config):
 
 def sample_collinear(rng, n):
     """n distinct points on a random line, in full homogeneous
-    coordinates (generically no zero coordinates)."""
-    for _ in range(RETRY_BUDGET):
-        a = _rand_vec(rng, COEFF_RANGE)
-        b = _rand_vec(rng, COEFF_RANGE)
-        if not any(cross(a, b)):
-            continue
-        params = set()
-        while len(params) < n:
-            params.add(rng.randint(-COEFF_RANGE, COEFF_RANGE))
-        pts = [tuple(t * u + v for u, v in zip(a, b))
-               for t in sorted(params)]
-        if not _non_simple(pts):
-            return Realisation.from_columns(pts)
-    raise SampleError("retry budget exhausted sampling collinear points")
+    coordinates (generically no zero coordinates): the draw of
+    _line_points, in increasing order of abscissa."""
+    xs, pts = _line_points(rng, n)
+    return Realisation.from_columns([p for _, p in sorted(zip(xs, pts))])
 
 
 # --- probe reports ------------------------------------------------------------
@@ -222,30 +213,31 @@ def _probe_tfae(suite, trials, seed, conf, sample, matrix, noun, values,
     """Exercise the equivalences of a fixed example on random samples.
 
     Positive branch, per trial: sample(rng) is projected to a generic
-    line; its abscissas must give rank(matrix) <= bound = conf.n - 3,
-    the liftability threshold (and, on trial 0 with
-    minors_on_first_trial, zero for every (bound+1)-minor), every value
-    of values(image, rng) must vanish, and lift() must realise
-    conf and project back to the same abscissas.  Negative branch: a
-    random collinear tuple should generically show rank bound+1 and a
-    nonzero value of values(pts); the report counts how often it did.
+    line; at its abscissas the rank of matrix must be at most the
+    liftability threshold bound of lifting.rank_test (and, on trial 0
+    with minors_on_first_trial, every (bound+1)-minor must be zero),
+    every value of values(image, rng) must vanish, and lift() must
+    realise conf and project back to the same abscissas.  Negative
+    branch: a random collinear tuple should generically show rank
+    bound+1 and a nonzero value of values(pts); the report counts how
+    often it did.
     """
     report = ProbeReport(suite, trials)
-    bound = conf.n - 3
-    k = bound + 1
     for t in range(trials):
         rng = _trial_rng(seed, t)
         res = _project_generic(sample(rng), rng)
         xs = res.abscissas
-        cm = build_collin(conf, xs)
-        report.check(rank(cm.line_basis) <= bound, "trial %d rank" % t,
+        r, bound = rank_test(conf, xs)
+        k = bound + 1
+        report.check(r <= bound, "trial %d rank" % t,
                      "rank(%s) > %d at projected abscissas" % (matrix, bound))
         if minors_on_first_trial and t == 0:
+            numeric = build_collin(conf, xs).numeric
             count, allzero = 0, True
-            for _, _, v in all_minors(cm.numeric, k):
+            for _, _, v in all_minors(numeric, k):
                 count += 1
                 allzero = allzero and v == 0
-            expected = comb(cm.numeric.rows, k) * comb(conf.n, k)
+            expected = comb(numeric.rows, k) * comb(conf.n, k)
             report.check(count == expected and allzero,
                          "trial 0 ten-minors",
                          "%d minors, allzero=%s" % (count, allzero))
@@ -263,7 +255,7 @@ def _probe_tfae(suite, trials, seed, conf, sample, matrix, noun, values,
                      "trial %d lift" % t, "lift kind %s" % lifted.kind)
         # negative control
         nxs, npts = _line_points(rng, conf.n)
-        if rank(build_collin(conf, nxs).line_basis) == k:
+        if rank_test(conf, nxs)[0] == k:
             report.bump("negative-rank-%d" % k)
         if any(values(npts)):
             report.bump("negative-nonzero-witness")

@@ -13,10 +13,11 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, permutations
 
-from planelift import lifting
-from planelift.config import (Config, MembershipReport, Realisation, analyze,
-                              components, induced, line_triples, row_pairs)
-from planelift.linalg import QMatrix
+from planelift import lifting, probes
+from planelift.config import (Config, MembershipReport, Realisation,
+                              _non_simple, analyze, components, induced,
+                              line_triples, row_pairs)
+from planelift.linalg import QMatrix, cross
 from planelift.poly import Poly, multidegree, var_id
 
 
@@ -502,6 +503,30 @@ def rank_check_lift(c, x, seed=0):
                 [(xs[i], 1, b[i]) for i in range(c.n)])
             return lifting.LiftResult(lifting.classify_lift(c, r), r)
     raise RuntimeError("kernel basis spans only the trivial plane")
+
+
+# --- the collinear sampler, with its own parameter draw -------------------
+
+
+def reference_sample_collinear(rng, n):
+    """probes.sample_collinear as it drew before it shared
+    probes._line_points: the n parameters come from a set of draws,
+    which keeps drawing past a duplicate instead of redrawing all n.
+    The two streams agree until a duplicate parameter is drawn."""
+    for _ in range(probes.RETRY_BUDGET):
+        a = probes._rand_vec(rng, probes.COEFF_RANGE)
+        b = probes._rand_vec(rng, probes.COEFF_RANGE)
+        if not any(cross(a, b)):
+            continue
+        params = set()
+        while len(params) < n:
+            params.add(rng.randint(-probes.COEFF_RANGE, probes.COEFF_RANGE))
+        pts = [tuple(t * u + v for u, v in zip(a, b))
+               for t in sorted(params)]
+        if not _non_simple(pts):
+            return Realisation.from_columns(pts)
+    raise probes.SampleError("retry budget exhausted sampling collinear "
+                             "points")
 
 
 # Dense linear configurations: the Fano plane, the Pappus and Desargues

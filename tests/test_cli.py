@@ -246,6 +246,22 @@ def test_lift_duplicate_abscissas(tmp_path, capsys):
     assert "duplicate abscissa" in err
 
 
+def test_lift_reads_file_decimals_exactly(tmp_path, capsys):
+    # 0.1 and 0.10000000000000001 are one float but two rationals: the
+    # decimal file must answer as its p/q twin does, not as a file with
+    # a duplicate abscissa.
+    dec = tmp_path / "dec.json"
+    dec.write_text("[0.1, 0.10000000000000001, 2, 3, 4, 5]")
+    frac = tmp_path / "frac.json"
+    frac.write_text(json.dumps(["1/10", "10000000000000001/100000000000000000",
+                                2, 3, 4, 5]))
+    got = run_cli(capsys, "lift", "qs", str(dec))
+    assert got == run_cli(capsys, "lift", "qs", str(frac))
+    code, _, err = got
+    assert code == 2
+    assert err == ""
+
+
 def test_fixed_check_duplicate_abscissas(capsys):
     code, out, err = run_cli(capsys, "qs-check", "0", "0", "1", "2", "3",
                              "4")
@@ -312,6 +328,13 @@ def test_invalid_config_file(tmp_path, capsys):
     cfg.write_text(json.dumps({"points": 3}))
     code, _, err = run_cli(capsys, "check", str(cfg))
     assert code == 65
+    # Decimals load exactly, and a point label must still be an int.
+    for text in ('{"points": 3.0, "lines": [[1, 2, 3]]}',
+                 '{"points": 3, "lines": [[1, 2.0, 3]]}'):
+        cfg.write_text(text)
+        code, _, err = run_cli(capsys, "check", str(cfg))
+        assert code == 65
+        assert "must be a" in err and "integer" in err, err
 
 
 def test_usage_errors_exit_64(capsys):

@@ -84,6 +84,19 @@ def test_det_matches_permutation_expansion():
                      rand_product(rng, n, n, rng.randint(0, n - 1),
                                   bound=9)):
             assert det(QMatrix(rows)) == leibniz_det(rows)
+    # Rows whose denominators sit outside some minors' columns: a minor
+    # divides by the scales of its whole rows, not of its entries.
+    rows = [[Fraction(1, 3), 2, -1, Fraction(5, 7)],
+            [4, Fraction(-2, 9), 3, 1],
+            [Fraction(7, 2), 1, Fraction(1, 5), -6],
+            [0, 5, Fraction(3, 11), 2]]
+    m = QMatrix(rows)
+    assert det(m) == leibniz_det(rows)
+    for k in range(1, 5):
+        for rs in combinations(range(1, 5), k):
+            for cs in combinations(range(1, 5), k):
+                assert minor(m, rs, cs) == leibniz_det(
+                    [[rows[i - 1][j - 1] for j in cs] for i in rs])
 
 
 def test_det_rejects_non_square():

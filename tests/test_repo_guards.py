@@ -110,6 +110,40 @@ def test_ideals_imports_no_higher_layer():
     assert not parts & {"lifting", "probes", "cli"}
 
 
+def test_poly_imports_no_package_module():
+    """poly is the bottom layer: it imports nothing from planelift,
+    neither relatively nor by the package name."""
+    tree = ast.parse((ROOT / "src" / "planelift" / "poly.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, node.lineno
+            names = [node.module]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert not any(name.split(".")[0] == "planelift" for name in names)
+
+
+def test_only_lifting_reads_the_line_basis():
+    """The rank test at a tuple has one owner, lifting.rank_test: no
+    other module reads a collinearity matrix's line_basis or writes the
+    threshold n - 3."""
+    for path in sorted((ROOT / "src" / "planelift").glob("*.py")):
+        if path.name == "lifting.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = "%s:%d" % (path.name, getattr(node, "lineno", 0))
+            assert not (isinstance(node, ast.Attribute)
+                        and node.attr == "line_basis"), where
+            assert not (isinstance(node, ast.BinOp)
+                        and isinstance(node.op, ast.Sub)
+                        and isinstance(node.left, ast.Attribute)
+                        and node.left.attr == "n"
+                        and isinstance(node.right, ast.Constant)
+                        and node.right.value == 3), where
+
+
 def _table_codes(text, row):
     """The codes of the table rows in text that match the regex row,
     whose one group is the code."""

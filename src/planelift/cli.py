@@ -17,7 +17,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 from functools import cache, partial
 
 from .config import (bundled_config, bundled_names, config_from_dict,
@@ -68,6 +67,10 @@ class _Parser(argparse.ArgumentParser):
 def _rat(text):
     try:
         return parse_rat(text)
+    except OverflowError as e:
+        # A number too large to read is bad data, not bad usage; argparse
+        # lets a DataError through to main.
+        raise DataError(str(e))
     except (ValueError, ZeroDivisionError) as e:
         raise argparse.ArgumentTypeError(str(e))
 
@@ -84,15 +87,18 @@ def _positive_int(text):
 
 
 def _load_json(path):
-    """The JSON document at path, with every decimal number read as the
-    exact Fraction it writes, never as a float."""
+    """The JSON document at path, with every decimal number read by
+    parse_rat as the exact Fraction it writes, never as a float.  A
+    number too large to read is bad data."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_float=Fraction)
+            return json.load(fh, parse_float=parse_rat)
     except OSError as e:
         raise DataError("%s: %s" % (path, e.strerror or e))
     except json.JSONDecodeError as e:
         raise DataError("%s:%d: %s" % (path, e.lineno, e.msg))
+    except (OverflowError, ValueError) as e:
+        raise DataError("%s: %s" % (path, e))
 
 
 def _load_config(spec):
@@ -303,8 +309,8 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args, extra = parser.parse_known_args(argv)
     try:
+        args, extra = parser.parse_known_args(argv)
         if extra:
             raise UsageError("unrecognized arguments: %s" % " ".join(extra))
         return args.func(args)

@@ -21,14 +21,15 @@ import re
 from collections import namedtuple
 from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement, \
-    permutations, product
+    compress, permutations, product
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .config import grid_config, line_triples, qs_config, row_pairs
 from .linalg import _exact, det3
-from .poly import (FRAME_COFACTORS, Poly, _merge, bracket, expand_products,
-                   frame_terms, multidegree, point_bracket, poly_to_plain,
-                   var_id, var_names)
+from .poly import (FRAME_COFACTORS, Poly, _pack, bracket, expand_products,
+                   frame_terms, monomial_pairs, multidegree, point_bracket,
+                   poly_to_plain, unit_exponents, var_id, var_names)
 
 
 def _frame(spec):
@@ -373,13 +374,18 @@ def _json_text(g, names):
     """The bytes of json.dumps(doc, sort_keys=True, indent=2) + "\n" for
     the document emit describes, written without building it: the C
     string escaper quotes the label and ideal name, and every other
-    value is an int, a 'p/q' string or a variable name from names."""
+    value is an int, a 'p/q' string or a variable name from names.
+    Each term's exps are read off its packed monomial in the key order
+    of sort_keys, a permutation of the variables fixed by names."""
     # sort_keys orders the exps keys as strings: "x_10" before "x_2".
-    # Sorting the rendered '"name": e' items gives that order, since a
-    # name that is a prefix of another ("x_1", "x_10") is followed by the
-    # quote, which sorts before every character of a name.
+    order = sorted(range(len(names)), key=names.__getitem__)
     keys = ['"%s": ' % name for name in names]
     ones = [key + "1" for key in keys]
+    sorted_ones = [ones[v] for v in order]
+    # A term's exponent bytes (unit_exponents) in key order; names holds
+    # three per point, so itemgetter gets several indices and returns a
+    # tuple.
+    in_key_order = itemgetter(*order) if order else None
     sep = ",\n            "
     gens = []
     for e in g.entries:
@@ -387,8 +393,14 @@ def _json_text(g, names):
         for mono, coeff in e.poly.terms_sorted():
             exps = "{}"
             if mono:
-                items = sorted([ones[v] if x == 1 else keys[v] + str(x)
-                                for v, x in mono])
+                flags = unit_exponents(mono, len(names))
+                if flags is not None:
+                    items = compress(sorted_ones, in_key_order(flags))
+                else:
+                    pairs = dict(monomial_pairs(mono))
+                    items = [ones[v] if pairs[v] == 1
+                             else keys[v] + str(pairs[v])
+                             for v in order if v in pairs]
                 exps = "{\n            %s\n          }" % sep.join(items)
             terms.append('{\n          "coeff": "%s",\n          "exps": %s'
                          '\n        }' % (str(coeff), exps))
@@ -423,7 +435,9 @@ def emit(g, fmt):
             ...]}
 
     with terms in canonical order and exps listing only the variables
-    that occur.
+    that occur.  Every format reads a term's variables straight off its
+    packed monomial: one byte per variable (poly.unit_exponents) when
+    each exponent is 0 or 1, else poly.monomial_pairs.
     """
     names = var_names(g.npoints)
     if fmt == "plain":
@@ -457,14 +471,14 @@ _VAR_RE = re.compile(r"([xyz])_(\d+)")
 def _parse_compact(text):
     """Parse coefficient polynomials written like '-y_6z_4z_5+y_5z_4z_6'
     straight into their terms, with no Poly arithmetic: each signed
-    monomial adds its sign to the coefficient of its merged variables."""
+    monomial adds its sign to the coefficient of its packed variables."""
     terms = {}
     for chunk in re.findall(r"[+-]?[^+-]+", text.replace(" ", "")):
         m = _TERM_RE.match(chunk)
         if not m:
             raise ValueError("bad monomial %r in %r" % (chunk, text))
-        mono = _merge([(var_id(letter, int(idx)), 1)
-                       for letter, idx in _VAR_RE.findall(m.group(2))])
+        mono = _pack([(var_id(letter, int(idx)), 1)
+                      for letter, idx in _VAR_RE.findall(m.group(2))])
         terms[mono] = terms.get(mono, 0) + (-1 if m.group(1) == "-" else 1)
     return Poly(terms)
 

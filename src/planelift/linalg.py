@@ -17,9 +17,26 @@ from itertools import combinations
 from math import gcd, prod
 
 
+# The largest size of a decimal exponent that parse_rat reads: Python
+# reads no int of more decimal digits than this from text either, while
+# twelve characters such as '1e1000000000' would write one of 415 MB.
+MAX_DECIMAL_EXPONENT = 4300
+
+
 def parse_rat(text):
     """Parse a rational written as 'p', 'p/q' or a decimal such as '0.5'
-    or '-1e3' into a Fraction; a decimal is read exactly."""
+    or '-1e3' into a Fraction; a decimal is read exactly.  Anything else
+    raises ValueError, and a decimal exponent above MAX_DECIMAL_EXPONENT
+    in size OverflowError, before any digit of the value is built."""
+    if "e" in text or "E" in text:
+        try:
+            exponent = abs(int(text.lower().partition("e")[2]))
+        except ValueError:
+            exponent = 0  # not a decimal exponent: Fraction rejects it
+        if exponent > MAX_DECIMAL_EXPONENT:
+            raise OverflowError("decimal exponent of %r is out of range "
+                                "(at most %d in size)"
+                                % (text, MAX_DECIMAL_EXPONENT))
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -5,25 +5,40 @@ contributes x_i, y_i, z_i.  Internally a variable is the integer
 3*(i-1) + offset with offset 0, 1, 2 for x, y, z, so the natural
 variable order x_1 < y_1 < z_1 < x_2 < ... is just integer order.
 
-A monomial is a tuple of (variable, exponent) pairs sorted by variable,
-with distinct variables and positive exponents; every constructor and
-product keeps that invariant (_merge), which the ordering below relies
-on.  A Poly maps monomials to nonzero exact coefficients: int, or
-Fraction where rational data enters.  The canonical term order used
-for printing and for the sign normalisation of generators is graded
-reverse lexicographic over that variable order.  It has one sort key,
-_order_key, which is smallest for the leading monomial: terms_sorted
-sorts by it, the leading term of exact_div is its minimum, and the
-least monomial that canonical normalises is its maximum.
+A monomial is one int of 32-bit fields: bits 0-31 hold its total
+degree, and field v + 1, bits 32*(v+1) to 32*(v+1) + 31, holds the
+exponent of variable v.  The constant monomial is 0, and the product of
+two monomials is the sum of their ints.  _pack and its inverse
+monomial_pairs are the only converters from and to (variable, exponent)
+pairs.  Every exponent and total degree stays below 2**32: _pack and
+every product raise OverflowError rather than let the degree field
+carry into the next field (an exponent never exceeds the degree, so
+checking the degree suffices).
+
+A Poly maps monomials to nonzero exact coefficients: int, or Fraction
+where rational data enters.  The canonical term order used for
+printing and for the sign normalisation of generators is graded
+reverse lexicographic over that variable order: higher degree first,
+and at equal degree the smaller int.  Two monomials of one degree
+differ first, from the top, in the field of the highest variable where
+their exponents differ, and grevlex ranks the one with the smaller
+exponent there higher.  So terms_sorted sorts by int and then, stably,
+by degree descending, and no sort needs a Python key function.
 """
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
-from operator import itemgetter
+from functools import lru_cache, reduce
+from itertools import compress
+from operator import neg, or_
+from struct import Struct, unpack
 
 
 LETTERS = "xyz"
+
+# The total degree of a monomial, and the largest the layout holds.
+_DEGREE_MAX = 0xFFFFFFFF
+_DEGREE = _DEGREE_MAX.__and__
 
 
 def var_id(letter, point):
@@ -39,55 +54,93 @@ def var_point(v):
     return v // 3 + 1
 
 
-def _merge(pairs):
-    """The monomial of a product of (variable, exponent) pairs: the pairs
-    sorted, with the exponents of a repeated variable added."""
-    m = sorted(pairs)
-    if len(m) == len(dict(m)):
-        return tuple(m)
-    exps = {}
-    for v, e in m:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(exps.items())
+def _unit(v):
+    """The monomial of variable v."""
+    return 1 << 32 * v + 32 | 1
 
 
-_EXP = itemgetter(1)
+# The monomials of the variables of points 1.._UNIT_POINTS, which
+# frame_terms looks up: every bundled configuration fits.
+_UNIT_POINTS = 16
+_UNITS = tuple(map(_unit, range(3 * _UNIT_POINTS)))
 
 
-def _mono_deg(m):
-    return sum(map(_EXP, m))
+def _pack(pairs):
+    """The monomial of the product of (variable, exponent) pairs: a
+    repeated variable's exponents add and a zero exponent drops out.
+    A negative exponent raises ValueError, and a total degree of 2**32
+    or more OverflowError."""
+    m = degree = 0
+    for v, e in pairs:
+        if e < 0:
+            raise ValueError("negative exponent in %r" % (pairs,))
+        m += e << 32 * v + 32
+        degree += e
+    if degree > _DEGREE_MAX:
+        raise OverflowError("monomial degree %d does not fit in 32 bits"
+                            % degree)
+    return m | degree
 
 
-def _order_key(m):
-    """Grevlex sort key of monomial m, smallest for the leading monomial.
-    Higher degree comes first.  At equal degree the grevlex-larger
-    monomial, the one with the smaller exponent at the highest variable
-    where the two differ, has the lexicographically smaller reversed
-    pairs, because a variable absent from m has exponent 0 and every
-    exponent in m is positive."""
-    return -sum(map(_EXP, m)), m[::-1]
+def monomial_pairs(m):
+    """The (variable, exponent) pairs of monomial m, by variable, with
+    positive exponents: the inverse of _pack."""
+    nvars = (m.bit_length() - 1) // 32
+    if nvars <= 0:
+        return ()
+    exps = unpack("<%dI" % nvars, m.to_bytes(4 * nvars + 4, "little")[4:])
+    return tuple(compress(enumerate(exps), exps))
+
+
+def unit_exponents(m, nvars):
+    """The exponents of variables 0..nvars-1 in monomial m, one byte per
+    variable, when each is 0 or 1; None when one is higher.  m must
+    have no variable from nvars on (to_bytes raises OverflowError)."""
+    # The exponents are all 0 or 1 exactly when as many bits are set in
+    # the exponent fields as the degree counts.
+    if (m >> 32).bit_count() != m & _DEGREE_MAX:
+        return None
+    return m.to_bytes(4 * nvars + 4, "little")[4::4]
+
+
+def _leading(terms):
+    """The grevlex-greatest monomial: the highest degree, and at that
+    degree the smallest int."""
+    return -max(zip(map(_DEGREE, terms), map(neg, terms)))[1]
 
 
 def expand_products(products):
     """The Poly sum over products = [(coeff, factors), ...] of coeff
     times the product of the factors: factors is a sequence, and each
     factor an iterable of (monomial, coeff) terms.  Every choice of one
-    term per factor is merged once into a single term dict; no partial
-    product is built as a Poly."""
+    term per factor is added once into a single term dict; no partial
+    product is built as a Poly.  A product whose factors' degrees add
+    up to 2**32 or more raises OverflowError."""
     out = {}
+    get = out.get
     for coeff, factors in products:
         if len(factors) == 1:
-            # The terms of one factor need no merge.
+            # The terms of one factor are monomials already.
             for m, c in factors[0]:
-                out[m] = out.get(m, 0) + coeff * c
+                out[m] = get(m, 0) + coeff * c
             continue
-        leaves = [((), coeff)]
+        leaves = [(0, coeff)]
+        degree = 0
         for factor in factors:
+            # The factor's highest degree, by a loop that allocates
+            # nothing: these products are mostly of two-term brackets.
+            top = 0
+            for m, _ in factor:
+                if m & _DEGREE_MAX > top:
+                    top = m & _DEGREE_MAX
+            degree += top
             leaves = [(m + fm, c * fc) for m, c in leaves
                       for fm, fc in factor]
+        if degree > _DEGREE_MAX:
+            raise OverflowError("product degree %d does not fit in 32 bits"
+                                % degree)
         for m, c in leaves:
-            m = _merge(m)
-            out[m] = out.get(m, 0) + c
+            out[m] = get(m, 0) + c
     return Poly(out)
 
 
@@ -108,20 +161,17 @@ class Poly:
 
     @classmethod
     def constant(cls, c):
-        return cls({(): c})
+        return cls({0: c})
 
     @classmethod
     def variable(cls, v):
-        return cls({((v, 1),): 1})
+        return cls({_unit(v): 1})
 
     @classmethod
     def monomial(cls, coeff, pairs):
         """coeff times the product of the (variable, exponent) pairs; a
         zero exponent is dropped and a negative one raises ValueError."""
-        pairs = [(v, e) for v, e in pairs if e]
-        if any(e < 0 for _, e in pairs):
-            raise ValueError("negative exponent in %r" % (pairs,))
-        return cls({_merge(pairs): coeff})
+        return cls({_pack(pairs): coeff})
 
     def is_zero(self):
         return not self.terms
@@ -170,27 +220,24 @@ class Poly:
     __rmul__ = __mul__
 
     def total_degree(self):
-        if not self.terms:
-            return 0
-        return max(map(_mono_deg, self.terms))
+        return max(map(_DEGREE, self.terms), default=0)
 
     def support_vars(self):
         """Set of variable ids that occur with nonzero exponent."""
-        out = set()
-        for mono in self.terms:
-            for v, _ in mono:
-                out.add(v)
-        return out
+        # A field of the bitwise or is nonzero where a term's field is.
+        return {v for v, _ in monomial_pairs(reduce(or_, self.terms, 0))}
 
     def terms_sorted(self):
         """Terms as (monomial, coeff) pairs, leading term first."""
-        terms = self.terms
-        return [(m, terms[m]) for m in sorted(terms, key=_order_key)]
+        ms = sorted(sorted(self.terms), key=_DEGREE, reverse=True)
+        return list(zip(ms, map(self.terms.__getitem__, ms)))
 
     def least_monomial(self):
+        """The grevlex-least monomial, None for the zero polynomial: the
+        lowest degree, and at that degree the largest int."""
         if not self.terms:
             return None
-        return max(self.terms, key=_order_key)
+        return -min(zip(map(_DEGREE, self.terms), map(neg, self.terms)))[1]
 
     def canonical(self):
         """Sign-normalised copy: the grevlex-least monomial gets a
@@ -211,7 +258,7 @@ class Poly:
         total = 0
         for mono, coeff in self.terms.items():
             val = coeff
-            for v, e in mono:
+            for v, e in monomial_pairs(mono):
                 if v not in assignment:
                     raise ValueError("no value for variable %s"
                                      % var_name(v))
@@ -224,33 +271,29 @@ class Poly:
 
         Used by fraction-free elimination over the polynomial ring,
         where divisibility is guaranteed; raises ArithmeticError if the
-        division leaves a remainder, or if a step fails to cancel the
-        leading term.
+        division leaves a remainder.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
             return Poly.zero()
-        div_lead = min(divisor.terms, key=_order_key)
+        div_lead = _leading(divisor.terms)
+        div_exps = monomial_pairs(div_lead)
         div_lead_c = divisor.terms[div_lead]
         rem = self
         quot_terms = {}
         while not rem.is_zero():
-            lead = min(rem.terms, key=_order_key)
-            exps = dict(lead)
-            for v, e in div_lead:
-                exps[v] = exps.get(v, 0) - e
-                if exps[v] < 0:
-                    raise ArithmeticError("inexact polynomial division")
-            qmono = tuple((v, e) for v, e in sorted(exps.items()) if e)
+            lead = _leading(rem.terms)
+            exps = dict(monomial_pairs(lead))
+            if any(exps.get(v, 0) < e for v, e in div_exps):
+                raise ArithmeticError("inexact polynomial division")
+            # The quotient monomial is the difference of the ints, and
+            # times div_lead it gives lead back exactly, so every step
+            # cancels the leading term.
+            qmono = lead - div_lead
             qc = Fraction(rem.terms[lead]) / div_lead_c
             quot_terms[qmono] = quot_terms.get(qmono, 0) + qc
             rem = rem - Poly({qmono: qc}) * divisor
-            if lead in rem.terms:
-                # Only a malformed monomial, such as a repeated variable,
-                # survives its own reduction step; it would never cancel.
-                raise ArithmeticError("leading monomial %r does not cancel"
-                                      % (lead,))
         return Poly(quot_terms)
 
     def __floordiv__(self, other):
@@ -294,11 +337,11 @@ def frame_terms(i, j, f):
         return ()
     u, w = FRAME_COFACTORS[f]
     a, b = 3 * (i - 1), 3 * (j - 1)
-    return ((_pair_mono(a + u, b + w), 1), (_pair_mono(b + u, a + w), -1))
-
-
-def _pair_mono(v, w):
-    return ((v, 1), (w, 1)) if v < w else ((w, 1), (v, 1))
+    if i <= _UNIT_POINTS and j <= _UNIT_POINTS:
+        return ((_UNITS[a + u] + _UNITS[b + w], 1),
+                (_UNITS[b + u] + _UNITS[a + w], -1))
+    return ((_unit(a + u) + _unit(b + w), 1),
+            (_unit(b + u) + _unit(a + w), -1))
 
 
 def point_bracket(i, j, vec):
@@ -321,15 +364,11 @@ MultiDeg = namedtuple("MultiDeg", "letter point")
 
 
 @lru_cache(maxsize=32)
-def _packed_weights(npoints, nbytes):
-    """Summed over a term's pairs, exponent times these weights gives the
-    term's packed multidegree: its three letter degrees and npoints point
-    degrees in fields of nbytes bytes, lowest first, and its total
-    degree above them."""
-    width = 8 * nbytes
-    top = 1 << width * (3 + npoints)
-    return tuple(top | 1 << width * (v % 3) | 1 << width * (3 + v // 3)
-                 for v in range(3 * npoints))
+def _point_fields(n):
+    """The mask of fields 2, 5, ..., 3n - 1 of an int of 3n 32-bit
+    fields, and the unpacker of all its fields."""
+    return (int.from_bytes((bytes(8) + b"\xff" * 4) * n, "little"),
+            Struct("<%dI" % (3 * n)).unpack)
 
 
 def multidegree(p, npoints=None):
@@ -340,37 +379,36 @@ def multidegree(p, npoints=None):
     above npoints raises ValueError.  The zero polynomial is
     multihomogeneous of degree zero.
     """
-    n = npoints
-    if n is None:
-        n = max(map(var_point, p.support_vars()), default=0)
+    # The largest int holds the highest variable of any term; field f
+    # holds variable f - 1, of point (f + 2) // 3.
+    top = ((max(p.terms).bit_length() - 1) // 32 + 2) // 3 if p.terms else 0
+    n = top if npoints is None else npoints
+    if top > n:
+        raise ValueError("polynomial has point %d, above npoints = %d"
+                         % (top, n))
     if not p.terms:
         return MultiDeg((0, 0, 0), (0,) * n)
-    first = next(iter(p.terms))
-    # Fields of nbytes bytes hold every degree of a term of first's
-    # degree d without overflow.  The top field of a term of lower degree
-    # holds that degree, and a term of higher degree carries at least its
-    # degree there, so a term of another degree never packs like first.
-    nbytes = (_mono_deg(first).bit_length() + 7) // 8 or 1
-    weights = _packed_weights(n, nbytes)
-    found = None
-    try:
-        for m in p.terms:
-            packed = 0
-            for v, e in m:
-                packed += weights[v] * e
-            if found is None:
-                found = packed
-            elif packed != found:
-                return None
-    except IndexError:
-        raise ValueError(
-            "polynomial has point %d, above npoints = %d"
-            % (max(map(var_point, p.support_vars())), n)) from None
-    fields = found.to_bytes((4 + n) * nbytes, "little")
-    if nbytes > 1:
-        fields = [int.from_bytes(fields[i:i + nbytes], "little")
-                  for i in range(0, len(fields), nbytes)]
-    return MultiDeg(tuple(fields[:3]), tuple(fields[3:3 + n]))
+    # Read as a number in base B = 2**32, the exponent fields e = m >> 32
+    # of a term are the digits e_0, e_1, ..., one per variable.  Modulo
+    # B**3 - 1, where B**3 = 1, they leave L_x + L_y*B + L_z*B**2: the
+    # three letter degrees, which cannot carry, as none exceeds the
+    # total degree, below B.  Times 1 + B + B**2, e has the degree
+    # e_3p + e_3p+1 + e_3p+2 of point p + 1 in field 3p + 2, and again
+    # no field carries.
+    triples = (1 << 96) - 1
+    spread = 1 + (1 << 32) + (1 << 64)
+    points, fields = _point_fields(n)
+    terms = iter(p.terms)
+    e = next(terms) >> 32
+    letters = e % triples
+    point_degrees = e * spread & points
+    for m in terms:
+        e = m >> 32
+        if e * spread & points != point_degrees or e % triples != letters:
+            return None
+    return MultiDeg((letters & _DEGREE_MAX, letters >> 32 & _DEGREE_MAX,
+                     letters >> 64),
+                    fields(point_degrees.to_bytes(12 * n, "little"))[2::3])
 
 
 def var_names(npoints):
@@ -385,6 +423,7 @@ def poly_to_plain(p, names=None):
         return "0"
     if names is None:
         names = var_names(max(map(var_point, p.support_vars()), default=0))
+    nvars = len(names)
     out = []
     for mono, coeff in p.terms_sorted():
         if coeff < 0:
@@ -397,8 +436,13 @@ def poly_to_plain(p, names=None):
             continue
         if coeff != 1:
             out.append(str(coeff) + "*")
-        out.append("*".join([names[v] if e == 1 else "%s^%d" % (names[v], e)
-                             for v, e in mono]))
+        ones = unit_exponents(mono, nvars)
+        if ones is not None:
+            out.append("*".join(compress(names, ones)))
+        else:
+            out.append("*".join([names[v] if e == 1
+                                 else "%s^%d" % (names[v], e)
+                                 for v, e in monomial_pairs(mono)]))
     # The first term takes its sign without spaces, and no "+".
     out[0] = "-" if out[0] == " - " else ""
     return "".join(out)

@@ -18,7 +18,7 @@ from planelift.config import (Config, MembershipReport, Realisation,
                               _non_simple, analyze, components, induced,
                               line_triples, row_pairs)
 from planelift.linalg import QMatrix, cross
-from planelift.poly import Poly, multidegree, var_id
+from planelift.poly import Poly, monomial_pairs, multidegree, var_id
 
 
 def leibniz_det(rows):
@@ -257,7 +257,7 @@ def frac_evaluate(p, assignment):
     total = Fraction(0)
     for mono, coeff in p.terms.items():
         val = Fraction(coeff)
-        for v, e in mono:
+        for v, e in monomial_pairs(mono):
             val *= Fraction(assignment[v]) ** e
         total += val
     return total
@@ -277,10 +277,40 @@ def frac_generators_vanish(gens, cols):
 # --- term order and bracket products, the long way --------------------------
 
 
+def pack_monomial(pairs):
+    """The packed int of the monomial of the (variable, exponent) pairs,
+    a repeated variable's exponents added: the sum of the total degree,
+    in bits 0-31, and of each exponent shifted into the 32-bit field of
+    its variable, field v + 1."""
+    exps = Counter()
+    for v, e in pairs:
+        exps[v] += e
+    degree = sum(exps.values())
+    if degree >= 2 ** 32:
+        raise OverflowError("degree %d needs more than 32 bits" % degree)
+    return degree + sum(e << 32 * (v + 1) for v, e in exps.items())
+
+
+def dense_multidegree(p, npoints):
+    """The (letter, point) degrees shared by every term of p, summed
+    from each term's (variable, exponent) pairs, or None when two terms
+    differ; the zero polynomial has degree zero."""
+    found = set()
+    for mono in p.terms:
+        letter, point = [0, 0, 0], [0] * npoints
+        for v, e in monomial_pairs(mono):
+            letter[v % 3] += e
+            point[v // 3] += e
+        found.add((tuple(letter), tuple(point)))
+    if len(found) > 1:
+        return None
+    return found.pop() if found else ((0, 0, 0), (0,) * npoints)
+
+
 def dense_grevlex_cmp(a, b, nvars):
     """-1, 0 or 1 as monomial a is below, equal to or above b in the
     dense-exponent graded reverse lexicographic comparison."""
-    ea, eb = dict(a), dict(b)
+    ea, eb = dict(monomial_pairs(a)), dict(monomial_pairs(b))
     da, db = sum(ea.values()), sum(eb.values())
     if da != db:
         return -1 if da < db else 1
@@ -302,9 +332,9 @@ def dense_mul(p, q):
     out = Counter()
     for m1, c1 in p.terms.items():
         for m2, c2 in q.terms.items():
-            exps = Counter(dict(m1))
-            exps.update(dict(m2))
-            out[tuple(sorted(exps.items()))] += c1 * c2
+            exps = Counter(dict(monomial_pairs(m1)))
+            exps.update(dict(monomial_pairs(m2)))
+            out[pack_monomial(exps.items())] += c1 * c2
     return Poly(dict(out))
 
 
@@ -368,7 +398,7 @@ def json_emit_oracle(g):
                   "point": list(multideg.point)}
         terms = [{"coeff": str(Fraction(coeff)),
                   "exps": {"%s_%d" % ("xyz"[v % 3], v // 3 + 1): x
-                           for v, x in mono}}
+                           for v, x in monomial_pairs(mono)}}
                  for mono, coeff in e.poly.terms_sorted()]
         generators.append({"label": e.label,
                            "degree": e.poly.total_degree(),

@@ -285,6 +285,28 @@ def test_lift_bad_abscissa_file(tmp_path, capsys, doc, why):
     assert why in err, err
 
 
+@pytest.mark.parametrize("where", ["argument", "file", "file list"])
+def test_huge_decimal_exponent_is_bad_data(tmp_path, capsys, where):
+    # 1e1000000000 would be an integer of about 415 MB; as an argument
+    # or in an abscissa file it is refused at once, in one line.
+    big = "1e1000000000"
+    if where == "argument":
+        argv = ["qs-check", big, "1", "2", "3", "4", "5"]
+        prefix = "planelift: "
+    else:
+        absf = tmp_path / "xs.json"
+        absf.write_text(big if where == "file"
+                        else "[1, 2, 3, 4, 5, -%s]" % big)
+        argv = ["lift", "qs", str(absf)]
+        prefix = "planelift: %s: " % absf
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 65
+    assert out == ""
+    assert err == prefix + ("decimal exponent of %r is out of range "
+                            "(at most 4300 in size)\n"
+                            % (big if where != "file list" else "-" + big))
+
+
 def test_uncertified_rank_exits_70(capsys, monkeypatch):
     # With a rank that under-reports, no tuple meets the incidence
     # count: check reports it in one line, with no traceback.

@@ -88,6 +88,22 @@ def test_exponent_keys_in_string_order():
         < text.index('"y_1": 2')
 
 
+def test_high_exponents_in_json():
+    # The low byte of x_1^257's field reads 1, so the all-ones path must
+    # not take it (tests/test_poly.py renders the same terms as text).
+    x1, y1, z1, x2, y2 = (var_id(c, i) for c, i in
+                          (("x", 1), ("y", 1), ("z", 1), ("x", 2), ("y", 2)))
+    p = (Poly.monomial(-2, [(x1, 257), (y2, 1)])
+         + Poly.monomial(1, [(z1, 256)])
+         + Poly.variable(x2) * Poly.variable(y1))
+    text = _checked(GeneratorSet("J", 2, (GenEntry(p, "p"),)))
+    gen = json.loads(text)["generators"][0]
+    assert gen["degree"] == 258 and gen["multidegree"] is None
+    assert gen["terms"] == [{"coeff": "-2", "exps": {"x_1": 257, "y_2": 1}},
+                            {"coeff": "1", "exps": {"z_1": 256}},
+                            {"coeff": "1", "exps": {"x_2": 1, "y_1": 1}}]
+
+
 _COEFFS = st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12),
                     st.integers(1, 10 ** 6))
 

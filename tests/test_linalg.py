@@ -8,8 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import (BIG, frac_kernel_rref, gauss_rank, leibniz_det, matvec,
                      rand_matrix, rand_product, transpose)
-from planelift.linalg import (QMatrix, all_minors, cross, det, det3,
-                              format_rat, minor, nullspace, parse_rat, rank)
+from planelift.linalg import (MAX_DECIMAL_EXPONENT, QMatrix, all_minors,
+                              cross, det, det3, format_rat, minor, nullspace,
+                              parse_rat, rank)
 
 # The quadrilateral-set collinearity matrix evaluated at abscissas
 # (0, 1, 2, 3, 4, 5), written out by hand from the construction rule:
@@ -31,6 +32,29 @@ def test_parse_rat():
         parse_rat("x")
     with pytest.raises(ValueError):
         parse_rat("1/0")
+
+
+def test_parse_rat_bounds_decimal_exponents():
+    # Decimals still parse exactly; an exponent over the bound is refused
+    # before Fraction builds its integer (1e1000000000 would take 415 MB).
+    assert parse_rat("0.5") == Fraction(1, 2)
+    assert parse_rat("-1e3") == -1000
+    assert parse_rat("1E-5") == Fraction(1, 100000)
+    assert parse_rat("-.5") == Fraction(-1, 2)
+    assert parse_rat("0.10000000000000001") == Fraction(
+        10000000000000001, 10 ** 17)
+    assert parse_rat("1e%d" % MAX_DECIMAL_EXPONENT) \
+        == 10 ** MAX_DECIMAL_EXPONENT
+    assert parse_rat("2E-%d" % MAX_DECIMAL_EXPONENT) \
+        == Fraction(2, 10 ** MAX_DECIMAL_EXPONENT)
+    for text in ("1e1000000000", "1e-1000000000", "-2.5E+4301",
+                 " 1e4_301 ", "1e%d" % (MAX_DECIMAL_EXPONENT + 1)):
+        with pytest.raises(OverflowError, match="out of range"):
+            parse_rat(text)
+    # Not a decimal exponent at all: still a plain ValueError.
+    for text in ("1e", "1e5/3", "e5", "1ee5", "one"):
+        with pytest.raises(ValueError, match="not a rational number"):
+            parse_rat(text)
 
 
 def test_format_rat_round_trip():

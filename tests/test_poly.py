@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (BIG, assignment_from_columns, dense_grevlex_cmp,
-                     dense_mul, dense_terms_sorted, frac_evaluate,
-                     leibniz_det, rand_fraction, rand_poly)
-from planelift.poly import (MultiDeg, Poly, _order_key, bracket,
-                            expand_products, frame_bracket, multidegree,
+                     dense_mul, dense_multidegree, dense_terms_sorted,
+                     frac_evaluate, leibniz_det, pack_monomial, rand_fraction,
+                     rand_poly)
+from planelift.poly import (MultiDeg, Poly, _pack, bracket, expand_products,
+                            frame_bracket, monomial_pairs, multidegree,
                             point_bracket, poly_to_plain, var_id, var_name,
                             var_point)
 
@@ -18,6 +19,12 @@ BRACKET_123_PLAIN = ("-z_1*y_2*x_3 + y_1*z_2*x_3 + z_1*x_2*y_3"
 
 def rand_assignment(rng, npoints):
     return {v: rand_fraction(rng, 9) for v in range(3 * npoints)}
+
+
+def decoded(p):
+    """The terms of p with each monomial as its (variable, exponent)
+    pairs."""
+    return {monomial_pairs(m): c for m, c in p.terms.items()}
 
 
 def test_var_id_round_trip():
@@ -43,10 +50,13 @@ def test_constructors():
     assert Poly.constant(5) != "x"
     v = var_id("y", 2)
     p = Poly.variable(v)
-    assert p.terms == {((v, 1),): Fraction(1)}
+    assert decoded(p) == {((v, 1),): Fraction(1)}
+    assert p.terms == {pack_monomial([(v, 1)]): 1}
+    assert Poly.constant(5).terms == {0: 5}
     # monomial sorts its pairs and drops zero exponents
     q = Poly.monomial(3, [(7, 2), (1, 0), (4, 1)])
-    assert q.terms == {((4, 1), (7, 2)): Fraction(3)}
+    assert decoded(q) == {((4, 1), (7, 2)): Fraction(3)}
+    assert q.terms == {pack_monomial([(4, 1), (7, 2)]): 3}
     assert q.total_degree() == 3
 
 
@@ -211,6 +221,33 @@ def test_multidegree_fields_do_not_overflow():
     assert multidegree(high, 2) == MultiDeg((257, 0, 0), (257, 0))
 
 
+def test_multidegree_matches_the_exponent_sums():
+    # Products of brackets are multihomogeneous; adding one monomial of
+    # the same total degree usually breaks that.  Exponents reach 2**30,
+    # so that a field carrying into its neighbour would show.
+    rng = random.Random(67)
+    for _ in range(300):
+        npoints = rng.randint(1, 7)
+        p = Poly.constant(rng.randint(1, 5))
+        for _ in range(rng.randint(0, 3)):
+            i, j = rng.sample(range(1, npoints + 1), 2) if npoints > 1 \
+                else (1, 1)
+            p = p * frame_bracket(i, j, rng.randint(1, 3))
+        if rng.random() < 0.3:
+            v = rng.randrange(3 * npoints)
+            p = p * Poly.monomial(1, [(v, rng.choice([1, 2 ** 30]))])
+        if rng.random() < 0.5:
+            degree = p.total_degree()
+            part = rng.randint(0, degree)
+            pairs = [(rng.randrange(3 * npoints), degree - part),
+                     (rng.randrange(3 * npoints), part)]
+            p = p + Poly.monomial(rng.randint(1, 3), pairs)
+        for n in (npoints, npoints + 2):
+            got = multidegree(p, n)
+            assert (None if got is None else tuple(got)) \
+                == dense_multidegree(p, n), poly_to_plain(p)
+
+
 def test_exact_div_round_trip():
     rng = random.Random(29)
     done = 0
@@ -233,8 +270,8 @@ def test_exact_div_keeps_coefficients_exact():
     q = p.exact_div(2 * x1)
     assert q == 3 * x1 - 2 * y2
     assert all(isinstance(c, (int, Fraction)) for c in q.terms.values())
-    assert (p // 4).terms[((var_id("x", 1), 2),)] == Fraction(3, 2)
-    assert isinstance((p // 4).terms[((var_id("x", 1), 2),)], Fraction)
+    assert decoded(p // 4)[((var_id("x", 1), 2),)] == Fraction(3, 2)
+    assert isinstance(decoded(p // 4)[((var_id("x", 1), 2),)], Fraction)
 
 
 def test_int_and_fraction_coefficients_are_interchangeable():
@@ -258,7 +295,7 @@ def test_order_key_matches_dense_grevlex():
         for _ in range(degree - len(support)):
             v = rng.choice(support)
             exps[v] += 1
-        return tuple(sorted(exps.items()))
+        return pack_monomial(exps.items())
 
     cases = 0
     for _ in range(4000):
@@ -271,11 +308,19 @@ def test_order_key_matches_dense_grevlex():
         else:
             b = rand_mono(rng.sample(range(nvars), rng.randint(min(1, db),
                                                               min(db, 4))), db)
-        # The key is smallest for the grevlex-largest monomial.
-        ka, kb = _order_key(a), _order_key(b)
-        assert ((ka < kb) - (ka > kb)) == dense_grevlex_cmp(a, b, nvars), \
-            (a, b)
-        if da == db and set(dict(a)) != set(dict(b)):
+        # The packed order: the higher degree first, then the smaller
+        # int; terms_sorted lists the grevlex-larger monomial first, and
+        # least_monomial is the smaller.
+        expected = dense_grevlex_cmp(a, b, nvars)
+        p = Poly({a: 1, b: 2})
+        if expected == 0:
+            assert a == b and p.terms_sorted() == [(a, 2)]
+        else:
+            big, small = (a, b) if expected > 0 else (b, a)
+            assert [m for m, _ in p.terms_sorted()] == [big, small], (a, b)
+            assert p.least_monomial() == small
+        if da == db and (set(dict(monomial_pairs(a)))
+                         != set(dict(monomial_pairs(b)))):
             cases += 1
     # pairs of equal degree and different supports were exercised
     assert cases > 1000
@@ -322,9 +367,9 @@ def test_expand_products_matches_dense_products():
 def test_monomial_merges_repeated_variables():
     x = Poly.variable(3)
     assert Poly.monomial(1, [(3, 1), (3, 1)]) == x * x
-    assert Poly.monomial(1, [(3, 1), (3, 1)]).terms == {((3, 2),): 1}
+    assert decoded(Poly.monomial(1, [(3, 1), (3, 1)])) == {((3, 2),): 1}
     q = Poly.monomial(2, [(5, 1), (3, 2), (5, 2), (0, 0)])
-    assert q.terms == {((3, 2), (5, 3)): 2}
+    assert decoded(q) == {((3, 2), (5, 3)): 2}
     y = Poly.variable(5)
     assert q == 2 * x * x * y * y * y
 
@@ -345,13 +390,63 @@ def test_exact_div_errors():
         (x1 * x1 + y1).exact_div(x1 + 1)
 
 
-def test_exact_div_rejects_a_term_that_never_cancels():
-    # A monomial with a repeated variable bypasses the constructors'
-    # merge; its reduction step leaves it in the remainder, so the
-    # division must fail instead of looping.
-    bad = Poly({((0, 1), (0, 1)): 1})
-    with pytest.raises(ArithmeticError):
-        bad.exact_div(Poly.variable(0))
+def test_exact_div_rejects_a_monomial_that_does_not_divide():
+    # Each field of the leading monomial must reach the divisor's: a
+    # plain int difference would borrow from the next field instead.
+    x1, y1, z1 = (Poly.variable(var_id(c, 1)) for c in "xyz")
+    for p, divisor in ((x1 * y1, z1), (y1, x1), (x1 * x1 * y1, x1 * y1 * y1),
+                       (Poly.constant(3), x1), (z1 * z1, y1 * z1 + 1)):
+        with pytest.raises(ArithmeticError, match="inexact"):
+            p.exact_div(divisor)
+
+
+def test_pack_round_trips_and_bounds_every_field():
+    top = 2 ** 32 - 1
+    rng = random.Random(61)
+    for _ in range(200):
+        pairs = [(rng.randrange(40), rng.choice([1, 2, 255, 256, 257,
+                                                  2 ** 16, 2 ** 24]))
+                 for _ in range(rng.randint(0, 4))]
+        m = _pack(pairs)
+        assert m == pack_monomial(pairs)
+        assert _pack(monomial_pairs(m)) == m
+    assert _pack([]) == 0 and monomial_pairs(0) == ()
+    # The largest exponent the layout holds: the degree field is full.
+    m = _pack([(5, top)])
+    assert monomial_pairs(m) == ((5, top),)
+    p = Poly.monomial(1, [(5, top)])
+    assert p.total_degree() == top
+    assert multidegree(p) == MultiDeg((0, 0, top), (0, top))
+    assert p * 1 == p and p * Poly.constant(2) == 2 * p
+    assert poly_to_plain(p) == "z_2^%d" % top
+    # 2**32 overflows, in one exponent or summed over pairs.
+    for pairs in ([(5, top + 1)], [(5, top), (6, 1)], [(5, top), (5, 1)]):
+        with pytest.raises(OverflowError):
+            _pack(pairs)
+        with pytest.raises(OverflowError):
+            Poly.monomial(1, pairs)
+    # A product whose degree reaches 2**32 overflows rather than carry
+    # into the field of the first variable.
+    half = Poly.monomial(1, [(0, 2 ** 31)])
+    with pytest.raises(OverflowError):
+        half * half
+    with pytest.raises(OverflowError):
+        p * Poly.variable(7)
+    with pytest.raises(OverflowError):
+        expand_products([(1, [half.terms.items(), half.terms.items()])])
+    with pytest.raises(OverflowError):
+        expand_products([(1, [p.terms.items(), [(0, 1)],
+                              Poly.variable(0).terms.items()])])
+
+
+def test_high_exponents_render_as_before():
+    # x_1^257*y_2: the byte of x_1's field alone would read 1.
+    p = (Poly.monomial(-2, [(var_id("x", 1), 257), (var_id("y", 2), 1)])
+         + Poly.monomial(1, [(var_id("z", 1), 256)])
+         + Poly.variable(var_id("x", 2)) * Poly.variable(var_id("y", 1)))
+    assert poly_to_plain(p) == "-2*x_1^257*y_2 + z_1^256 + y_1*x_2"
+    names = ["x1", "y1", "z1", "x2", "y2", "z2"]
+    assert poly_to_plain(p, names) == "-2*x1^257*y2 + z1^256 + y1*x2"
 
 
 def test_terms_sorted_and_least_monomial():

@@ -17,6 +17,7 @@ import json
 import os
 import re
 import sys
+from fractions import Fraction
 from functools import cache, partial
 
 from .config import (bundled_config, bundled_names, config_from_dict,
@@ -117,6 +118,15 @@ def _load_config(spec):
     return c
 
 
+def _abscissa(v):
+    """An abscissa-file entry as a Fraction: a JSON number arrives read
+    already (a decimal by parse_rat), and anything else is read as text
+    by parse_rat."""
+    if type(v) in (int, Fraction):
+        return Fraction(v)
+    return parse_rat(str(v))
+
+
 def _load_abscissas(path, n):
     """JSON file holding either a list of rationals or an object with
     an "abscissas" list; entries are integers, decimals, or strings
@@ -128,8 +138,8 @@ def _load_abscissas(path, n):
         raise DataError("%s: expected a JSON list of rationals "
                         "or {\"abscissas\": [...]}" % path)
     try:
-        xs = [parse_rat(str(v)) for v in doc]
-    except (ValueError, ZeroDivisionError) as e:
+        xs = [_abscissa(v) for v in doc]
+    except (OverflowError, ValueError, ZeroDivisionError) as e:
         raise DataError("%s: %s" % (path, e))
     if len(xs) != n:
         raise DataError("%s: expected %d abscissas, got %d"

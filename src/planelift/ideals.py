@@ -23,7 +23,6 @@ from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement, \
     compress, permutations, product
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 from .config import grid_config, line_triples, qs_config, row_pairs
 from .linalg import _exact, det3
@@ -375,17 +374,13 @@ def _json_text(g, names):
     the document emit describes, written without building it: the C
     string escaper quotes the label and ideal name, and every other
     value is an int, a 'p/q' string or a variable name from names.
-    Each term's exps are read off its packed monomial in the key order
-    of sort_keys, a permutation of the variables fixed by names."""
+    Each term's exps are read off its packed monomial as emit says."""
     # sort_keys orders the exps keys as strings: "x_10" before "x_2".
-    order = sorted(range(len(names)), key=names.__getitem__)
+    # Sorting the rendered '"name": e' items gives that order, since a
+    # name that is a prefix of another ("x_1", "x_10") is followed by the
+    # quote, which sorts before every character of a name.
     keys = ['"%s": ' % name for name in names]
     ones = [key + "1" for key in keys]
-    sorted_ones = [ones[v] for v in order]
-    # A term's exponent bytes (unit_exponents) in key order; names holds
-    # three per point, so itemgetter gets several indices and returns a
-    # tuple.
-    in_key_order = itemgetter(*order) if order else None
     sep = ",\n            "
     gens = []
     for e in g.entries:
@@ -394,13 +389,10 @@ def _json_text(g, names):
             exps = "{}"
             if mono:
                 flags = unit_exponents(mono, len(names))
-                if flags is not None:
-                    items = compress(sorted_ones, in_key_order(flags))
-                else:
-                    pairs = dict(monomial_pairs(mono))
-                    items = [ones[v] if pairs[v] == 1
-                             else keys[v] + str(pairs[v])
-                             for v in order if v in pairs]
+                items = sorted(
+                    compress(ones, flags) if flags is not None
+                    else [ones[v] if x == 1 else keys[v] + str(x)
+                          for v, x in monomial_pairs(mono)])
                 exps = "{\n            %s\n          }" % sep.join(items)
             terms.append('{\n          "coeff": "%s",\n          "exps": %s'
                          '\n        }' % (str(coeff), exps))
@@ -435,9 +427,9 @@ def emit(g, fmt):
             ...]}
 
     with terms in canonical order and exps listing only the variables
-    that occur.  Every format reads a term's variables straight off its
-    packed monomial: one byte per variable (poly.unit_exponents) when
-    each exponent is 0 or 1, else poly.monomial_pairs.
+    that occur.  Every format reads a term's variables off its packed
+    monomial: as one byte per variable (poly.unit_exponents) when each
+    exponent is 0 or 1, else through poly.monomial_pairs.
     """
     names = var_names(g.npoints)
     if fmt == "plain":

@@ -12,6 +12,7 @@ matching the point labels used throughout the package.  Raw entry access
 on QMatrix is 0-based.
 """
 
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
@@ -22,6 +23,12 @@ from math import gcd, prod
 # twelve characters such as '1e1000000000' would write one of 415 MB.
 MAX_DECIMAL_EXPONENT = 4300
 
+# A decimal with an exponent, as Fraction reads it; group 1 holds the
+# digits of the exponent.
+_DECIMAL_EXPONENT = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?"
+    r"[eE][-+]?(\d+(?:_\d+)*)\s*")
+
 
 def parse_rat(text):
     """Parse a rational written as 'p', 'p/q' or a decimal such as '0.5'
@@ -29,11 +36,11 @@ def parse_rat(text):
     raises ValueError, and a decimal exponent above MAX_DECIMAL_EXPONENT
     in size OverflowError, before any digit of the value is built."""
     if "e" in text or "E" in text:
-        try:
-            exponent = abs(int(text.lower().partition("e")[2]))
-        except ValueError:
-            exponent = 0  # not a decimal exponent: Fraction rejects it
-        if exponent > MAX_DECIMAL_EXPONENT:
+        decimal = _DECIMAL_EXPONENT.fullmatch(text)
+        digits = decimal.group(1).replace("_", "").lstrip("0") if decimal \
+            else ""
+        # Any ten digits are over the bound; fewer int() reads at once.
+        if len(digits) > 9 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
             raise OverflowError("decimal exponent of %r is out of range "
                                 "(at most %d in size)"
                                 % (text, MAX_DECIMAL_EXPONENT))

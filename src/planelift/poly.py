@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import compress
 from operator import neg, or_
-from struct import Struct, unpack
+from struct import Struct
 
 
 LETTERS = "xyz"
@@ -59,12 +59,6 @@ def _unit(v):
     return 1 << 32 * v + 32 | 1
 
 
-# The monomials of the variables of points 1.._UNIT_POINTS, which
-# frame_terms looks up: every bundled configuration fits.
-_UNIT_POINTS = 16
-_UNITS = tuple(map(_unit, range(3 * _UNIT_POINTS)))
-
-
 def _pack(pairs):
     """The monomial of the product of (variable, exponent) pairs: a
     repeated variable's exponents add and a zero exponent drops out.
@@ -85,16 +79,22 @@ def _pack(pairs):
 def monomial_pairs(m):
     """The (variable, exponent) pairs of monomial m, by variable, with
     positive exponents: the inverse of _pack."""
-    nvars = (m.bit_length() - 1) // 32
-    if nvars <= 0:
-        return ()
-    exps = unpack("<%dI" % nvars, m.to_bytes(4 * nvars + 4, "little")[4:])
-    return tuple(compress(enumerate(exps), exps))
+    # Scan down from the highest set field, so the cost is one step per
+    # variable of the term, whatever the size of the ring.
+    pairs = []
+    e = m >> 32
+    while e:
+        v = (e.bit_length() - 1) >> 5
+        x = e >> (v << 5)
+        pairs.append((v, x))
+        e ^= x << (v << 5)
+    pairs.reverse()
+    return tuple(pairs)
 
 
 def unit_exponents(m, nvars):
-    """The exponents of variables 0..nvars-1 in monomial m, one byte per
-    variable, when each is 0 or 1; None when one is higher.  m must
+    """The exponents of variables 0..nvars-1 in monomial m as bytes, one
+    per variable, when each is 0 or 1; None when one is higher.  m must
     have no variable from nvars on (to_bytes raises OverflowError)."""
     # The exponents are all 0 or 1 exactly when as many bits are set in
     # the exponent fields as the degree counts.
@@ -337,9 +337,6 @@ def frame_terms(i, j, f):
         return ()
     u, w = FRAME_COFACTORS[f]
     a, b = 3 * (i - 1), 3 * (j - 1)
-    if i <= _UNIT_POINTS and j <= _UNIT_POINTS:
-        return ((_UNITS[a + u] + _UNITS[b + w], 1),
-                (_UNITS[b + u] + _UNITS[a + w], -1))
     return ((_unit(a + u) + _unit(b + w), 1),
             (_unit(b + u) + _unit(a + w), -1))
 
@@ -423,7 +420,6 @@ def poly_to_plain(p, names=None):
         return "0"
     if names is None:
         names = var_names(max(map(var_point, p.support_vars()), default=0))
-    nvars = len(names)
     out = []
     for mono, coeff in p.terms_sorted():
         if coeff < 0:
@@ -436,7 +432,9 @@ def poly_to_plain(p, names=None):
             continue
         if coeff != 1:
             out.append(str(coeff) + "*")
-        ones = unit_exponents(mono, nvars)
+        # Most terms have exponents of 0 and 1 only, and their names are
+        # picked straight off the exponent bytes.
+        ones = unit_exponents(mono, len(names))
         if ones is not None:
             out.append("*".join(compress(names, ones)))
         else:

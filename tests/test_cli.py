@@ -307,6 +307,20 @@ def test_huge_decimal_exponent_is_bad_data(tmp_path, capsys, where):
                             % (big if where != "file list" else "-" + big))
 
 
+def test_decimal_at_the_exponent_bound_reads_alike_everywhere(tmp_path,
+                                                              capsys):
+    # 1e4300 is the largest decimal exponent read: its 4301-digit value
+    # means the same as an argument, as a number and as a string in an
+    # abscissa file.
+    rest = ["1", "2", "3", "4", "5"]
+    expected = run_cli(capsys, "qs-lift", "1e4300", *rest)
+    assert expected[0] in (0, 2) and expected[1] and not expected[2]
+    for entry in ("1e4300", '"1e4300"'):
+        absf = tmp_path / "xs.json"
+        absf.write_text("[%s, %s]" % (entry, ", ".join(rest)))
+        assert run_cli(capsys, "lift", "qs", str(absf)) == expected
+
+
 def test_uncertified_rank_exits_70(capsys, monkeypatch):
     # With a rank that under-reports, no tuple meets the incidence
     # count: check reports it in one line, with no traceback.

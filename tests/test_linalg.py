@@ -48,11 +48,14 @@ def test_parse_rat_bounds_decimal_exponents():
     assert parse_rat("2E-%d" % MAX_DECIMAL_EXPONENT) \
         == Fraction(2, 10 ** MAX_DECIMAL_EXPONENT)
     for text in ("1e1000000000", "1e-1000000000", "-2.5E+4301",
-                 " 1e4_301 ", "1e%d" % (MAX_DECIMAL_EXPONENT + 1)):
+                 " 1e4_301 ", "1e%d" % (MAX_DECIMAL_EXPONENT + 1),
+                 "1e" + "9" * 5000, "1e00004301"):
         with pytest.raises(OverflowError, match="out of range"):
             parse_rat(text)
     # Not a decimal exponent at all: still a plain ValueError.
-    for text in ("1e", "1e5/3", "e5", "1ee5", "one"):
+    # Nor is a huge number after an 'e' that follows no decimal mantissa.
+    for text in ("1e", "1e5/3", "e5", "1ee5", "one", "1/2e9999",
+                 "abc e99999", "e99999", ".e99999", "1e9999/3"):
         with pytest.raises(ValueError, match="not a rational number"):
             parse_rat(text)
 

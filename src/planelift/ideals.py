@@ -3,13 +3,15 @@
 The two families built here certify that six, resp. twelve, collinear
 points are the projection of a quadrilateral set, resp. a 3x4 grid.
 Each is a fixed skeleton of signed products of brackets [a b F], one
-frame point F per slot (SKELETONS).  A QS polynomial is, up to sign
-and frame order, the extended minor of the collinearity matrix on the
-rows of the other three lines and the columns of the off-line points
-(extend_minor): each entry x_a - x_b of the minor's Leibniz products
-becomes [a b F].  A minor is named by 1-based rows, the collinear
-triples of config.line_triples, and columns, the points;
-config.row_pairs gives its entries.  A grid polynomial extends no
+frame point F per slot (SKELETONS).  A minor of the collinearity
+matrix is named by 1-based rows, the collinear triples of
+config.line_triples, and columns, the points; config.row_pairs gives
+its entries, and extending it (extend_minor) puts [a b F] in place of
+each entry x_a - x_b of its Leibniz products.  SKELETONS builds the QS
+polynomial of a line from the minor on the rows of the other three
+lines, ordered by the point where each meets the line, and the columns
+of the three points off the line: the negated extension, with frame
+F_t in the slot of the t-th row.  A grid polynomial extends no
 minor: its products put each other column's leftover pair at all three
 of that column's points, nine columns where a 6 x 6 minor has six.
 
@@ -25,7 +27,7 @@ from itertools import combinations, combinations_with_replacement, \
 from json.encoder import encode_basestring_ascii
 
 from .config import grid_config, line_triples, qs_config, row_pairs
-from .linalg import _exact, det3
+from .linalg import _check_index_set, _exact, det3
 from .poly import (FRAME_COFACTORS, Poly, _pack, bracket, expand_products,
                    frame_terms, monomial_pairs, multidegree, point_bracket,
                    poly_to_plain, unit_exponents, var_id, var_names)
@@ -96,28 +98,6 @@ def _qs_line(spec):
     return line
 
 
-def _qs_pairing(line):
-    """Point pairing of a quadrilateral-set line.
-
-    Each point p of the line is collinear with exactly two of the three
-    off-line points; writing A(p) for that pair and p1 < p2 < p3 for
-    the line, the mates are m1 = A(p1) & A(p3), m2 = A(p1) & A(p2),
-    m3 = A(p2) & A(p3).  The two products of the QS polynomial pair the
-    p's with the m's straight and cyclically shifted.
-    """
-    others = [l for l in QS_LINES if l != line]
-
-    def mates(p):
-        return {q for l in others if p in l for q in l
-                if q not in line}
-
-    p1, p2, p3 = line
-    m1 = (mates(p1) & mates(p3)).pop()
-    m2 = (mates(p1) & mates(p2)).pop()
-    m3 = (mates(p2) & mates(p3)).pop()
-    return (p1, p2, p3), (m1, m2, m3)
-
-
 _S3 = (((1, 2, 3), 1), ((2, 3, 1), 1), ((3, 1, 2), 1),
        ((1, 3, 2), -1), ((2, 1, 3), -1), ((3, 2, 1), -1))
 
@@ -148,15 +128,41 @@ def _g34_products(ci):
     return out
 
 
+def _minor_products(triples, rows, cols):
+    """The signed Leibniz products (sign, ((a1, b1), ..., (ak, bk))) of
+    the minor on the 1-based rows and cols of the collinearity matrix
+    with one row per triple of triples (config.line_triples), keeping
+    those whose entries x_{a_t} - x_{b_t} are all nonzero, in
+    permutation order.  The rows may come in any order: slot t is row
+    rows[t], and each sign is relative to that order."""
+    k = len(rows)
+    entries = [dict(row_pairs(triples[r - 1])) for r in rows]
+    out = []
+    for perm in permutations(range(k)):
+        pairs = tuple(entries[t].get(cols[perm[t]]) for t in range(k))
+        if None in pairs:
+            continue
+        inv = sum(1 for a, b in combinations(range(k), 2)
+                  if perm[a] > perm[b])
+        out.append((-1 if inv % 2 else 1, pairs))
+    return out
+
+
 def _skeletons():
     """The signed bracket products (as _bracket_sum takes them) of the QS
     polynomial of each line, in construction order, at ("qs", line), and
-    of the grid polynomial of each column ci = 1..4 at ("g34", ci)."""
+    of the grid polynomial of each column ci = 1..4 at ("g34", ci).
+    The QS products are those of the minor the module docstring names,
+    signs negated; each QS line has three points, so QS_LINES are the
+    rows' triples."""
     table = {("g34", ci): tuple(_g34_products(ci)) for ci in (1, 2, 3, 4)}
     for line in QS_LINES:
-        ps, ms = _qs_pairing(line)
-        table["qs", line] = ((1, tuple(zip(ps, ms))),
-                             (-1, tuple(zip(ps, ms[1:] + ms[:1]))))
+        rows = [next(r for r, other in enumerate(QS_LINES, 1)
+                     if p in other and other != line) for p in line]
+        cols = [p for p in range(1, 7) if p not in line]
+        table["qs", line] = tuple(
+            (-sign, pairs)
+            for sign, pairs in _minor_products(QS_LINES, rows, cols))
     return table
 
 
@@ -269,25 +275,6 @@ def g34_generators():
     return _generator_set("I_G34", 12, G34_FORMULAS)
 
 
-def _minor_products(triples, rows, cols):
-    """The signed Leibniz products (sign, ((a1, b1), ..., (ak, bk))) of
-    the minor on the 1-based rows and cols of the collinearity matrix
-    with one row per triple of triples (config.line_triples), keeping
-    those whose entries x_{a_t} - x_{b_t} are all nonzero, in
-    permutation order."""
-    k = len(rows)
-    entries = [dict(row_pairs(triples[r - 1])) for r in rows]
-    out = []
-    for perm in permutations(range(k)):
-        pairs = tuple(entries[t].get(cols[perm[t]]) for t in range(k))
-        if None in pairs:
-            continue
-        inv = sum(1 for a, b in combinations(range(k), 2)
-                  if perm[a] > perm[b])
-        out.append((-1 if inv % 2 else 1, pairs))
-    return out
-
-
 def extend_minor(c, row_idx, col_idx, frame_tuple):
     """Extension of a minor of the collinearity matrix of c.
 
@@ -297,7 +284,8 @@ def extend_minor(c, row_idx, col_idx, frame_tuple):
     of slot t (the t-th smallest row).  The result keeps the sign the
     Leibniz expansion produces, so the multilinear relation with the
     unextended minor holds on the nose.  It is zero when every product
-    has a zero entry, and 1 for the 0 x 0 minor.
+    has a zero entry, and 1 for the 0 x 0 minor.  Rows and columns not
+    strictly increasing raise ValueError, and out of range IndexError.
     """
     rows = tuple(row_idx)
     cols = tuple(col_idx)
@@ -306,7 +294,10 @@ def extend_minor(c, row_idx, col_idx, frame_tuple):
     if len(cols) != k or len(frames) != k:
         raise ValueError("rows, columns and frame tuple must have equal "
                          "length")
-    return _bracket_sum(_minor_products(line_triples(c), rows, cols), frames)
+    triples = line_triples(c)
+    _check_index_set(rows, len(triples), "row")
+    _check_index_set(cols, c.n, "column")
+    return _bracket_sum(_minor_products(triples, rows, cols), frames)
 
 
 def radical_ideal_generators(c, minor_size=None):
@@ -447,7 +438,8 @@ def emit(g, fmt):
         out.append("ideal %s = %s;"
                    % (g.ideal_name,
                       ", ".join("g_%d" % i
-                                for i in range(1, len(g.entries) + 1))))
+                                for i in range(1, len(g.entries) + 1))
+                      or "0"))
         return "\n".join(out) + "\n"
     if fmt == "json":
         return _json_text(g, names)

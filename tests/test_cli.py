@@ -508,7 +508,7 @@ def test_commands_reuse_the_skeletons_built_at_import(capsys, monkeypatch):
     def rebuild(*args):
         raise AssertionError("a skeleton was rebuilt after import")
 
-    monkeypatch.setattr(ideals, "_qs_pairing", rebuild)
+    monkeypatch.setattr(ideals, "_minor_products", rebuild)
     monkeypatch.setattr(ideals, "_g34_products", rebuild)
     ideals.qs_generators.cache_clear()
     ideals.g34_generators.cache_clear()

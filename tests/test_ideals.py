@@ -13,10 +13,10 @@ from helpers import (assignment_from_columns, collin_pair, dense_bracket,
 from planelift import ideals
 from planelift.config import (Config, bundled_config, grid_config,
                               line_triples, qs_config)
-from planelift.ideals import (G34_FORMULAS, QS_FORMULAS,
+from planelift.ideals import (G34_FORMULAS, QS_FORMULAS, GeneratorSet,
                               QS_LINES, SKELETONS, RewriteRow, _bracket_sum,
                               _frame, _g34_products, _minor_products,
-                              _parse_compact, _qs_line, _qs_pairing, emit,
+                              _parse_compact, _qs_line, emit,
                               extend_minor, g34_generators,
                               g34_poly, generator_poly,
                               g34_value, qs_generators, qs_poly, qs_value,
@@ -115,11 +115,19 @@ def test_qs_line_coercion():
     assert "not a quadrilateral-set line" in str(err.value)
 
 
-def test_qs_pairing():
-    assert _qs_pairing((1, 2, 3)) == ((1, 2, 3), (5, 6, 4))
-    assert _qs_pairing((1, 5, 6)) == ((1, 5, 6), (2, 3, 4))
-    assert _qs_pairing((2, 4, 6)) == ((2, 4, 6), (1, 3, 5))
-    assert _qs_pairing((3, 4, 5)) == ((3, 4, 5), (1, 2, 6))
+# The mates m1, m2, m3 of each line's points p1 < p2 < p3: the QS
+# polynomial of the line is +[p1 m1][p2 m2][p3 m3] - [p1 m2][p2 m3][p3 m1].
+QS_MATES = {(1, 2, 3): (5, 6, 4), (1, 5, 6): (2, 3, 4),
+            (2, 4, 6): (1, 3, 5), (3, 4, 5): (1, 2, 6)}
+
+
+def test_qs_skeleton_sign_of_every_line():
+    for line, mates in QS_MATES.items():
+        products = [(1, tuple(zip(line, mates))),
+                    (-1, tuple(zip(line, mates[1:] + mates[:1])))]
+        for frames in product((1, 2, 3), repeat=3):
+            assert (qs_as_built(line, *frames)
+                    == dense_bracket_sum(products, frames)), (line, frames)
 
 
 def test_qs_formula_is_the_bracket_product_difference():
@@ -316,6 +324,16 @@ def test_extend_minor_validates_lengths():
         extend_minor(c, (1, 2), (1, 2, 3), (1, 1))
     with pytest.raises(ValueError):
         extend_minor(c, (1, 2), (1, 2), (1, 1, 1))
+    # Index sets are strictly increasing and in range, as linalg.minor
+    # checks them: row 0 would wrap around to the last triple, rows
+    # (2, 1) would flip the sign, and column 9 would give zero.
+    for rows, cols in (((0,), (3,)), ((2, 1), (1, 2)), ((1, 1), (1, 2)),
+                       ((1, 2), (2, 1))):
+        with pytest.raises(ValueError):
+            extend_minor(c, rows, cols, (1,) * len(rows))
+    for rows, cols in (((5,), (1,)), ((1,), (9,)), ((1,), (7,))):
+        with pytest.raises(IndexError):
+            extend_minor(c, rows, cols, (1,) * len(rows))
 
 
 def test_extension_identity_small():
@@ -457,6 +475,12 @@ def test_emit_cas():
                          + ", ".join("g_%d" % i for i in range(1, 15))
                          + ";")
     assert "_" not in lines[1]
+
+
+def test_emit_cas_without_generators():
+    # An empty ideal is the zero ideal; "ideal J = ;" is not Singular.
+    assert emit(GeneratorSet("J", 2, ()), "cas").splitlines()[-1] == \
+        "ideal J = 0;"
 
 
 def test_emit_json():

@@ -23,7 +23,7 @@ import re
 from collections import namedtuple
 from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement, \
-    compress, permutations, product
+    compress, product
 from json.encoder import encode_basestring_ascii
 
 from .config import grid_config, line_triples, qs_config, row_pairs
@@ -128,23 +128,23 @@ def _g34_products(ci):
     return out
 
 
-def _minor_products(triples, rows, cols):
-    """The signed Leibniz products (sign, ((a1, b1), ..., (ak, bk))) of
-    the minor on the 1-based rows and cols of the collinearity matrix
-    with one row per triple of triples (config.line_triples), keeping
-    those whose entries x_{a_t} - x_{b_t} are all nonzero, in
-    permutation order.  The rows may come in any order: slot t is row
-    rows[t], and each sign is relative to that order."""
-    k = len(rows)
-    entries = [dict(row_pairs(triples[r - 1])) for r in rows]
-    out = []
-    for perm in permutations(range(k)):
-        pairs = tuple(entries[t].get(cols[perm[t]]) for t in range(k))
-        if None in pairs:
-            continue
-        inv = sum(1 for a, b in combinations(range(k), 2)
-                  if perm[a] > perm[b])
-        out.append((-1 if inv % 2 else 1, pairs))
+def _minor_products(triples, rows):
+    """The signed Leibniz products of the minors on the 1-based rows of
+    the collinearity matrix with one row per triple of triples
+    (config.line_triples), as {cols: [(sign, ((a1, b1), ..., (ak, bk)))]}
+    for each increasing column tuple cols with a product whose entries
+    x_{a_t} - x_{b_t} are all nonzero.  A row's only nonzero entries are
+    the three of its triple (config.row_pairs), so the walk takes one
+    of them per row, 3^k choices, and keeps each whose columns are
+    distinct.  The rows may come in any order: slot t is row rows[t],
+    and each sign is the parity of the chosen column sequence."""
+    out = {}
+    for choice in product(*(row_pairs(triples[r - 1]) for r in rows)):
+        cols = [col for col, _ in choice]
+        if len(set(cols)) == len(cols):
+            inv = sum(a > b for a, b in combinations(cols, 2))
+            out.setdefault(tuple(sorted(cols)), []).append(
+                ((-1) ** inv, tuple(pair for _, pair in choice)))
     return out
 
 
@@ -159,10 +159,10 @@ def _skeletons():
     for line in QS_LINES:
         rows = [next(r for r, other in enumerate(QS_LINES, 1)
                      if p in other and other != line) for p in line]
-        cols = [p for p in range(1, 7) if p not in line]
+        cols = tuple(p for p in range(1, 7) if p not in line)
         table["qs", line] = tuple(
             (-sign, pairs)
-            for sign, pairs in _minor_products(QS_LINES, rows, cols))
+            for sign, pairs in _minor_products(QS_LINES, rows)[cols])
     return table
 
 
@@ -297,7 +297,8 @@ def extend_minor(c, row_idx, col_idx, frame_tuple):
     triples = line_triples(c)
     _check_index_set(rows, len(triples), "row")
     _check_index_set(cols, c.n, "column")
-    return _bracket_sum(_minor_products(triples, rows, cols), frames)
+    return _bracket_sum(_minor_products(triples, rows).get(cols, ()),
+                        frames)
 
 
 def radical_ideal_generators(c, minor_size=None):
@@ -309,8 +310,9 @@ def radical_ideal_generators(c, minor_size=None):
     to min(rows of the matrix, n): the 0 x 0 minor is 1, whose ideal is
     the whole ring.  A default outside that range emits the brackets
     alone.  Zero extensions are dropped and duplicates (after sign
-    canonicalisation) are kept once.  The number of extensions grows as
-    3^k times the minor count, so large configurations need a
+    canonicalisation) are kept once.  Each k-set of rows costs its 3^k
+    support choices (_minor_products), plus 3^k frame tuples for each
+    column set that has a product, so large configurations need a
     deliberate minor_size choice.
     """
     triples = line_triples(c)
@@ -329,10 +331,8 @@ def radical_ideal_generators(c, minor_size=None):
             entries.append(GenEntry(p, label))
     if 1 <= k <= top:
         for rows in combinations(range(1, nrows + 1), k):
-            for cols in combinations(range(1, c.n + 1), k):
-                products = _minor_products(triples, rows, cols)
-                if not products:
-                    continue
+            minors = _minor_products(triples, rows)
+            for cols, products in sorted(minors.items()):
                 for frames in product((1, 2, 3), repeat=k):
                     p = _bracket_sum(products, frames)
                     if p.is_zero():

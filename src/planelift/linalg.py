@@ -256,13 +256,10 @@ def nullspace(m):
 
 
 def _check_index_set(idx, bound, what):
-    prev = 0
-    for i in idx:
-        if not prev < i:
-            raise ValueError("%s indices must be strictly increasing" % what)
-        prev = i
-    if idx and (idx[0] < 1 or idx[-1] > bound):
+    if not all(1 <= i <= bound for i in idx):
         raise IndexError("%s index out of range 1..%d" % (what, bound))
+    if any(a >= b for a, b in zip(idx, idx[1:])):
+        raise ValueError("%s indices must be strictly increasing" % what)
 
 
 def minor(m, row_idx, col_idx):

@@ -82,6 +82,10 @@ GOLDEN = (
     # Pins the generator labels, which follow the bundled line order.
     ("gens radical:grid3x3 --minor-size 2", 0,
      "d660f1f04516a05df66398875604e6a2798de005f78b0b942d7f54f686b77372"),
+    # A k = 3 radical set of a configuration with many lines: 11,670
+    # generators from every 3 x 3 minor that has a Leibniz product.
+    ("gens radical:grid3x3 --minor-size 3", 0,
+     "0755df2805b384bca26f773c81cb50aada914941cc0b16846569a870a621b850"),
     ("gens radical:forest_two_lines --minor-size 2", 0,
      "a8a799f7f2fb8fa0cd94f795fdb493067822959515602ec47e7bb2e690f99caa"),
     # Squared variables, and point indices of 10 and above ("x_10"

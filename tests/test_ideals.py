@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, combinations_with_replacement, product
+from math import prod
 
 import pytest
 
@@ -22,7 +23,8 @@ from planelift.ideals import (G34_FORMULAS, QS_FORMULAS, GeneratorSet,
                               g34_value, qs_generators, qs_poly, qs_value,
                               radical_ideal_generators, REWRITE_ROWS,
                               table1_verify, verify_rewrite_rows)
-from planelift.linalg import det3
+from planelift.lifting import build_collin
+from planelift.linalg import det3, minor
 from planelift.poly import Poly, bracket, frame_bracket, multidegree, var_id
 
 # The full expansion of the quadrilateral-set polynomial
@@ -324,14 +326,15 @@ def test_extend_minor_validates_lengths():
         extend_minor(c, (1, 2), (1, 2, 3), (1, 1))
     with pytest.raises(ValueError):
         extend_minor(c, (1, 2), (1, 2), (1, 1, 1))
-    # Index sets are strictly increasing and in range, as linalg.minor
+    # Index sets are in range and strictly increasing, as linalg.minor
     # checks them: row 0 would wrap around to the last triple, rows
     # (2, 1) would flip the sign, and column 9 would give zero.
-    for rows, cols in (((0,), (3,)), ((2, 1), (1, 2)), ((1, 1), (1, 2)),
+    for rows, cols in (((2, 1), (1, 2)), ((1, 1), (1, 2)),
                        ((1, 2), (2, 1))):
         with pytest.raises(ValueError):
             extend_minor(c, rows, cols, (1,) * len(rows))
-    for rows, cols in (((5,), (1,)), ((1,), (9,)), ((1,), (7,))):
+    for rows, cols in (((0,), (3,)), ((5,), (1,)), ((1,), (9,)),
+                       ((1,), (7,))):
         with pytest.raises(IndexError):
             extend_minor(c, rows, cols, (1,) * len(rows))
 
@@ -398,23 +401,41 @@ def test_formula_expansions_match_dense_products(monkeypatch):
 @pytest.mark.parametrize("name", ["qs", "grid3x4", "forest_path10"])
 def test_minor_extensions_match_dense_products(name):
     # 200 seeded random minors of size 1 to 3 with at least one
-    # product, each with random frames.
+    # product, each with random frames: a random row set, then one of
+    # the column sets its support walk reaches.
     rng = random.Random(47)
     c = bundled_config(name)
     triples = line_triples(c)
-    nrows, npoints = len(triples), c.n
-    done = 0
-    while done < 200:
+    for _ in range(200):
         k = rng.randint(1, 3)
-        rows = tuple(sorted(rng.sample(range(1, nrows + 1), k)))
-        cols = tuple(sorted(rng.sample(range(1, npoints + 1), k)))
-        products = _minor_products(triples, rows, cols)
-        if not products:
-            continue
+        rows = tuple(sorted(rng.sample(range(1, len(triples) + 1), k)))
+        minors = _minor_products(triples, rows)
+        cols = rng.choice(sorted(minors))
+        products = minors[cols]
         frames = tuple(rng.randint(1, 3) for _ in range(k))
         assert (extend_minor(c, rows, cols, frames)
                 == dense_bracket_sum(products, frames)), (rows, cols, frames)
-        done += 1
+
+
+@pytest.mark.parametrize("name,top", [("qs", 4), ("grid3x3", 3),
+                                      ("forest_path10", 2)])
+def test_minor_products_expand_the_numeric_minors(name, top):
+    # At a seeded random integer tuple, the signed products of
+    # x_a - x_b over each minor's support choices sum to that minor of
+    # the numeric collinearity matrix, for every row and column set up
+    # to size top; a column set the walk misses has minor 0.
+    c = bundled_config(name)
+    triples = line_triples(c)
+    xs = random.Random(53).sample(range(-99, 100), c.n)
+    lam = build_collin(c, xs).numeric
+    for k in range(1, top + 1):
+        for rows in combinations(range(1, len(triples) + 1), k):
+            minors = _minor_products(triples, rows)
+            for cols in combinations(range(1, c.n + 1), k):
+                total = sum(sign * prod(xs[a - 1] - xs[b - 1]
+                                        for a, b in pairs)
+                            for sign, pairs in minors.get(cols, ()))
+                assert total == minor(lam, rows, cols), (rows, cols)
 
 
 def test_radical_generators_contain_qs():

@@ -235,10 +235,12 @@ def test_qs_matrix_rank_and_minor_golden():
 
 def test_minor_validates_indices():
     m = QMatrix(QS_AT_012345)
-    with pytest.raises(ValueError):
-        minor(m, (0, 1), (1, 2))
-    with pytest.raises(IndexError):
-        minor(m, (1, 5), (1, 2))
+    # Index 0 is out of range, not out of order: the range is checked
+    # first.
+    for rows, cols in (((0, 1), (1, 2)), ((0,), (1,)), ((1,), (0,)),
+                       ((1, 5), (1, 2))):
+        with pytest.raises(IndexError, match="out of range"):
+            minor(m, rows, cols)
     with pytest.raises(ValueError):
         minor(m, (1, 2), (1, 2, 3))
     with pytest.raises(ValueError):

@@ -17,13 +17,13 @@ from math import lcm
 from .config import (Realisation, _non_simple, analyze, circuits,
                      components, delete_line, induced, line_triples,
                      membership, row_pairs)
-from .linalg import QMatrix, _exact, bareiss, cross, nullspace, rank
+from .linalg import (QMatrix, _exact, _int_row, bareiss, cross,
+                     nullspace, rank)
 from .poly import Poly, var_id
 
 CONVENTIONAL_CENTER = (0, 0, 1)
 CONVENTIONAL_LINE = (0, 0, 1)
 ABSCISSA_RANGE = 65536
-FOREST_RETRY_BUDGET = 64
 GENERIC_RANK_BUDGET = 64
 LIFT_ATTEMPTS = 32
 
@@ -99,10 +99,9 @@ def _line_basis_rows(c, nums, dens):
     return rows
 
 
-def _checked_abscissas(c, x):
-    """(xs, nums, dens): the abscissas x as a tuple of ints and
-    Fractions, with their numerators and denominators, after checking
-    that there is one per point of c and that no two are equal."""
+def build_collin(c, x):
+    """Collinearity matrix of c at the abscissas x, which must be one
+    int or Fraction per point of c, no two equal."""
     xs = _exact(x)
     if len(xs) != c.n:
         raise ValueError("expected %d abscissas, got %d" % (c.n, len(xs)))
@@ -116,13 +115,6 @@ def _checked_abscissas(c, x):
             raise ValueError("duplicate abscissa: points %d and %d "
                              "both sit at %s" % (seen[key], i, xs[i - 1]))
         seen[key] = i
-    return xs, nums, dens
-
-
-def build_collin(c, x):
-    """Collinearity matrix of c at the abscissas x, which must be
-    pairwise distinct ints or Fractions."""
-    xs, nums, dens = _checked_abscissas(c, x)
     return CollinMatrix(c, xs,
                         QMatrix.of_ints(_line_basis_rows(c, nums, dens), c.n))
 
@@ -177,18 +169,27 @@ def classify_lift(c, r):
     return "degenerate"
 
 
+def _candidate(c, xs, basis, rng):
+    """LiftResult of one random lift at the abscissas xs: the heights
+    are an integer combination of the basis vectors, with coefficients
+    drawn from rng in [-10000, 10000], judged by classify_lift."""
+    coeffs = [rng.randint(-10000, 10000) for _ in basis]
+    z = [sum(cv * bv[i] for cv, bv in zip(coeffs, basis))
+         for i in range(c.n)]
+    r = Realisation.from_columns([(xs[i], 1, z[i]) for i in range(c.n)])
+    return LiftResult(classify_lift(c, r), r)
+
+
 def lift(c, x, seed=0):
     """Search the lift space at abscissas x for a realising lift.
 
     Returns a LiftResult of kind 'no-nontrivial-lift' when the lift
-    space is at most the trivial plane; otherwise tries LIFT_ATTEMPTS
-    random integer combinations of the kernel basis (coefficients in
-    [-10000, 10000]) and returns the first realising candidate, or else
-    the first degenerate one.  Each candidate is judged once, by
-    classify_lift; trivial ones (all points collinear) are skipped.
-    A lift space of dimension >= 3 means c is not one line through
-    every point, so no trivial candidate realises c.  Deterministic for
-    a given seed.
+    space is at most the trivial plane; otherwise draws LIFT_ATTEMPTS
+    candidates from the kernel basis (_candidate) and returns the first
+    realising one, or else the first degenerate one; trivial ones (all
+    points collinear) are skipped.  A lift space of dimension >= 3
+    means c is not one line through every point, so no trivial
+    candidate realises c.  Deterministic for a given seed.
     """
     cm = build_collin(c, x)
     space = lift_space(cm)
@@ -198,16 +199,11 @@ def lift(c, x, seed=0):
     xs = cm.abscissas
     best = None
     for _ in range(LIFT_ATTEMPTS):
-        coeffs = [rng.randint(-10000, 10000) for _ in space.basis]
-        z = [sum(cv * bv[i] for cv, bv in zip(coeffs, space.basis))
-             for i in range(c.n)]
-        r = Realisation.from_columns(
-            [(xs[i], 1, z[i]) for i in range(c.n)])
-        kind = classify_lift(c, r)
-        if kind == "realising":
-            return LiftResult("realising", r)
-        if best is None and kind != "trivial":
-            best = LiftResult(kind, r)
+        cand = _candidate(c, xs, space.basis, rng)
+        if cand.kind == "realising":
+            return cand
+        if best is None and cand.kind != "trivial":
+            best = cand
     if best is not None:
         return best
     # Every random draw hit the trivial plane.  The first basis vector
@@ -220,53 +216,31 @@ def lift(c, x, seed=0):
 
 
 def forest_lift(c, x):
-    """Constructive realising lift of a forest configuration.
+    """Realising lift of a forest configuration, drawn from its lift
+    space.
 
-    Walks the lines of each component outward, assigning each line a
-    fresh affine height function z = a + b*x that matches the height of
-    the (unique) already-placed point on it.  Parameters come from a
-    fixed internal generator, so the output is a deterministic function
-    of the input; accidental extra collinearities trigger a retry.
+    The lines of a forest can be ordered so that each meets those
+    before it in at most one point, so the heights on each line can be
+    any affine function of x that matches the one height, if any,
+    already fixed on it.  The lift space holds exactly these height
+    vectors, and a generic one of them realises c.  Candidates are
+    drawn as in lift(), from the kernel basis with each vector scaled
+    to integers, so that integer abscissas give integer heights, by a
+    fixed internal generator: the output is a deterministic function of
+    the input.  A candidate with an accidental extra collinearity is
+    redrawn, up to LIFT_ATTEMPTS times.
     """
     if not analyze(c).is_forest:
         raise ValueError("not a forest configuration")
-    xs = _checked_abscissas(c, x)[0]
+    cm = build_collin(c, x)
+    basis = [_int_row(v)[0] for v in lift_space(cm).basis]
     rng = random.Random(0x1f2e3d)
-    for _ in range(FOREST_RETRY_BUDGET):
-        z = [None] * (c.n + 1)
-        unprocessed = set(range(len(c.lines)))
-        while unprocessed:
-            pick = None
-            for li in sorted(unprocessed):
-                if any(z[p] is not None for p in c.lines[li]):
-                    pick = li
-                    break
-            if pick is None:
-                pick = min(unprocessed)
-            unprocessed.remove(pick)
-            line = c.lines[pick]
-            anchored = [p for p in line if z[p] is not None]
-            if len(anchored) > 1:
-                raise RuntimeError("forest invariant violated on line %d"
-                                   % (pick + 1))
-            b = rng.randint(-999, 999)
-            if anchored:
-                p = anchored[0]
-                a = z[p] - b * xs[p - 1]
-            else:
-                a = rng.randint(-999, 999)
-            for q in line:
-                if z[q] is None:
-                    z[q] = a + b * xs[q - 1]
-        for p in range(1, c.n + 1):
-            if z[p] is None:
-                z[p] = rng.randint(-999, 999)
-        r = Realisation.from_columns(
-            [(xs[i - 1], 1, z[i]) for i in range(1, c.n + 1)])
-        if classify_lift(c, r) == "realising":
-            return LiftResult("realising", r)
+    for _ in range(LIFT_ATTEMPTS):
+        cand = _candidate(c, cm.abscissas, basis, rng)
+        if cand.kind == "realising":
+            return cand
     raise RuntimeError("degenerate parameter collision: retry budget of %d "
-                       "exhausted" % FOREST_RETRY_BUDGET)
+                       "exhausted" % LIFT_ATTEMPTS)
 
 
 def epsilon_scale(l, eps):
@@ -445,13 +419,14 @@ def generic_rank_bound(c):
 def is_liftable_generic(c, seed=0):
     """Decide liftability component by component.
 
-    Forest components are liftable outright (a constructive lift always
-    exists).  Each other component is not liftable when its generic
-    rank, generic_rank_bound, exceeds n_comp - 3.  A rank within the
-    bound is reported liftable on the rank test alone.  That is exact
-    when the component's matroid is maximal; otherwise the bound only
-    guarantees a lift space beyond the trivial plane, and lift() may
-    find nothing but degenerate lifts in it.
+    Forest components are liftable outright: a generic element of their
+    lift space realises them, and forest_lift draws one.  Each other
+    component is not liftable when its generic rank,
+    generic_rank_bound, exceeds n_comp - 3.  A rank within the bound is
+    reported liftable on the rank test alone.  That is exact when the
+    component's matroid is maximal; otherwise the bound only guarantees
+    a lift space beyond the trivial plane, and lift() may find nothing
+    but degenerate lifts in it.
 
     The ranks are certified at random distinct integer abscissa
     tuples, trial t drawn with seed seed+t, components in order.  The

@@ -218,9 +218,20 @@ def test_lift_special_tuple_is_degenerate():
 
 def test_forest_lift_round_trip():
     rng = random.Random(13)
+    cases = []
     for name in ("forest_single_line", "forest_two_lines", "forest_path10"):
         c = bundled_config(name)
-        xs = random_distinct_abscissas(c.n, rng)
+        cases.append((c, random_distinct_abscissas(c.n, rng)))
+        # The same forest at distinct Fraction abscissas.
+        cases.append((c, [Fraction(v, 7) for v in
+                          random_distinct_abscissas(c.n, rng)]))
+    # No line, one two-point line, and a forest of two trees and two
+    # isolated points.
+    cases += [(Config(2), [0, 5]),
+              (Config(3, ((1, 2),)), [Fraction(1, 2), 3, -4]),
+              (Config(9, ((1, 2, 3), (3, 4, 5), (6, 7))),
+               [Fraction(k, 3) for k in range(1, 10)])]
+    for c, xs in cases:
         res = forest_lift(c, xs)
         assert res.kind == "realising"
         assert classify_lift(c, res.realisation) == "realising"

@@ -17,11 +17,22 @@ of that column's points, nine columns where a 6 x 6 minor has six.
 
 A frame point is 1, 2 or 3 for R_1 = (1,0,0), R_2 = (0,1,0),
 R_3 = (0,0,1), or an exact 3-vector.
+
+Every skeleton is summed by one of two functions: _expand builds the
+Poly (qs_poly, g34_poly, extend_minor, radical_ideal_generators,
+verify_rewrite_rows), and _value the number at explicit point columns
+(qs_value and g34_value only).  A generator is declared as a formula
+(family, args): ("bracket", (i, j, k)), ("qs", (line, f1, f2, f3)) or
+("g34", (ci, f1, ..., f6)), args being the family function's own
+arguments.  generator_poly expands a formula with bracket, qs_poly or
+g34_poly, and generator_value evaluates it with det3, qs_value or
+g34_value, each looked up by name when called, so that a wrapper put
+on the module attribute (bench/tracing.py) sees every call.
 """
 
 import re
 from collections import namedtuple
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, \
     compress, product
 from json.encoder import encode_basestring_ascii
@@ -49,37 +60,31 @@ def _frame(spec):
     return vector
 
 
-def _pair_terms(i, j, f):
-    if isinstance(f, int):
-        return frame_terms(i, j, f)
-    return point_bracket(i, j, f).terms.items()
-
-
-def _pair_value(cols, i, j, f):
-    a, b = cols[i - 1], cols[j - 1]
-    if isinstance(f, int):
-        u, w = FRAME_COFACTORS[f]
-        return a[u] * b[w] - b[u] * a[w]
-    return det3(a, b, f)
-
-
-def _bracket_sum(products, frames, pair=None):
+def _expand(products, frames):
     """Sum over products = [(sign, ((a1, b1), ..., (ak, bk))), ...] of
     sign * [a1 b1 F1] * ... * [ak bk Fk] for the checked frame points
     F = frames, expanded as a Poly: zero when there are no products, and
-    1 for the one empty product.  With pair=partial(_pair_value, cols),
-    its value at the columns cols.
-    """
-    if pair is None:
-        return expand_products(
-            [(sign, [_pair_terms(a, b, f)
-                     for (a, b), f in zip(pairs, frames, strict=True)])
-             for sign, pairs in products])
+    1 for the one empty product."""
+    return expand_products(
+        [(sign, [frame_terms(a, b, f) if isinstance(f, int)
+                 else point_bracket(a, b, f).terms.items()
+                 for (a, b), f in zip(pairs, frames, strict=True)])
+         for sign, pairs in products])
+
+
+def _value(products, frames, cols):
+    """The value of _expand(products, frames) at the point columns cols,
+    summed bracket by bracket with no Poly built."""
     total = 0
     for sign, pairs in products:
         prod = sign
         for (a, b), f in zip(pairs, frames, strict=True):
-            prod = prod * pair(a, b, f)
+            u, w = cols[a - 1], cols[b - 1]
+            if isinstance(f, int):
+                i, j = FRAME_COFACTORS[f]
+                prod = prod * (u[i] * w[j] - w[i] * u[j])
+            else:
+                prod = prod * det3(u, w, f)
         total = total + prod
     return total
 
@@ -149,7 +154,7 @@ def _minor_products(triples, rows):
 
 
 def _skeletons():
-    """The signed bracket products (as _bracket_sum takes them) of the QS
+    """The signed bracket products (as _expand takes them) of the QS
     polynomial of each line, in construction order, at ("qs", line), and
     of the grid polynomial of each column ci = 1..4 at ("g34", ci).
     The QS products are those of the minor the module docstring names,
@@ -172,16 +177,15 @@ SKELETONS = _skeletons()
 def qs_poly(line, f1, f2, f3):
     """Fully expanded quadrilateral-set polynomial of a line, with the
     canonical sign."""
-    return _bracket_sum(SKELETONS["qs", _qs_line(line)],
-                        [_frame(f) for f in (f1, f2, f3)]).canonical()
+    return _expand(SKELETONS["qs", _qs_line(line)],
+                   [_frame(f) for f in (f1, f2, f3)]).canonical()
 
 
 def qs_value(cols, line, f1, f2, f3):
     """Value of the QS polynomial at explicit point columns, computed
     via the bracket products (no symbolic expansion)."""
-    return _bracket_sum(SKELETONS["qs", _qs_line(line)],
-                        [_frame(f) for f in (f1, f2, f3)],
-                        partial(_pair_value, cols))
+    return _value(SKELETONS["qs", _qs_line(line)],
+                  [_frame(f) for f in (f1, f2, f3)], cols)
 
 
 def _g34_skeleton(ci, frames):
@@ -196,13 +200,12 @@ def _g34_skeleton(ci, frames):
 
 def g34_poly(ci, *frames):
     """Fully expanded grid polynomial of column ci, canonical sign."""
-    return _bracket_sum(*_g34_skeleton(ci, frames)).canonical()
+    return _expand(*_g34_skeleton(ci, frames)).canonical()
 
 
 def g34_value(cols, ci, *frames):
     """Value of the grid polynomial at explicit point columns."""
-    return _bracket_sum(*_g34_skeleton(ci, frames),
-                        partial(_pair_value, cols))
+    return _value(*_g34_skeleton(ci, frames), cols)
 
 
 # --- generating sets ---------------------------------------------------------
@@ -221,38 +224,36 @@ def _bracket_formulas(c):
             for t in line_triples(c)]
 
 
-# Each generating set is declared once, as (label, formula) pairs.  A
-# formula is ("bracket", (i, j, k)) or (key, frames) for the SKELETONS
-# key ("qs", (1, 2, 3)) or ("g34", 1): generator_poly expands it, and
-# generator_value evaluates its bracket products at explicit columns.
+# Each generating set is declared once, as (label, formula) pairs; the
+# module docstring describes the formulas.
 
 QS_FORMULAS = tuple(
     _bracket_formulas(qs_config())
-    + [("qs(%d,%d,%d)" % f, (("qs", (1, 2, 3)), f))
+    + [("qs(%d,%d,%d)" % f, ("qs", ((1, 2, 3),) + f))
        for f in combinations_with_replacement((1, 2, 3), 3)])
 
 G34_FORMULAS = tuple(
     _bracket_formulas(grid_config(3, 4))
-    + [("g34(%s)" % ",".join(map(str, f)), (("g34", 1), f))
+    + [("g34(%s)" % ",".join(map(str, f)), ("g34", (1,) + f))
        for f in combinations_with_replacement((1, 2, 3), 6)])
 
 
 def generator_poly(formula):
     """The expanded generator of a formula, with the canonical sign."""
-    kind, args = formula
-    if kind == "bracket":
+    family, args = formula
+    if family == "bracket":
         return bracket(*args).canonical()
-    return _bracket_sum(SKELETONS[kind], args).canonical()
+    return (qs_poly if family == "qs" else g34_poly)(*args)
 
 
 def generator_value(cols, formula):
     """The value at the point columns cols of generator_poly(formula),
-    up to sign (canonical() only flips signs): the bracket products the
-    generator is expanded from, evaluated directly, with no Poly built."""
-    kind, args = formula
-    if kind == "bracket":
+    up to sign (canonical() only flips signs), from det3, qs_value or
+    g34_value: no Poly is built."""
+    family, args = formula
+    if family == "bracket":
         return det3(*(cols[i - 1] for i in args))
-    return _bracket_sum(SKELETONS[kind], args, partial(_pair_value, cols))
+    return (qs_value if family == "qs" else g34_value)(cols, *args)
 
 
 def _generator_set(name, npoints, formulas):
@@ -297,8 +298,7 @@ def extend_minor(c, row_idx, col_idx, frame_tuple):
     triples = line_triples(c)
     _check_index_set(rows, len(triples), "row")
     _check_index_set(cols, c.n, "column")
-    return _bracket_sum(_minor_products(triples, rows).get(cols, ()),
-                        frames)
+    return _expand(_minor_products(triples, rows).get(cols, ()), frames)
 
 
 def radical_ideal_generators(c, minor_size=None):
@@ -334,7 +334,7 @@ def radical_ideal_generators(c, minor_size=None):
             minors = _minor_products(triples, rows)
             for cols, products in sorted(minors.items()):
                 for frames in product((1, 2, 3), repeat=k):
-                    p = _bracket_sum(products, frames)
+                    p = _expand(products, frames)
                     if p.is_zero():
                         continue
                     p = p.canonical()
@@ -534,8 +534,8 @@ def verify_rewrite_rows(rows):
     brackets = [bracket(*line) for line in QS_LINES]
     skeleton = SKELETONS["qs", (1, 2, 3)]
     for row in rows:
-        lhs = _bracket_sum(skeleton, [_frame(f) for f in row.excluded])
-        rhs = _bracket_sum(skeleton, [_frame(f) for f in row.generator])
+        lhs = _expand(skeleton, [_frame(f) for f in row.excluded])
+        rhs = _expand(skeleton, [_frame(f) for f in row.generator])
         for coeff, br in zip(row.coeffs, brackets):
             rhs = rhs + coeff * br
         checks.append(RowCheck(row.excluded, row.generator, lhs == rhs))

@@ -351,11 +351,12 @@ class RankNotCertified(RuntimeError):
 
 
 def random_distinct_abscissas(n, rng):
-    while True:
-        xs = [rng.randint(-ABSCISSA_RANGE, ABSCISSA_RANGE)
-              for _ in range(n)]
-        if len(set(xs)) == n:
-            return xs
+    """n distinct random integers of size at most ABSCISSA_RANGE, in
+    draw order: a repeated draw is skipped and one more value drawn."""
+    xs = {}
+    while len(xs) < n:
+        xs[rng.randint(-ABSCISSA_RANGE, ABSCISSA_RANGE)] = None
+    return list(xs)
 
 
 def _fetch_pebble(x, blocked, pebbles, out):

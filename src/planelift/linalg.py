@@ -23,11 +23,13 @@ from math import gcd, prod
 # twelve characters such as '1e1000000000' would write one of 415 MB.
 MAX_DECIMAL_EXPONENT = 4300
 
-# A decimal with an exponent, as Fraction reads it; group 1 holds the
-# digits of the exponent.
-_DECIMAL_EXPONENT = re.compile(
-    r"\s*[-+]?(?=\d|\.\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?"
-    r"[eE][-+]?(\d+(?:_\d+)*)\s*")
+# The text parse_rat reads, the same on every Python: an integer, p/q,
+# or a decimal with an optional exponent, whose digits are group 1, with
+# ASCII whitespace allowed only around the number.  Fraction's own
+# grammar grew '_' separators in 3.11 and spaces around '/' in 3.12.
+_RATIONAL = re.compile(
+    r"\s*[-+]?(?:\d+/\d+|(?=\.?\d)\d*(?:\.\d*)?(?:[eE][-+]?(\d+))?)\s*",
+    re.ASCII)
 
 
 def parse_rat(text):
@@ -35,17 +37,17 @@ def parse_rat(text):
     or '-1e3' into a Fraction; a decimal is read exactly.  Anything else
     raises ValueError, and a decimal exponent above MAX_DECIMAL_EXPONENT
     in size OverflowError, before any digit of the value is built."""
-    if "e" in text or "E" in text:
-        decimal = _DECIMAL_EXPONENT.fullmatch(text)
-        digits = decimal.group(1).replace("_", "").lstrip("0") if decimal \
-            else ""
-        # Any ten digits are over the bound; fewer int() reads at once.
-        if len(digits) > 9 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
-            raise OverflowError("decimal exponent of %r is out of range "
-                                "(at most %d in size)"
-                                % (text, MAX_DECIMAL_EXPONENT))
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError("not a rational number: %r" % (text,))
+    digits = (match.group(1) or "").lstrip("0")
+    # Any ten digits are over the bound; fewer int() reads at once.
+    if len(digits) > 9 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+        raise OverflowError("decimal exponent of %r is out of range "
+                            "(at most %d in size)"
+                            % (text, MAX_DECIMAL_EXPONENT))
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError("not a rational number: %r" % (text,)) from exc
 

@@ -15,8 +15,7 @@ from math import comb
 
 from .config import (Realisation, _non_simple, circuits, grid_config,
                      membership, qs_config)
-from .ideals import (G34_FORMULAS, QS_FORMULAS, QS_LINES, g34_value,
-                     generator_value, qs_value)
+from .ideals import G34_FORMULAS, QS_FORMULAS, QS_LINES, generator_value
 from .lifting import (build_collin, classify_lift, epsilon_scale, lift,
                       forest_lift, project, random_distinct_abscissas,
                       rank_test)
@@ -184,43 +183,35 @@ def _project_generic(r, rng):
     raise SampleError("retry budget exhausted projecting to a line")
 
 
-_FRAME_TRIPLES = tuple(product(_FRAMES, repeat=3))
-_WEAKLY_INCREASING_6 = tuple(combinations_with_replacement(_FRAMES, 6))
+# The TFAE formulas (ideals.generator_value): the QS polynomial of every
+# line on every frame triple, 4*27, and the grid polynomial of every
+# column on every weakly increasing frame 6-tuple, 4*28.
+_TFAE_QS = tuple(("qs", (line,) + f)
+                 for line in QS_LINES for f in product(_FRAMES, repeat=3))
+_TFAE_GRID = tuple(("g34", (ci,) + f) for ci in (1, 2, 3, 4)
+                   for f in combinations_with_replacement(_FRAMES, 6))
 
 
-def _qs_values(cols, rng=None):
-    """The QS values at cols on every line and frame triple, 4*27."""
-    return (qs_value(cols, line, *f)
-            for line in QS_LINES for f in _FRAME_TRIPLES)
+def _random_grid_formulas(rng):
+    """100 grid formulas at random (column, frame 6-tuple) draws."""
+    return tuple(("g34", (rng.randint(1, 4),)
+                  + tuple(rng.randint(1, 3) for _ in range(6)))
+                 for _ in range(100))
 
 
-def _g34_values(cols, rng=None):
-    """The grid values at cols on every column and weakly increasing
-    frame 6-tuple, 4*28; with rng, 100 random (column, 6-tuple) draws
-    follow."""
-    for ci in (1, 2, 3, 4):
-        for frames in _WEAKLY_INCREASING_6:
-            yield g34_value(cols, ci, *frames)
-    if rng is not None:
-        for _ in range(100):
-            ci = rng.randint(1, 4)
-            frames = tuple(rng.randint(1, 3) for _ in range(6))
-            yield g34_value(cols, ci, *frames)
-
-
-def _probe_tfae(suite, trials, seed, conf, sample, matrix, noun, values,
-                minors_on_first_trial=False):
+def _probe_tfae(suite, trials, seed, conf, sample, matrix, noun, formulas,
+                draw=None, minors_on_first_trial=False):
     """Exercise the equivalences of a fixed example on random samples.
 
     Positive branch, per trial: sample(rng) is projected to a generic
     line; at its abscissas the rank of matrix must be at most the
     liftability threshold bound of lifting.rank_test (and, on trial 0
     with minors_on_first_trial, every (bound+1)-minor must be zero),
-    every value of values(image, rng) must vanish, and lift() must
-    realise conf and project back to the same abscissas.  Negative
-    branch: a random collinear tuple should generically show rank
-    bound+1 and a nonzero value of values(pts); the report counts how
-    often it did.
+    every formula of formulas, and of draw(rng) when draw is given, must
+    vanish at the image, and lift() must realise conf and project back
+    to the same abscissas.  Negative branch: a random collinear tuple
+    should generically show rank bound+1 and a nonzero value of one of
+    formulas; the report counts how often it did.
     """
     report = ProbeReport(suite, trials)
     for t in range(trials):
@@ -244,7 +235,8 @@ def _probe_tfae(suite, trials, seed, conf, sample, matrix, noun, values,
             report.bump("ten-minors-enumerated", count)
         image = Realisation.from_columns(
             [res.chart.to_point(x) for x in xs]).int_columns()
-        vals = list(values(image, rng))
+        vals = [generator_value(image, f)
+                for f in formulas + (draw(rng) if draw else ())]
         report.check(not any(vals), "trial %d vanishing" % t,
                      "%d of %d %s values vanish"
                      % (vals.count(0), len(vals), noun))
@@ -257,7 +249,7 @@ def _probe_tfae(suite, trials, seed, conf, sample, matrix, noun, values,
         nxs, npts = _line_points(rng, conf.n)
         if rank_test(conf, nxs)[0] == k:
             report.bump("negative-rank-%d" % k)
-        if any(values(npts)):
+        if any(generator_value(npts, f) for f in formulas):
             report.bump("negative-nonzero-witness")
         report.bump("negative-trials")
     return report
@@ -269,7 +261,7 @@ def probe_tfae_qs(trials, seed):
     a realising quadrilateral set; random collinear 6-tuples generically
     show rank 4 and a nonzero QS value."""
     return _probe_tfae("tfae-qs", trials, seed, qs_config(), sample_quadset,
-                       "Lambda_QS", "QS", _qs_values)
+                       "Lambda_QS", "QS", _TFAE_QS)
 
 
 def probe_tfae_grid(trials, seed, minors_on_first_trial=True):
@@ -281,8 +273,8 @@ def probe_tfae_grid(trials, seed, minors_on_first_trial=True):
     collinear 12-tuples generically show rank 10 and a nonzero grid
     value."""
     return _probe_tfae("tfae-grid", trials, seed, grid_config(3, 4),
-                       sample_grid, "Lambda_G34", "grid", _g34_values,
-                       minors_on_first_trial)
+                       sample_grid, "Lambda_G34", "grid", _TFAE_GRID,
+                       _random_grid_formulas, minors_on_first_trial)
 
 
 def _all_generators_vanish(formulas, r):
@@ -308,8 +300,8 @@ def probe_decomposition(matroid, trials, seed):
     ideal.  Random general-position tuples serve as non-members and
     should leave some generator nonzero.  A generator vanishes when the
     bracket products it is expanded from do (ideals.generator_value:
-    det3 for a line bracket, the skeleton's products for the rest), so
-    no Poly is built or evaluated.
+    det3 for a line bracket, qs_value or g34_value for the rest), so no
+    Poly is built or evaluated.
     """
     # Built per call, so that a sampler wrapped by a tracer is called.
     examples = {"qs": (QS_FORMULAS, qs_config(), sample_quadset),

@@ -541,8 +541,8 @@ def rank_check_lift(c, x, seed=0):
 def reference_sample_collinear(rng, n):
     """probes.sample_collinear as it drew before it shared
     probes._line_points: the n parameters come from a set of draws,
-    which keeps drawing past a duplicate instead of redrawing all n.
-    The two streams agree until a duplicate parameter is drawn."""
+    which keeps drawing past a duplicate, as _line_points does too, so
+    the two draw the same stream."""
     for _ in range(probes.RETRY_BUDGET):
         a = probes._rand_vec(rng, probes.COEFF_RANGE)
         b = probes._rand_vec(rng, probes.COEFF_RANGE)

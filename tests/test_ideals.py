@@ -15,7 +15,7 @@ from planelift import ideals
 from planelift.config import (Config, bundled_config, grid_config,
                               line_triples, qs_config)
 from planelift.ideals import (G34_FORMULAS, QS_FORMULAS, GeneratorSet,
-                              QS_LINES, SKELETONS, RewriteRow, _bracket_sum,
+                              QS_LINES, SKELETONS, RewriteRow, _expand,
                               _frame, _g34_products, _minor_products,
                               _parse_compact, _qs_line, emit,
                               extend_minor, g34_generators,
@@ -77,7 +77,7 @@ ALL_QS_VARS = {(letter, p) for letter in "xyz" for p in range(1, 7)}
 
 def qs_as_built(line, *frames):
     """The QS polynomial of line, with the sign its skeleton gives."""
-    return _bracket_sum(SKELETONS["qs", line], frames)
+    return _expand(SKELETONS["qs", line], frames)
 
 
 def rand_columns(rng, n, bound=9):
@@ -378,14 +378,14 @@ def test_formula_expansions_match_dense_products(monkeypatch):
     # Every bracket sum that a QS or G34 formula expands, against the
     # chain of dense products of its frame brackets.
     calls = []
-    expand = ideals._bracket_sum
+    expand = ideals._expand
 
-    def recording(products, frames, pair=None):
-        out = expand(products, frames, pair)
+    def recording(products, frames):
+        out = expand(products, frames)
         calls.append((products, frames, out))
         return out
 
-    monkeypatch.setattr(ideals, "_bracket_sum", recording)
+    monkeypatch.setattr(ideals, "_expand", recording)
     for label, formula in QS_FORMULAS + G34_FORMULAS:
         del calls[:]
         p = generator_poly(formula)

@@ -48,16 +48,35 @@ def test_parse_rat_bounds_decimal_exponents():
     assert parse_rat("2E-%d" % MAX_DECIMAL_EXPONENT) \
         == Fraction(2, 10 ** MAX_DECIMAL_EXPONENT)
     for text in ("1e1000000000", "1e-1000000000", "-2.5E+4301",
-                 " 1e4_301 ", "1e%d" % (MAX_DECIMAL_EXPONENT + 1),
+                 "1e%d" % (MAX_DECIMAL_EXPONENT + 1),
                  "1e" + "9" * 5000, "1e00004301"):
         with pytest.raises(OverflowError, match="out of range"):
             parse_rat(text)
     # Not a decimal exponent at all: still a plain ValueError.
-    # Nor is a huge number after an 'e' that follows no decimal mantissa.
+    # Nor is a huge number after an 'e' that follows no decimal mantissa,
+    # nor one written with '_' separators.
     for text in ("1e", "1e5/3", "e5", "1ee5", "one", "1/2e9999",
-                 "abc e99999", "e99999", ".e99999", "1e9999/3"):
+                 "abc e99999", "e99999", ".e99999", "1e9999/3",
+                 " 1e4_301 "):
         with pytest.raises(ValueError, match="not a rational number"):
             parse_rat(text)
+
+
+@pytest.mark.parametrize("text,value", [
+    ("-0.5", Fraction(-1, 2)), (".5", Fraction(1, 2)), ("5.", 5),
+    ("1E3", 1000), ("+1/2", Fraction(1, 2)), (" 3 ", 3),
+    ("1/02", Fraction(1, 2)), ("1e1000000000", OverflowError),
+    # Fraction reads each of these on some Python: '_' separators from
+    # 3.11, spaces around '/' from 3.12, and non-ASCII digits on every
+    # version.
+    ("1_000", ValueError), ("1_0/3", ValueError), ("1e1_0", ValueError),
+    ("1 /2", ValueError), ("\u0661\u0662", ValueError)])
+def test_parse_rat_reads_one_grammar(text, value):
+    if isinstance(value, type):
+        with pytest.raises(value):
+            parse_rat(text)
+    else:
+        assert parse_rat(text) == value
 
 
 def test_format_rat_round_trip():

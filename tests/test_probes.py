@@ -5,11 +5,11 @@ import random
 import pytest
 
 from helpers import reference_sample_collinear
-from planelift import probes
+from planelift import ideals, probes
 from planelift.config import (Config, MembershipReport, Realisation,
                               bundled_config, circuits, config_of_realisation,
                               grid_config, membership, qs_config)
-from planelift.lifting import classify_lift
+from planelift.lifting import classify_lift, random_distinct_abscissas
 from planelift.probes import (ProbeReport, SampleError, probe_decomposition,
                               probe_tfae_grid, probe_tfae_qs, run_probe,
                               sample_collinear, sample_forest, sample_grid,
@@ -83,22 +83,24 @@ def test_sample_collinear_lands_in_v0():
 
 
 def test_sample_collinear_matches_the_reference_draw():
-    """sample_collinear sorts the draw of _line_points, which redraws
-    all n parameters after a duplicate where the reference keeps
-    drawing.  Where neither drew a duplicate, both used the same draws,
-    leave the generator in the same state and give the same points."""
-    compared = 0
+    """sample_collinear sorts the draw of _line_points, which, like the
+    reference, skips a duplicate parameter and draws one more, so both
+    use the same draws, leave the generator in the same state and give
+    the same points."""
     for seed in range(300):
         n = 3 + seed % 10
         ours, theirs = random.Random(seed), random.Random(seed)
         got = sample_collinear(ours, n)
         want = reference_sample_collinear(theirs, n)
-        if ours.getstate() == theirs.getstate():
-            assert got == want, seed
-            compared += 1
-    # A duplicate among at most 12 draws from 131,073 values has a
-    # chance below 0.06% per call.
-    assert compared >= 297
+        assert ours.getstate() == theirs.getstate(), seed
+        assert got == want, seed
+
+
+def test_distinct_abscissas_skip_a_repeated_draw():
+    # The repeated 5 is skipped and one more value drawn, in draw order.
+    rng = ScriptedRandom([5, -7, 5, 9, 11])
+    assert random_distinct_abscissas(3, rng) == [5, -7, 9]
+    assert rng.script == [11]
 
 
 def test_sample_forest_realises():
@@ -240,6 +242,25 @@ def test_probe_decomposition_grid_small():
     rep = probe_decomposition("grid34", 1, 0)
     assert rep.failed == 0
     assert rep.counts["nonmember-nonzero-witness"] == 1
+
+
+@pytest.mark.parametrize("matroid,attr,least", [
+    ("qs", "qs_value", 10), ("grid34", "g34_value", 28)])
+def test_decomposition_values_go_through_the_checked_evaluator(
+        monkeypatch, matroid, attr, least):
+    # Each QS or grid generator the probe evaluates goes through
+    # ideals.qs_value or ideals.g34_value, looked up when it is called:
+    # a wrapper put on the module attribute sees every such call.
+    calls = []
+    evaluate = getattr(ideals, attr)
+
+    def counting(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(ideals, attr, counting)
+    assert probe_decomposition(matroid, 1, 0).failed == 0
+    assert len(calls) >= least
 
 
 class RecordingRandom(random.Random):

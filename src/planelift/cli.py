@@ -72,7 +72,7 @@ def _rat(text):
         # A number too large to read is bad data, not bad usage; argparse
         # lets a DataError through to main.
         raise DataError(str(e))
-    except (ValueError, ZeroDivisionError) as e:
+    except ValueError as e:
         raise argparse.ArgumentTypeError(str(e))
 
 
@@ -139,7 +139,7 @@ def _load_abscissas(path, n):
                         "or {\"abscissas\": [...]}" % path)
     try:
         xs = [_abscissa(v) for v in doc]
-    except (OverflowError, ValueError, ZeroDivisionError) as e:
+    except (OverflowError, ValueError) as e:
         raise DataError("%s: %s" % (path, e))
     if len(xs) != n:
         raise DataError("%s: expected %d abscissas, got %d"

@@ -12,7 +12,6 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from .config import (Realisation, _non_simple, analyze, circuits,
                      components, delete_line, induced, line_triples,
@@ -55,10 +54,14 @@ class CollinMatrix:
     line's block is {z : z on the line lies in span(1, x)}, of
     codimension m - 2; each kept row is the only one of them that is
     nonzero in column pj, where it holds x_{p1} - x_{p2} != 0, so the
-    m - 2 kept rows are independent and span the block.  Each row is
-    scaled by the lcm of its three denominators, which changes neither
-    rank nor kernel.  `numeric`, the full Lambda as ints and Fractions,
-    is built on first read: its minors are the paper's objects.
+    m - 2 kept rows are independent and span the block.  With
+    x_p = a_p / b_p in lowest terms, each kept row is held as ints in
+    the scaled unknowns w_p = b_p z_p: the row of (i, j, k) times
+    b_i b_j b_k, whose entries are the 2x2 brackets a_u b_v - a_v b_u of
+    the points (a_p : b_p) of the line.  That changes no rank, and the
+    kernel only by diag(b), which lift_space undoes as it reads the
+    kernel off.  `numeric`, the full Lambda as ints and Fractions, is
+    built on first read: its minors are the paper's objects.
     """
 
     def __init__(self, config, abscissas, line_basis):
@@ -76,25 +79,23 @@ class CollinMatrix:
 def _line_basis_rows(c, nums, dens):
     """The integer rows of CollinMatrix.line_basis at the abscissas
     x_p = a_p / b_p, with a_p = nums[p - 1] and b_p = dens[p - 1].  The
-    row of the triple (i, j, k) times L = lcm(b_i, b_j, b_k) holds
-    s_j - s_k, s_k - s_i and s_i - s_j in columns i, j and k, where
-    s_p = a_p (L / b_p) = L x_p."""
+    row of the triple (i, j, k) holds the brackets a_j b_k - a_k b_j,
+    a_k b_i - a_i b_k and a_i b_j - a_j b_i in columns i, j and k: the
+    row of Lambda times b_i b_j b_k, in the unknowns w_p = b_p z_p.  At
+    integer abscissas, every b_p = 1, they are the rows of Lambda."""
     rows = []
     for line in c.lines:
         if len(line) < 3:
             continue
         i, j, *rest = (p - 1 for p in sorted(line))
         ai, bi, aj, bj = nums[i], dens[i], nums[j], dens[j]
-        lij = lcm(bi, bj)
+        ij = ai * bj - aj * bi
         for k in rest:
             ak, bk = nums[k], dens[k]
-            big = lcm(lij, bk)
-            si, sj, sk = (ai * (big // bi), aj * (big // bj),
-                          ak * (big // bk))
             row = [0] * c.n
-            row[i] = sj - sk
-            row[j] = sk - si
-            row[k] = si - sj
+            row[i] = aj * bk - ak * bj
+            row[j] = ak * bi - ai * bk
+            row[k] = ij
             rows.append(row)
     return rows
 
@@ -134,12 +135,14 @@ class LiftSpace(namedtuple("LiftSpace", "basis dimension")):
 
 
 def lift_space(cm):
-    """Exact kernel of the collinearity matrix cm, taken from
-    cm.line_basis, which has the same kernel, in the canonical form of
-    nullspace().  It contains the trivial plane spanned by the all-ones
-    vector and the abscissa vector, so heights outside that plane exist
-    iff the dimension is at least 3."""
-    basis = nullspace(cm.line_basis)
+    """Exact kernel of the collinearity matrix cm, in the canonical form
+    of nullspace().  It is the kernel of cm.line_basis in the unknowns
+    w_p = b_p z_p, b_p the denominator of x_p, which nullspace reads
+    off with the column scales b.  It contains the trivial plane
+    spanned by the all-ones vector and the abscissa vector, so heights
+    outside that plane exist iff the dimension is at least 3."""
+    basis = nullspace(cm.line_basis,
+                      [x.denominator for x in cm.abscissas])
     return LiftSpace(tuple(tuple(v) for v in basis), len(basis))
 
 

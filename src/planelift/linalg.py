@@ -24,11 +24,12 @@ from math import gcd, prod
 MAX_DECIMAL_EXPONENT = 4300
 
 # The text parse_rat reads, the same on every Python: an integer, p/q,
-# or a decimal with an optional exponent, whose digits are group 1, with
-# ASCII whitespace allowed only around the number.  Fraction's own
-# grammar grew '_' separators in 3.11 and spaces around '/' in 3.12.
+# or a decimal with an optional exponent, with ASCII whitespace allowed
+# only around the number.  Fraction's own grammar grew '_' separators in
+# 3.11 and spaces around '/' in 3.12.
 _RATIONAL = re.compile(
-    r"\s*[-+]?(?:\d+/\d+|(?=\.?\d)\d*(?:\.\d*)?(?:[eE][-+]?(\d+))?)\s*",
+    r"\s*(?P<sign>[-+]?)(?:(?P<num>\d+)/(?P<den>\d+)|(?=\.?\d)(?P<int>\d*)"
+    r"(?:\.(?P<frac>\d*))?(?:[eE](?P<esign>[-+]?)(?P<exp>\d+))?)\s*",
     re.ASCII)
 
 
@@ -38,18 +39,31 @@ def parse_rat(text):
     raises ValueError, and a decimal exponent above MAX_DECIMAL_EXPONENT
     in size OverflowError, before any digit of the value is built."""
     match = _RATIONAL.fullmatch(text)
-    if match is None:
-        raise ValueError("not a rational number: %r" % (text,))
-    digits = (match.group(1) or "").lstrip("0")
-    # Any ten digits are over the bound; fewer int() reads at once.
-    if len(digits) > 9 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
-        raise OverflowError("decimal exponent of %r is out of range "
-                            "(at most %d in size)"
-                            % (text, MAX_DECIMAL_EXPONENT))
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError("not a rational number: %r" % (text,)) from exc
+    if match is not None:
+        sign, num, den, whole, frac, esign, exp = match.groups()
+        exp = (exp or "").lstrip("0")
+        # Any ten digits are over the bound; fewer int() reads at once.
+        if len(exp) > 9 or int(exp or 0) > MAX_DECIMAL_EXPONENT:
+            raise OverflowError("decimal exponent of %r is out of range "
+                                "(at most %d in size)"
+                                % (text, MAX_DECIMAL_EXPONENT))
+        try:
+            if den is None:
+                # The value is the digits times 10 ** shift.
+                frac = frac or ""
+                num = int(whole or "0") * 10 ** len(frac) + int(frac or "0")
+                shift = (int(esign + exp) if exp else 0) - len(frac)
+                num *= 10 ** max(shift, 0)
+                den = 10 ** max(-shift, 0)
+            else:
+                num, den = int(num), int(den)
+        except ValueError:
+            # More digits in one part than int() reads, as in Fraction.
+            pass
+        else:
+            if den:
+                return Fraction(-num if sign == "-" else num, den)
+    raise ValueError("not a rational number: %r" % (text,))
 
 
 # str prints an int or a Fraction as 'p' or 'p/q', with a positive
@@ -219,12 +233,18 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def nullspace(m):
+def nullspace(m, col_scales=None):
     """Canonical exact basis of the right kernel {z : m z = 0}: the
     reduced echelon form of the kernel, which is unique.  Every vector
     has its first nonzero entry equal to 1, at a column where the other
     vectors are zero, and the result does not depend on elimination
     order.  Basis size is cols - rank(m).
+
+    With col_scales, one nonzero int b_p per column, it is the kernel
+    of m diag(b) instead, {z : m w = 0 where w_p = b_p z_p}.  Column
+    scaling keeps the zero pattern of the kernel vectors, so each is
+    m's vector divided entrywise by b and renormalised, and each entry
+    is written once as a Fraction.
 
     One reduced elimination of the integer rows, with the columns taken
     in reverse order, gives it.  Its pivots are the greedy column basis
@@ -242,6 +262,8 @@ def nullspace(m):
     a = [row[::-1] for row in m._ints]
     pivots, _ = bareiss(a, reduce=True)
     d = a[len(pivots) - 1][pivots[-1]] if pivots else 1
+    # The scales in the reversed column order of a.
+    b = [1] * n if col_scales is None else col_scales[::-1]
     pivot_set = set(pivots)
     basis = []
     for f in range(n - 1, -1, -1):
@@ -249,10 +271,11 @@ def nullspace(m):
             continue
         v = [_ZERO] * n
         v[n - 1 - f] = _ONE
+        bf = b[f]
         for prow, pcol in enumerate(pivots):
             e = a[prow][f]
             if e:
-                v[n - 1 - pcol] = Fraction(-e, d)
+                v[n - 1 - pcol] = Fraction(-e * bf, d * b[pcol])
         basis.append(v)
     return basis
 

@@ -376,6 +376,7 @@ def test_invalid_config_file(tmp_path, capsys):
 def test_usage_errors_exit_64(capsys):
     for argv in ([], ["frobnicate"], ["qs-check", "1", "2"],
                  ["qs-check", "a", "b", "c", "d", "e", "f"],
+                 ["qs-check", "1/0", "1", "2", "3", "4", "5"],
                  ["gens", "qs", "--format", "xml"],
                  ["check", "qs", "--seed", "two"],
                  ["verify", "tfae-qs", "--trials", "0"],

@@ -13,10 +13,12 @@ from planelift.lifting import (build_collin, classify_lift, epsilon_scale,
                                forest_lift, is_liftable_generic,
                                is_quasi_liftable, lift, lift_space,
                                poly_matrix_rank, project,
-                               random_distinct_abscissas,
+                               random_distinct_abscissas, rank_test,
                                symbolic_collin_rank)
-from planelift.linalg import QMatrix, det3, nullspace, rank
+from planelift.linalg import QMatrix, det3, rank
 from planelift.poly import Poly
+from planelift.probes import (_project_generic, _trial_rng, sample_grid,
+                              sample_quadset)
 
 from test_linalg import QS_AT_012345
 
@@ -80,42 +82,89 @@ def test_qs_collin_numeric_golden():
 
 
 def _distinct_tuples(rng, n):
-    """Distinct abscissa tuples of three kinds: ints of both signs,
-    Fractions of both signs whose denominators differ, and the two
-    mixed."""
+    """Distinct abscissa tuples of four kinds: ints of both signs,
+    Fractions of both signs whose denominators differ, the two mixed,
+    and Fractions of both signs over a few shared denominators."""
     while True:
         fracs = [Fraction(rng.randint(-999, 999), d)
                  for d in rng.sample(range(2, 90), n)]
         ints = random_distinct_abscissas(n, rng)
         mixed = [f if i % 2 else v
                  for i, (f, v) in enumerate(zip(fracs, ints))]
-        if len(set(fracs)) == n and len(set(mixed)) == n:
-            return ints, fracs, mixed
+        shared = [Fraction(v, rng.choice((6, 12, 35)))
+                  for v in random_distinct_abscissas(n, rng)]
+        if len(set(fracs)) == n and len(set(mixed)) == n \
+                and len(set(shared)) == n:
+            return ints, fracs, mixed, shared
+
+
+def _projected_tuples():
+    """Abscissas of projected quadrilateral sets and 3x4 grids, as the
+    TFAE probes draw them."""
+    for t in range(4):
+        rng = _trial_rng(26, t)
+        yield qs_config(), _project_generic(sample_quadset(rng),
+                                            rng).abscissas
+        rng = _trial_rng(26, t)
+        yield grid_config(3, 4), _project_generic(sample_grid(rng, 3, 4),
+                                                  rng).abscissas
+
+
+# The rational grid-check tuple of CI: a projected 3x4 grid, rank 8.
+GRID_AT_RANK_8 = tuple(map(Fraction, (
+    "9/11 2/3 9/16 23/22 23/27 23/32 14/11 28/27 7/8 3/2 11/9 33/32"
+    .split())))
+
+
+def _kept_triples(c):
+    """The triples (p1, p2, pj) of each line p1 < p2 < ... < pm."""
+    return [(p1, p2, pj) for line in c.lines if len(line) >= 3
+            for p1, p2, *rest in [sorted(line)] for pj in rest]
+
+
+def _bracket_rows(cm):
+    """Lambda's row of each kept triple (i, j, k), times b_i b_j b_k and
+    read in the unknowns w_p = b_p z_p, where b_p is the denominator of
+    x_p."""
+    triples = line_triples(cm.config)
+    full = cm.numeric.to_lists()
+    b = [Fraction(x).denominator for x in cm.abscissas]
+    return [[e * b[i - 1] * b[j - 1] * b[k - 1] / b[p]
+             for p, e in enumerate(full[triples.index((i, j, k))])]
+            for i, j, k in _kept_triples(cm.config)]
 
 
 def test_line_basis_has_the_rank_and_kernel_of_lambda():
-    # The rows (p1, p2, pj) of each line, as integers, against the full
-    # Fraction matrix: the same rank and the same canonical kernel.
+    # The rows (p1, p2, pj) of each line, as integer brackets, against
+    # the full Fraction matrix: the same rank, and lift_space reads the
+    # canonical kernel of Lambda off them.  At integer abscissas the
+    # rows are Lambda's own.
     rng = random.Random(1414)
     configs = [random_linear_config(rng, line_sizes=(3, 4, 5, 6, 7))
                for _ in range(80)]
     configs += [bundled_config(name) for name in
                 ("qs", "grid3x3", "grid3x4", "forest_single_line")]
+    cases = [(c, xs) for c in configs for xs in _distinct_tuples(rng, c.n)]
+    cases += list(_projected_tuples())
+    cases.append((grid_config(3, 4), GRID_AT_RANK_8))
     longest = 0
-    for c in configs:
+    for c, xs in cases:
         longest = max([longest] + [len(line) for line in c.lines])
-        for xs in _distinct_tuples(rng, c.n):
-            cm = build_collin(c, xs)
-            full = cm.numeric.to_lists()
-            basis = cm.line_basis.to_lists()
-            assert len(basis) == sum(max(len(line) - 2, 0)
-                                     for line in c.lines)
-            assert all(type(e) is int for row in basis for e in row)
-            kernel = frac_kernel_rref(full, c.n)
-            assert rank(cm.line_basis) == gauss_rank(full), (c, xs)
-            assert nullspace(cm.line_basis) == kernel, (c, xs)
-            assert lift_space(cm).basis == tuple(map(tuple, kernel))
+        cm = build_collin(c, xs)
+        full = cm.numeric.to_lists()
+        basis = cm.line_basis.to_lists()
+        assert len(basis) == sum(max(len(line) - 2, 0)
+                                 for line in c.lines)
+        assert all(type(e) is int for row in basis for e in row)
+        assert basis == _bracket_rows(cm), (c, xs)
+        if all(type(x) is int for x in xs):
+            assert basis == [full[line_triples(c).index(t)]
+                             for t in _kept_triples(c)], (c, xs)
+        kernel = frac_kernel_rref(full, c.n)
+        assert rank(cm.line_basis) == gauss_rank(full), (c, xs)
+        assert lift_space(cm).basis == tuple(map(tuple, kernel)), (c, xs)
     assert longest == 7
+    assert rank_test(grid_config(3, 4), GRID_AT_RANK_8) == (8, 9)
 
 
 def test_build_collin_errors():

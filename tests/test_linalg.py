@@ -227,6 +227,10 @@ def test_nullspace_is_canonical():
         # scaling the matrix must not change the canonical kernel
         scaled = QMatrix([[3 * e for e in row] for row in m.to_lists()])
         assert nullspace(scaled) == basis
+        # with column scales b it is the canonical kernel of m diag(b)
+        b = [rng.randint(1, 40) for _ in range(m.cols)]
+        assert nullspace(m, b) == frac_kernel_rref(
+            [[e * s for e, s in zip(row, b)] for row in rows], m.cols)
 
 
 def test_rank_invariant_under_permutation_and_scaling():

@@ -202,7 +202,13 @@ def cmd_gens(args):
     elif target == "grid34":
         g = g34_generators()
     elif target.startswith("radical:"):
-        c = _load_config(target[len("radical:"):])
+        spec = target[len("radical:"):]
+        c = _load_config(spec)
+        if not c.n:
+            # Every format declares the ring of the points' coordinates,
+            # and a configuration with no points has none.
+            raise DataError("%s: a configuration with no points has no "
+                            "coordinate ring" % spec)
         try:
             g = radical_ideal_generators(c, minor_size=args.minor_size)
         except ValueError as e:

@@ -11,7 +11,7 @@ from collections import namedtuple
 from itertools import combinations
 from math import comb
 
-from .linalg import _exact, _int_row, cross, det3
+from .linalg import CrossTable, _exact, _int_row, dot
 
 
 # The records below are namedtuples: immutable, compared and hashed by
@@ -118,11 +118,20 @@ class MembershipReport(namedtuple(
     __slots__ = ()
 
 
-def _dependent(cols):
-    """The increasing 1-based triples of linearly dependent columns,
-    from one det3 pass over the columns cols."""
-    return {t for t in combinations(range(1, len(cols) + 1), 3)
-            if not det3(cols[t[0] - 1], cols[t[1] - 1], cols[t[2] - 1])}
+def _dependent(crosses):
+    """The increasing 1-based triples of linearly dependent columns of
+    the CrossTable crosses: (i, j, k) is dependent iff the bracket
+    dot(crosses[i, j], column k) is zero, so each pair's cross product
+    serves every later third point."""
+    cols = crosses.cols
+    n = len(cols)
+    dep = set()
+    for i, j in combinations(range(1, n + 1), 2):
+        w = crosses[i, j]
+        for k in range(j + 1, n + 1):
+            if not dot(w, cols[k - 1]):
+                dep.add((i, j, k))
+    return dep
 
 
 def membership(r, m):
@@ -132,15 +141,16 @@ def membership(r, m):
     in_v0: every triple is dependent (all points on one line), which
     for a 3 x n matrix is the same as rank at most 2.
     realises: circuits dependent and every other triple independent.
-    One scan of r.int_columns() finds the dependent triples (brackets
-    are multihomogeneous, so the scaling does not matter); the flags
-    and the first violated triples, the lexicographically least, come
-    from its set differences with the circuit triples.
+    The dependent triples are read off r.crosses, the cross products
+    of the pairs of r.int_columns() (brackets are multihomogeneous, so
+    the scaling does not matter); the flags and the first violated
+    triples, the lexicographically least, come from their set
+    differences with the circuit triples.
     """
     if r.n != m.n:
         raise ValueError("realisation has %d points, matroid %d"
                          % (r.n, m.n))
-    dep = _dependent(r.int_columns())
+    dep = _dependent(r.crosses)
     independent_circuits = m.circuits3 - dep
     dependent_others = dep - m.circuits3
     return MembershipReport(not independent_circuits,
@@ -157,10 +167,11 @@ class Realisation:
     Zero columns are allowed; they encode loops of the matroid.
     """
 
-    __slots__ = ("cols",)
+    __slots__ = ("cols", "_crosses")
 
     def __init__(self, cols):
         self.cols = cols
+        self._crosses = None
 
     @classmethod
     def from_columns(cls, columns):
@@ -186,6 +197,15 @@ class Realisation:
         vanishes on these exactly when it vanishes on the columns."""
         return [_int_row(col)[0] for col in self.cols]
 
+    @property
+    def crosses(self):
+        """The CrossTable of int_columns(), built when first read and
+        dropped with the realisation: every zero test on its points
+        reads this one table."""
+        if self._crosses is None:
+            self._crosses = CrossTable(self.int_columns())
+        return self._crosses
+
     def __eq__(self, other):
         return isinstance(other, Realisation) and self.cols == other.cols
 
@@ -193,15 +213,17 @@ class Realisation:
         return "Realisation(%r)" % (self.cols,)
 
 
-def _non_simple(cols):
-    """Why integer columns are not simple: the first zero column or the
-    first projectively equal pair (zero cross product), or None."""
+def _non_simple(crosses):
+    """Why the columns of the CrossTable crosses are not simple: the
+    first zero column or the first projectively equal pair (zero cross
+    product), or None."""
+    cols = crosses.cols
     for i, col in enumerate(cols, start=1):
         if not any(col):
             return "point %d is a loop" % i
-    for (i, u), (j, v) in combinations(enumerate(cols, start=1), 2):
-        if not any(cross(u, v)):
-            return "points %d and %d coincide" % (i, j)
+    for pair in combinations(range(1, len(cols) + 1), 2):
+        if not any(crosses[pair]):
+            return "points %d and %d coincide" % pair
     return None
 
 
@@ -211,20 +233,18 @@ def config_of_realisation(r):
 
     Requires a simple realisation: raises ValueError on zero or
     projectively-equal columns.  The line through two points is the
-    union of the dependent triples containing both.  All zero tests run
-    on r.int_columns(), which is valid because brackets and cross
-    products are multihomogeneous in the columns.
+    union of the dependent triples containing both.  All zero tests read
+    r.crosses, over r.int_columns(), which is valid because brackets and
+    cross products are multihomogeneous in the columns.
     """
-    cols = r.int_columns()
-    n = len(cols)
-    why = _non_simple(cols)
+    why = _non_simple(r.crosses)
     if why:
         raise ValueError("non-simple input: " + why)
     through = {}
-    for t in _dependent(cols):
+    for t in _dependent(r.crosses):
         for pair in combinations(t, 2):
             through.setdefault(pair, set()).update(t)
-    return Config(n, tuple(sorted({tuple(sorted(flat))
+    return Config(r.n, tuple(sorted({tuple(sorted(flat))
                                    for flat in through.values()})))
 
 

@@ -20,14 +20,18 @@ R_3 = (0,0,1), or an exact 3-vector.
 
 Every skeleton is summed by one of two functions: _expand builds the
 Poly (qs_poly, g34_poly, extend_minor, radical_ideal_generators,
-verify_rewrite_rows), and _value the number at explicit point columns
-(qs_value and g34_value only).  A generator is declared as a formula
-(family, args): ("bracket", (i, j, k)), ("qs", (line, f1, f2, f3)) or
-("g34", (ci, f1, ..., f6)), args being the family function's own
-arguments.  generator_poly expands a formula with bracket, qs_poly or
-g34_poly, and generator_value evaluates it with det3, qs_value or
-g34_value, each looked up by name when called, so that a wrapper put
-on the module attribute (bench/tracing.py) sees every call.
+verify_rewrite_rows), and _value the number at explicit points
+(qs_value and g34_value only), read off their linalg.CrossTable: a
+caller that evaluates many formulas at one point set passes all of
+them one table, so that each pair's cross product is computed once.
+A generator is declared as a formula (family, args): ("bracket",
+(i, j, k)), ("qs", (line, f1, f2, f3)) or ("g34", (ci, f1, ..., f6)),
+args being the family function's own arguments.  generator_poly
+expands a formula with bracket, qs_poly or g34_poly, and
+generator_value evaluates it from the table, through qs_value or
+g34_value for the last two, each looked up by name when called, so
+that a wrapper put on the module attribute (bench/tracing.py) sees
+every call.
 """
 
 import re
@@ -38,8 +42,8 @@ from itertools import combinations, combinations_with_replacement, \
 from json.encoder import encode_basestring_ascii
 
 from .config import grid_config, line_triples, qs_config, row_pairs
-from .linalg import _check_index_set, _exact, det3
-from .poly import (FRAME_COFACTORS, Poly, _pack, bracket, expand_products,
+from .linalg import CrossTable, _check_index_set, _exact, dot
+from .poly import (Poly, _pack, bracket, expand_products,
                    frame_terms, monomial_pairs, multidegree, point_bracket,
                    poly_to_plain, unit_exponents, var_id, var_names)
 
@@ -72,19 +76,23 @@ def _expand(products, frames):
          for sign, pairs in products])
 
 
-def _value(products, frames, cols):
-    """The value of _expand(products, frames) at the point columns cols,
-    summed bracket by bracket with no Poly built."""
+def _crosses(points):
+    """The CrossTable of points: points itself when it is one, else a
+    new table over the point columns points."""
+    return points if isinstance(points, CrossTable) else CrossTable(points)
+
+
+def _value(products, frames, crosses):
+    """The value of _expand(products, frames) at the points of the
+    CrossTable crosses, summed bracket by bracket with no Poly built:
+    [a b R_f] is entry f - 1 of crosses[a, b], and [a b F] its dot
+    product with the vector F."""
     total = 0
     for sign, pairs in products:
         prod = sign
-        for (a, b), f in zip(pairs, frames, strict=True):
-            u, w = cols[a - 1], cols[b - 1]
-            if isinstance(f, int):
-                i, j = FRAME_COFACTORS[f]
-                prod = prod * (u[i] * w[j] - w[i] * u[j])
-            else:
-                prod = prod * det3(u, w, f)
+        for pair, f in zip(pairs, frames, strict=True):
+            w = crosses[pair]
+            prod = prod * (w[f - 1] if isinstance(f, int) else dot(w, f))
         total = total + prod
     return total
 
@@ -95,6 +103,10 @@ QS_LINES = qs_config().lines
 
 
 def _qs_line(spec):
+    """The line spec, checked: a line of QS_LINES, its points in any
+    order or as a string such as 'l123'."""
+    if spec in QS_LINES:
+        return spec
     if isinstance(spec, str):
         spec = tuple(int(ch) for ch in spec.strip().lstrip("l"))
     line = tuple(sorted(spec))
@@ -182,10 +194,11 @@ def qs_poly(line, f1, f2, f3):
 
 
 def qs_value(cols, line, f1, f2, f3):
-    """Value of the QS polynomial at explicit point columns, computed
-    via the bracket products (no symbolic expansion)."""
+    """Value of the QS polynomial at explicit points, their columns or
+    CrossTable, computed via the bracket products (no symbolic
+    expansion)."""
     return _value(SKELETONS["qs", _qs_line(line)],
-                  [_frame(f) for f in (f1, f2, f3)], cols)
+                  [_frame(f1), _frame(f2), _frame(f3)], _crosses(cols))
 
 
 def _g34_skeleton(ci, frames):
@@ -204,8 +217,9 @@ def g34_poly(ci, *frames):
 
 
 def g34_value(cols, ci, *frames):
-    """Value of the grid polynomial at explicit point columns."""
-    return _value(*_g34_skeleton(ci, frames), cols)
+    """Value of the grid polynomial at explicit points, their columns or
+    CrossTable."""
+    return _value(*_g34_skeleton(ci, frames), _crosses(cols))
 
 
 # --- generating sets ---------------------------------------------------------
@@ -247,13 +261,15 @@ def generator_poly(formula):
 
 
 def generator_value(cols, formula):
-    """The value at the point columns cols of generator_poly(formula),
-    up to sign (canonical() only flips signs), from det3, qs_value or
-    g34_value: no Poly is built."""
+    """The value at the points cols, their columns or CrossTable, of
+    generator_poly(formula), up to sign (canonical() only flips signs),
+    from the table, qs_value or g34_value: no Poly is built."""
+    crosses = _crosses(cols)
     family, args = formula
     if family == "bracket":
-        return det3(*(cols[i - 1] for i in args))
-    return (qs_value if family == "qs" else g34_value)(cols, *args)
+        i, j, k = args
+        return dot(crosses[i, j], crosses.cols[k - 1])
+    return (qs_value if family == "qs" else g34_value)(crosses, *args)
 
 
 def _generator_set(name, npoints, formulas):

@@ -159,10 +159,12 @@ def classify_lift(c, r):
     no column vanishes and no two columns coincide projectively.  A
     configuration whose every triple is collinear is realised by
     collinear points, so the realising answer takes precedence over the
-    trivial one.  Trivial means all lifted points are collinear.  The
-    zero tests run on r.int_columns(), as brackets are multihomogeneous.
+    trivial one.  Trivial means all lifted points are collinear.  Both
+    tests, simplicity and membership, read the one table r.crosses of
+    pair cross products over r.int_columns(), as brackets and cross
+    products are multihomogeneous.
     """
-    if _non_simple(r.int_columns()):
+    if _non_simple(r.crosses):
         return "degenerate"
     rep = membership(r, circuits(c))
     if rep.realises:
@@ -292,7 +294,9 @@ def project(r, center=CONVENTIONAL_CENTER, target_line=CONVENTIONAL_LINE):
     line, together with the chart map (so w = t*A + B reconstructs the
     image points).  Coincident images are reported via the `distinct`
     flag rather than as an error.  The default center (0,0,1) and line
-    z = 0 invert lift(): projecting a lift recovers its abscissas.
+    z = 0 invert lift(): projecting a lift recovers its abscissas.  The
+    crosses read r.int_columns(): scaling a column by a nonzero factor
+    does not move its image, so the abscissas are the columns' own.
     """
     ln = _exact(target_line)
     cen = _exact(center)
@@ -312,8 +316,8 @@ def project(r, center=CONVENTIONAL_CENTER, target_line=CONVENTIONAL_LINE):
     b[m] = Fraction(-ln[j], ln[m])
     chart = ChartMap((tuple(a), tuple(b)))
     out = []
-    for idx in range(1, r.n + 1):
-        through = cross(cen, r.column(idx))
+    for idx, col in enumerate(r.int_columns(), start=1):
+        through = cross(cen, col)
         if not any(through):
             raise ValueError("point %d coincides with the projection center"
                              % idx)

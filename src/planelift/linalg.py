@@ -408,6 +408,31 @@ def cross(u, v):
             u[0] * v[1] - u[1] * v[0]]
 
 
+def dot(u, v):
+    """Dot product of two 3-vectors."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+class CrossTable(dict):
+    """The cross products of pairs of a point set's columns, each
+    computed when first read: table[a, b] is cols[a - 1] x cols[b - 1]
+    for 1-based a and b.  Every bracket of the points is read off it:
+    [a b c] is dot(table[a, b], cols[c - 1]), and [a b R_f] against the
+    f-th standard frame point is table[a, b][f - 1].  A table belongs to
+    one point set and is dropped with it."""
+
+    __slots__ = ("cols",)
+
+    def __init__(self, cols):
+        super().__init__()
+        self.cols = cols
+
+    def __missing__(self, pair):
+        a, b = pair
+        self[pair] = w = cross(self.cols[a - 1], self.cols[b - 1])
+        return w
+
+
 def det3(p, q, r):
     """Determinant of three column 3-vectors."""
     return (p[0] * (q[1] * r[2] - q[2] * r[1])

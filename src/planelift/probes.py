@@ -19,7 +19,7 @@ from .ideals import G34_FORMULAS, QS_FORMULAS, QS_LINES, generator_value
 from .lifting import (build_collin, classify_lift, epsilon_scale, lift,
                       forest_lift, project, random_distinct_abscissas,
                       rank_test)
-from .linalg import all_minors, cross
+from .linalg import CrossTable, all_minors, cross
 
 
 def _trial_rng(seed, t):
@@ -111,8 +111,9 @@ def sample_collinear(rng, n):
     """n distinct points on a random line, in full homogeneous
     coordinates (generically no zero coordinates): the draw of
     _line_points, in increasing order of abscissa."""
-    xs, pts = _line_points(rng, n)
-    return Realisation.from_columns([p for _, p in sorted(zip(xs, pts))])
+    xs, crosses = _line_points(rng, n)
+    return Realisation.from_columns(
+        [p for _, p in sorted(zip(xs, crosses.cols))])
 
 
 # --- probe reports ------------------------------------------------------------
@@ -155,16 +156,18 @@ _FRAMES = (1, 2, 3)
 
 def _line_points(rng, n):
     """Embed n random distinct abscissas on a random generic line,
-    returning (abscissas, full homogeneous integer columns)."""
+    returning the abscissas and the CrossTable of the points' full
+    homogeneous integer columns, which the simplicity check filled."""
     for _ in range(RETRY_BUDGET):
         a = _rand_vec(rng, COEFF_RANGE)
         b = _rand_vec(rng, COEFF_RANGE)
         if not any(cross(a, b)):
             continue
         xs = random_distinct_abscissas(n, rng)
-        pts = [tuple(x * u + v for u, v in zip(a, b)) for x in xs]
-        if not _non_simple(pts):
-            return xs, pts
+        crosses = CrossTable([tuple(x * u + v for u, v in zip(a, b))
+                              for x in xs])
+        if not _non_simple(crosses):
+            return xs, crosses
     raise SampleError("retry budget exhausted embedding points on a line")
 
 
@@ -211,7 +214,8 @@ def _probe_tfae(suite, trials, seed, conf, sample, matrix, noun, formulas,
     vanish at the image, and lift() must realise conf and project back
     to the same abscissas.  Negative branch: a random collinear tuple
     should generically show rank bound+1 and a nonzero value of one of
-    formulas; the report counts how often it did.
+    formulas; the report counts how often it did.  All formulas at one
+    point set read one CrossTable.
     """
     report = ProbeReport(suite, trials)
     for t in range(trials):
@@ -234,7 +238,7 @@ def _probe_tfae(suite, trials, seed, conf, sample, matrix, noun, formulas,
                          "%d minors, allzero=%s" % (count, allzero))
             report.bump("ten-minors-enumerated", count)
         image = Realisation.from_columns(
-            [res.chart.to_point(x) for x in xs]).int_columns()
+            [res.chart.to_point(x) for x in xs]).crosses
         vals = [generator_value(image, f)
                 for f in formulas + (draw(rng) if draw else ())]
         report.check(not any(vals), "trial %d vanishing" % t,
@@ -246,10 +250,10 @@ def _probe_tfae(suite, trials, seed, conf, sample, matrix, noun, formulas,
                      and project(lifted.realisation).abscissas == tuple(xs),
                      "trial %d lift" % t, "lift kind %s" % lifted.kind)
         # negative control
-        nxs, npts = _line_points(rng, conf.n)
+        nxs, ncrosses = _line_points(rng, conf.n)
         if rank_test(conf, nxs)[0] == k:
             report.bump("negative-rank-%d" % k)
-        if any(generator_value(npts, f) for f in formulas):
+        if any(generator_value(ncrosses, f) for f in formulas):
             report.bump("negative-nonzero-witness")
         report.bump("negative-trials")
     return report
@@ -281,12 +285,11 @@ def _all_generators_vanish(formulas, r):
     """(True, None), or (False, label of the first generator that does
     not vanish at r), for the (label, formula) pairs of a generating set
     (ideals.QS_FORMULAS, ideals.G34_FORMULAS).  Each value comes from
-    the generator's bracket products; the generators are
-    multihomogeneous, so r.int_columns() gives the same answer as r's
-    own columns."""
-    cols = r.int_columns()
+    the generator's bracket products, read off r.crosses; the generators
+    are multihomogeneous, so r.int_columns() gives the same answer as
+    r's own columns."""
     for label, formula in formulas:
-        if generator_value(cols, formula):
+        if generator_value(r.crosses, formula):
             return False, label
     return True, None
 
@@ -299,9 +302,10 @@ def probe_decomposition(matroid, trials, seed):
     lands in the collinear branch or kills every generator of the
     ideal.  Random general-position tuples serve as non-members and
     should leave some generator nonzero.  A generator vanishes when the
-    bracket products it is expanded from do (ideals.generator_value:
-    det3 for a line bracket, qs_value or g34_value for the rest), so no
-    Poly is built or evaluated.
+    bracket products it is expanded from do (ideals.generator_value: a
+    line bracket is a cross product dotted with a column, and qs_value
+    or g34_value give the rest), so no Poly is built or evaluated.
+    Each sample's tests and values all read its Realisation.crosses.
     """
     # Built per call, so that a sampler wrapped by a tracer is called.
     examples = {"qs": (QS_FORMULAS, qs_config(), sample_quadset),

@@ -15,8 +15,8 @@ from itertools import combinations, permutations
 
 from planelift import lifting, probes
 from planelift.config import (Config, MembershipReport, Realisation,
-                              _non_simple, analyze, components, induced,
-                              line_triples, row_pairs)
+                              analyze, components, induced, line_triples,
+                              row_pairs)
 from planelift.linalg import QMatrix, cross
 from planelift.poly import Poly, monomial_pairs, multidegree, var_id
 
@@ -553,7 +553,7 @@ def reference_sample_collinear(rng, n):
             params.add(rng.randint(-probes.COEFF_RANGE, probes.COEFF_RANGE))
         pts = [tuple(t * u + v for u, v in zip(a, b))
                for t in sorted(params)]
-        if not _non_simple(pts):
+        if not frac_non_simple(pts):
             return Realisation.from_columns(pts)
     raise probes.SampleError("retry budget exhausted sampling collinear "
                              "points")

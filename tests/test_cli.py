@@ -465,6 +465,21 @@ def test_gens_radical_default_below_one(tmp_path, capsys):
     assert exit_info.value.code == 64
 
 
+def test_gens_radical_needs_a_point(tmp_path, capsys):
+    # Every format declares the coordinate ring, which a configuration
+    # with no points does not have.
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"points": 0, "lines": []}))
+    for extra in (["--format", "plain"], ["--format", "cas"],
+                  ["--format", "json"], ["--minor-size", "1"]):
+        code, out, err = run_cli(capsys, "gens", "radical:%s" % path,
+                                 *extra)
+        assert code == 65
+        assert out == ""
+        assert err == "planelift: %s: a configuration with no points has " \
+            "no coordinate ring\n" % path
+
+
 def test_gens_unknown_target(capsys):
     code, _, err = run_cli(capsys, "gens", "radical:/missing.json")
     assert code == 65

@@ -14,9 +14,13 @@ from helpers import (BIG, assignment_from_columns, frac_classify_lift,
 from planelift.config import (Config, Realisation, circuits,
                               config_of_realisation, grid_config, membership,
                               qs_config)
-from planelift.ideals import (G34_FORMULAS, QS_FORMULAS, g34_generators,
-                              generator_value, qs_generators)
-from planelift.lifting import classify_lift, epsilon_scale, lift
+from planelift.ideals import (G34_FORMULAS, QS_FORMULAS, QS_LINES,
+                              SKELETONS, _expand, _frame, g34_generators,
+                              g34_value, generator_value, qs_generators,
+                              qs_value)
+from planelift.lifting import (build_collin, classify_lift, epsilon_scale,
+                               lift, lift_space, project)
+from planelift.linalg import CrossTable
 from planelift.probes import (_all_generators_vanish, _project_generic,
                               sample_collinear, sample_grid, sample_quadset)
 
@@ -74,10 +78,25 @@ def _cases():
                 qs))
     out.append(("epsilon grid3x3",
                 _epsilon_lift(g33, sample_grid(rng, 3, 3), rng), g33))
+    grid_r = sample_grid(rng, 3, 4)
+    grid = grid_r.columns()
+    out.append(("epsilon grid3x4", _epsilon_lift(g34, grid_r, rng), g34))
+    out.append(("grid3x4 zero column",
+                _scaled(grid[:4] + [(0, 0, 0)] + grid[5:], rng, 97), g34))
+    out.append(("grid3x4 coincident",
+                _scaled(grid[:7] + [tuple(Fraction(5, 3) * x
+                                          for x in grid[1])] + grid[8:],
+                        rng, BIG), g34))
+    out.append(("random grid3x4", [[rand_fraction(rng) for _ in range(3)]
+                                   for _ in range(12)], g34))
     return out
 
 
 CASES = _cases()
+
+# The generating sets whose formulas the probes evaluate, by point count.
+GENERATING_SETS = {6: (QS_FORMULAS, qs_generators),
+                   12: (G34_FORMULAS, g34_generators)}
 
 
 @pytest.mark.parametrize("name,cols,conf", CASES,
@@ -96,9 +115,10 @@ def test_zero_tests_match_fraction_oracles(name, cols, conf):
     else:
         assert config_of_realisation(r) == expected
     assert classify_lift(conf, r) == frac_classify_lift(conf, cols)
-    if conf.n == 6:
-        assert _all_generators_vanish(QS_FORMULAS, r) == \
-            frac_generators_vanish(qs_generators(), cols)
+    if conf.n in GENERATING_SETS:
+        formulas, gens = GENERATING_SETS[conf.n]
+        assert _all_generators_vanish(formulas, r) == \
+            frac_generators_vanish(gens(), cols)
 
 
 def test_cases_reach_every_outcome():
@@ -205,3 +225,113 @@ def test_int_columns_are_integer_multiples():
         scale = Fraction(icol[k]) / col[k]
         assert scale > 0
         assert [scale * x for x in col] == icol
+
+
+def test_values_from_a_table_match_plain_columns_and_the_expansion():
+    """qs_value and g34_value give one value whether they get the point
+    columns or a CrossTable of them, for int and Fraction columns and
+    for index and vector frames, and it is the value of the expanded
+    skeleton.  One table serves every formula, as in the probes, so a
+    cross product filled by one formula is read by the next."""
+    rng = random.Random(27)
+    vector = (Fraction(2, 3), -1, Fraction(5))
+    for kind in ("int", "fraction"):
+        for n, family in ((6, "qs"), (12, "g34")):
+            cols = [tuple(rng.randint(-99, 99) if kind == "int"
+                          else rand_fraction(rng) for _ in range(3))
+                    for _ in range(n)]
+            table = CrossTable(cols)
+            a = assignment_from_columns(cols)
+            for _ in range(4):
+                frames = [rng.choice((1, 2, 3, vector, (0, 1, -7)))
+                          for _ in range(3 if family == "qs" else 6)]
+                if family == "qs":
+                    line = rng.choice(QS_LINES)
+                    key = ("qs", line)
+                    got = [qs_value(cols, line, *frames),
+                           qs_value(table, line, *frames)]
+                else:
+                    ci = rng.randint(1, 4)
+                    key = ("g34", ci)
+                    got = [g34_value(cols, ci, *frames),
+                           g34_value(table, ci, *frames)]
+                expected = _expand(SKELETONS[key],
+                                   [_frame(f) for f in frames]).evaluate(a)
+                assert got == [expected, expected]
+            assert table, "the formulas read the shared table"
+
+
+def _extra_collinear_lift(conf, xs, triple, rng):
+    """Columns (x_p, 1, z_p) of a lift of conf at xs whose heights also
+    make the points of triple, collinear in no line of conf, collinear:
+    a random combination of the lift-space basis in the kernel of that
+    triple's collinearity row."""
+    basis = lift_space(build_collin(conf, xs)).basis
+    i, j, k = (p - 1 for p in triple)
+    row = [b[i] * (xs[j] - xs[k]) + b[j] * (xs[k] - xs[i])
+           + b[k] * (xs[i] - xs[j]) for b in basis]
+    free = [rng.randint(1, 99) for _ in basis[1:]]
+    coeffs = [-sum(c * e for c, e in zip(free, row[1:])) / row[0]] + free
+    z = [sum(c * b[p] for c, b in zip(coeffs, basis))
+         for p in range(conf.n)]
+    return [(x, 1, h) for x, h in zip(xs, z)]
+
+
+def test_classify_lift_on_grid_candidates_matches_the_oracle():
+    """classify_lift reads one table for its simplicity and membership
+    tests; on grid3x4 candidates with a loop, a coincident pair, one
+    extra collinear triple, and none of these, it must answer as the
+    Fraction oracle does."""
+    rng = random.Random(99)
+    g34 = grid_config(3, 4)
+    seen = set()
+    for _ in range(3):
+        res = _project_generic(sample_grid(rng, 3, 4), rng)
+        xs = res.abscissas
+        good = lift(g34, xs, seed=2).realisation.columns()
+        loop = good[:6] + [(0, 0, 0)] + good[7:]
+        twin = good[:10] + [tuple(Fraction(-3, 7) * x for x in good[4])] \
+            + good[11:]
+        extra = _extra_collinear_lift(g34, xs, (1, 5, 9), rng)
+        rep = frac_membership(extra, circuits(g34))
+        assert rep.in_circuit_variety
+        assert rep.violated_independence == (1, 5, 9)
+        for cols in (good, loop, twin, extra):
+            cols = _scaled(cols, rng, BIG)
+            r = Realisation.from_columns(cols)
+            want = frac_classify_lift(g34, cols)
+            assert classify_lift(g34, r) == want
+            assert membership(r, circuits(g34)) == \
+                frac_membership(cols, circuits(g34))
+            seen.add(want)
+    assert seen == {"realising", "degenerate"}
+
+
+def test_project_reads_integer_columns():
+    """Scaling a column does not move its image: project gives the
+    same result on a realisation and on its integer columns, at the
+    default centre and line and at random ones, for lifted and
+    epsilon-scaled quadrilateral sets and grids."""
+    rng = random.Random(31)
+    for conf, make in ((qs_config(), sample_quadset),
+                       (grid_config(3, 4), partial(sample_grid, rows=3,
+                                                   cols=4))):
+        for _ in range(3):
+            res = _project_generic(make(rng), rng)
+            lifted = lift(conf, res.abscissas, seed=1)
+            scaled = epsilon_scale(lifted, Fraction(1, 1000))
+            for r in (lifted.realisation, scaled.realisation):
+                ints = Realisation.from_columns(r.int_columns())
+                assert project(r) == project(ints)
+                assert project(r).abscissas == res.abscissas
+                centre = (rng.randint(-99, 99), rng.randint(-99, 99), 1)
+                line = (rng.randint(1, 99), rng.randint(-99, 99),
+                        Fraction(rng.randint(1, 99), 7))
+                try:
+                    expected = project(r, centre, line)
+                except ValueError as exc:
+                    with pytest.raises(ValueError,
+                                       match="^%s$" % re.escape(str(exc))):
+                        project(ints, centre, line)
+                else:
+                    assert project(ints, centre, line) == expected

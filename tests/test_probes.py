@@ -244,6 +244,21 @@ def test_probe_decomposition_grid_small():
     assert rep.counts["nonmember-nonzero-witness"] == 1
 
 
+def test_probe_reports_are_pinned():
+    # Each suite's whole report, its counts, checks and witnesses, at
+    # trial counts and seeds beyond the small tests above.
+    pinned = (
+        (lambda: probe_tfae_qs(8, 11),
+         "b4930743b1dbd98a3f44b21f12e98acac3164d11babd1550b414598d76ffa452"),
+        (lambda: probe_tfae_grid(2, 11, minors_on_first_trial=False),
+         "b31bacd8c19c26a34d2c582a732f089750a421928cd7113688fbf1619abaf953"),
+        (lambda: probe_decomposition("grid34", 2, 3),
+         "64b835eb4250a9ef6f3937e98e927726162db259f4326968bbea349839b86883"),
+    )
+    for run, digest in pinned:
+        assert _digest(run()) == digest
+
+
 @pytest.mark.parametrize("matroid,attr,least", [
     ("qs", "qs_value", 10), ("grid34", "g34_value", 28)])
 def test_decomposition_values_go_through_the_checked_evaluator(

@@ -15,7 +15,7 @@ from functools import cached_property
 
 from .config import (Realisation, _non_simple, analyze, circuits,
                      components, delete_line, induced, line_triples,
-                     membership, row_pairs)
+                     membership)
 from .linalg import (QMatrix, _exact, _int_row, bareiss, cross,
                      nullspace, rank)
 from .poly import Poly, var_id
@@ -27,14 +27,26 @@ GENERIC_RANK_BUDGET = 64
 LIFT_ATTEMPTS = 32
 
 
-def _collin_rows(triples, xs, zero):
-    """Collinearity rows of the triples over any ring, with xs[p - 1]
-    standing for x_p and zero for the ring's zero."""
+def _collin_rows(triples, nums, dens):
+    """The collinearity rows of the triples at the points
+    (nums[p - 1] : dens[p - 1]) of a line, over the ring of the entries.
+    The row of (i, j, k) holds the 2x2 brackets [j k], [k i] and [i j]
+    in columns i, j and k (config.row_pairs), where
+    [u v] = nums[u - 1] * dens[v - 1] - nums[v - 1] * dens[u - 1], and
+    zeros elsewhere.  With every dens 1 it is the row of Lambda, whose
+    entry [u v] is x_u - x_v."""
+    n = len(nums)
     rows = []
-    for t in triples:
-        row = [zero] * len(xs)
-        for col, (a, b) in row_pairs(t):
-            row[col - 1] = xs[a - 1] - xs[b - 1]
+    for i, j, k in triples:
+        i -= 1
+        j -= 1
+        k -= 1
+        ai, bi, aj, bj, ak, bk = (nums[i], dens[i], nums[j], dens[j],
+                                  nums[k], dens[k])
+        row = [0] * n
+        row[i] = aj * bk - ak * bj
+        row[j] = ak * bi - ai * bk
+        row[k] = ai * bj - aj * bi
         rows.append(row)
     return rows
 
@@ -43,25 +55,21 @@ class CollinMatrix:
     """The collinearity matrix Lambda of a configuration at abscissas.
 
     Lambda has one row per collinear triple, in the order of
-    config.line_triples.  The row of triple i1 < i2 < i3 has entries
-    x_{i2}-x_{i3}, -(x_{i1}-x_{i3}), x_{i1}-x_{i2} in columns i1, i2, i3
-    (config.row_pairs) and zeros elsewhere.
-
-    Ranks and kernels are taken from `line_basis`, an integer matrix
-    with the row space of Lambda.  For a line with sorted points
-    p1 < p2 < ... < pm it keeps only the rows of the triples
-    (p1, p2, pj), j = 3..m.  At distinct abscissas the kernel of the
-    line's block is {z : z on the line lies in span(1, x)}, of
+    config.line_triples, with the entries of _collin_rows at the
+    abscissas.  Ranks and kernels are taken from `line_basis`, an
+    integer matrix with the row space of Lambda.  For a line with
+    sorted points p1 < p2 < ... < pm it keeps only the rows of the
+    triples (p1, p2, pj), j = 3..m.  At distinct abscissas the kernel
+    of the line's block is {z : z on the line lies in span(1, x)}, of
     codimension m - 2; each kept row is the only one of them that is
-    nonzero in column pj, where it holds x_{p1} - x_{p2} != 0, so the
-    m - 2 kept rows are independent and span the block.  With
-    x_p = a_p / b_p in lowest terms, each kept row is held as ints in
-    the scaled unknowns w_p = b_p z_p: the row of (i, j, k) times
-    b_i b_j b_k, whose entries are the 2x2 brackets a_u b_v - a_v b_u of
-    the points (a_p : b_p) of the line.  That changes no rank, and the
-    kernel only by diag(b), which lift_space undoes as it reads the
-    kernel off.  `numeric`, the full Lambda as ints and Fractions, is
-    built on first read: its minors are the paper's objects.
+    nonzero in column pj, so the m - 2 kept rows are independent and
+    span the block.  They are built by _collin_rows at the points
+    (a_p : b_p), x_p = a_p / b_p in lowest terms: each is the row of
+    Lambda times b_i b_j b_k, in the scaled unknowns w_p = b_p z_p.
+    That changes no rank, and the kernel only by diag(b), which
+    lift_space undoes as it reads the kernel off.  `numeric`, the full
+    Lambda, is built on first read: its minors are the paper's
+    objects.
     """
 
     def __init__(self, config, abscissas, line_basis):
@@ -71,33 +79,10 @@ class CollinMatrix:
 
     @cached_property
     def numeric(self):
-        return QMatrix(_collin_rows(line_triples(self.config),
-                                    self.abscissas, 0),
+        xs = self.abscissas
+        return QMatrix(_collin_rows(line_triples(self.config), xs,
+                                    [1] * len(xs)),
                        cols=self.config.n)
-
-
-def _line_basis_rows(c, nums, dens):
-    """The integer rows of CollinMatrix.line_basis at the abscissas
-    x_p = a_p / b_p, with a_p = nums[p - 1] and b_p = dens[p - 1].  The
-    row of the triple (i, j, k) holds the brackets a_j b_k - a_k b_j,
-    a_k b_i - a_i b_k and a_i b_j - a_j b_i in columns i, j and k: the
-    row of Lambda times b_i b_j b_k, in the unknowns w_p = b_p z_p.  At
-    integer abscissas, every b_p = 1, they are the rows of Lambda."""
-    rows = []
-    for line in c.lines:
-        if len(line) < 3:
-            continue
-        i, j, *rest = (p - 1 for p in sorted(line))
-        ai, bi, aj, bj = nums[i], dens[i], nums[j], dens[j]
-        ij = ai * bj - aj * bi
-        for k in rest:
-            ak, bk = nums[k], dens[k]
-            row = [0] * c.n
-            row[i] = aj * bk - ak * bj
-            row[j] = ak * bi - ai * bk
-            row[k] = ij
-            rows.append(row)
-    return rows
 
 
 def build_collin(c, x):
@@ -116,8 +101,9 @@ def build_collin(c, x):
             raise ValueError("duplicate abscissa: points %d and %d "
                              "both sit at %s" % (seen[key], i, xs[i - 1]))
         seen[key] = i
+    kept = [(s[0], s[1], pj) for s in map(sorted, c.lines) for pj in s[2:]]
     return CollinMatrix(c, xs,
-                        QMatrix.of_ints(_line_basis_rows(c, nums, dens), c.n))
+                        QMatrix.of_ints(_collin_rows(kept, nums, dens), c.n))
 
 
 def rank_test(c, x):
@@ -300,6 +286,10 @@ def project(r, center=CONVENTIONAL_CENTER, target_line=CONVENTIONAL_LINE):
     """
     ln = _exact(target_line)
     cen = _exact(center)
+    if len(ln) != 3:
+        raise ValueError("target line needs 3 coordinates")
+    if len(cen) != 3:
+        raise ValueError("projection center needs 3 coordinates")
     if not any(ln):
         raise ValueError("target line must have a nonzero coefficient")
     if not any(cen):
@@ -358,11 +348,14 @@ class RankNotCertified(RuntimeError):
 
 
 def random_distinct_abscissas(n, rng):
-    """n distinct random integers of size at most ABSCISSA_RANGE, in
-    draw order: a repeated draw is skipped and one more value drawn."""
+    """n distinct random integers of size at most
+    max(ABSCISSA_RANGE, n), in draw order: a repeated draw is skipped
+    and one more value drawn.  The range admits more than n values for
+    every n, so the draw ends."""
+    bound = max(ABSCISSA_RANGE, n)
     xs = {}
     while len(xs) < n:
-        xs[rng.randint(-ABSCISSA_RANGE, ABSCISSA_RANGE)] = None
+        xs[rng.randint(-bound, bound)] = None
     return list(xs)
 
 
@@ -507,4 +500,4 @@ def symbolic_collin_rank(c):
     polynomial ring: slow, and only the tests' reference for
     generic_rank_bound, which decides instead."""
     xs = [Poly.variable(var_id("x", p)) for p in range(1, c.n + 1)]
-    return poly_matrix_rank(_collin_rows(line_triples(c), xs, Poly.zero()))
+    return poly_matrix_rank(_collin_rows(line_triples(c), xs, [1] * c.n))

@@ -434,7 +434,6 @@ class CrossTable(dict):
 
 
 def det3(p, q, r):
-    """Determinant of three column 3-vectors."""
-    return (p[0] * (q[1] * r[2] - q[2] * r[1])
-            - p[1] * (q[0] * r[2] - q[2] * r[0])
-            + p[2] * (q[0] * r[1] - q[1] * r[0]))
+    """Determinant of three column 3-vectors: the bracket
+    dot(cross(p, q), r) that CrossTable reads off."""
+    return dot(cross(p, q), r)

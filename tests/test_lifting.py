@@ -35,14 +35,22 @@ QS_PAIRS = {
 def test_qs_collin_pattern():
     c = qs_config()
     assert line_triples(c) == ((1, 2, 3), (1, 5, 6), (2, 4, 6), (3, 4, 5))
-    xs = (3, -1, 4, 1, -5, 9)
-    numeric = build_collin(c, xs).numeric
     for row in range(1, 5):
         for col in range(1, 7):
-            pair = QS_PAIRS.get((row, col))
-            assert collin_pair(c, row, col) == pair
-            assert numeric.entry(row - 1, col - 1) == (
-                0 if pair is None else xs[pair[0] - 1] - xs[pair[1] - 1])
+            assert collin_pair(c, row, col) == QS_PAIRS.get((row, col))
+    # An integer tuple gives int entries; a rational one gives Fraction
+    # entries wherever a Fraction abscissa takes part, int ones elsewhere.
+    for xs in ((3, -1, 4, 1, -5, 9),
+               (Fraction(3, 2), Fraction(-1, 3), 4, Fraction(1, 5),
+                Fraction(-5, 7), Fraction(9, 4))):
+        numeric = build_collin(c, xs).numeric
+        for row in range(1, 5):
+            for col in range(1, 7):
+                pair = QS_PAIRS.get((row, col))
+                want = (0 if pair is None
+                        else xs[pair[0] - 1] - xs[pair[1] - 1])
+                got = numeric.entry(row - 1, col - 1)
+                assert got == want and type(got) is type(want)
 
 
 def test_grid3x3_collin_pattern():
@@ -368,6 +376,14 @@ def test_project_errors():
         project(r, center=(0, 1, 0), target_line=(1, 0, 0))
     with pytest.raises(ValueError):
         project(r, center=(1, 0, 0), target_line=(1, 0, 0))
+    # A fourth entry is not dropped, nor a missing third read as on the
+    # line.
+    with pytest.raises(ValueError, match="center needs 3 coordinates"):
+        project(r, (0, 0, 1, 5))
+    with pytest.raises(ValueError, match="line needs 3 coordinates"):
+        project(r, (0, 0, 1), (0, 1))
+    with pytest.raises(ValueError, match="line needs 3 coordinates"):
+        project(r, target_line=(0, 0, 1, 0))
     at_center = Realisation.from_columns([(0, 0, 2)])
     with pytest.raises(ValueError):
         project(at_center)

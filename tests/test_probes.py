@@ -9,7 +9,8 @@ from planelift import ideals, probes
 from planelift.config import (Config, MembershipReport, Realisation,
                               bundled_config, circuits, config_of_realisation,
                               grid_config, membership, qs_config)
-from planelift.lifting import classify_lift, random_distinct_abscissas
+from planelift.lifting import (ABSCISSA_RANGE, classify_lift,
+                               random_distinct_abscissas)
 from planelift.probes import (ProbeReport, SampleError, probe_decomposition,
                               probe_tfae_grid, probe_tfae_qs, run_probe,
                               sample_collinear, sample_forest, sample_grid,
@@ -101,6 +102,30 @@ def test_distinct_abscissas_skip_a_repeated_draw():
     rng = ScriptedRandom([5, -7, 5, 9, 11])
     assert random_distinct_abscissas(3, rng) == [5, -7, 9]
     assert rng.script == [11]
+
+
+class CountingRandom:
+    """Returns 0, 1, 2, ... from randint, recording the bounds asked."""
+
+    def __init__(self):
+        self.bounds = set()
+        self.drawn = 0
+
+    def randint(self, a, b):
+        self.bounds.add((a, b))
+        self.drawn += 1
+        return self.drawn - 1
+
+
+def test_distinct_abscissas_range_admits_n_values():
+    # Below the range the draw is unchanged; above it, the range grows
+    # with n, or the loop could never find n distinct values.
+    for n, bound in ((5, ABSCISSA_RANGE), (ABSCISSA_RANGE, ABSCISSA_RANGE),
+                     (2 * ABSCISSA_RANGE + 2, 2 * ABSCISSA_RANGE + 2)):
+        rng = CountingRandom()
+        assert random_distinct_abscissas(n, rng) == list(range(n))
+        assert rng.bounds == {(-bound, bound)}
+        assert 2 * bound + 1 >= n
 
 
 def test_sample_forest_realises():

@@ -14,8 +14,11 @@ from math import comb
 from .linalg import CrossTable, _exact, _int_row, dot
 
 
-# The records below are namedtuples: immutable, compared and hashed by
-# value, and cheap to define, which keeps the package's import fast.
+# The package's records are namedtuples: immutable, compared and hashed
+# by value, and cheap to define, which keeps the package's import fast.
+# A record with no docstring or method is a plain namedtuple.  Every
+# record holding a Realisation hashes too, since a Realisation hashes by
+# its columns.
 
 class Config(namedtuple("Config", "n lines")):
     """Points 1..n and lines given as tuples of point indices, which
@@ -112,10 +115,9 @@ def circuits(c):
     return Rank3Matroid(c.n, frozenset(line_triples(c)))
 
 
-class MembershipReport(namedtuple(
-        "MembershipReport", "in_circuit_variety in_v0 realises "
-        "violated_circuit violated_independence", defaults=(None, None))):
-    __slots__ = ()
+MembershipReport = namedtuple(
+    "MembershipReport", "in_circuit_variety in_v0 realises "
+    "violated_circuit violated_independence", defaults=(None, None))
 
 
 def _dependent(crosses):
@@ -209,6 +211,10 @@ class Realisation:
     def __eq__(self, other):
         return isinstance(other, Realisation) and self.cols == other.cols
 
+    def __hash__(self):
+        # An int and the Fraction equal to it hash alike.
+        return hash(self.cols)
+
     def __repr__(self):
         return "Realisation(%r)" % (self.cols,)
 
@@ -248,8 +254,7 @@ def config_of_realisation(r):
                                    for flat in through.values()})))
 
 
-class ConfigAnalysis(namedtuple("ConfigAnalysis", "omega is_forest")):
-    __slots__ = ()
+ConfigAnalysis = namedtuple("ConfigAnalysis", "omega is_forest")
 
 
 def _graph(c):

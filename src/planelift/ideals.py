@@ -224,12 +224,8 @@ def g34_value(cols, ci, *frames):
 
 # --- generating sets ---------------------------------------------------------
 
-class GenEntry(namedtuple("GenEntry", "poly label")):
-    __slots__ = ()
-
-
-class GeneratorSet(namedtuple("GeneratorSet", "ideal_name npoints entries")):
-    __slots__ = ()
+GenEntry = namedtuple("GenEntry", "poly label")
+GeneratorSet = namedtuple("GeneratorSet", "ideal_name npoints entries")
 
 
 def _bracket_formulas(c):
@@ -483,8 +479,7 @@ def _parse_compact(text):
     return Poly(terms)
 
 
-class RewriteRow(namedtuple("RewriteRow", "excluded generator coeffs")):
-    __slots__ = ()
+RewriteRow = namedtuple("RewriteRow", "excluded generator coeffs")
 
 
 # Every non-weakly-increasing frame triple rewrites as its
@@ -534,8 +529,7 @@ REWRITE_ROWS = tuple(
     for excluded, generator, *coeffs in _REWRITE_TABLE)
 
 
-class RowCheck(namedtuple("RowCheck", "excluded generator ok")):
-    __slots__ = ()
+RowCheck = namedtuple("RowCheck", "excluded generator ok")
 
 
 def verify_rewrite_rows(rows):

@@ -132,9 +132,7 @@ def lift_space(cm):
     return LiftSpace(tuple(tuple(v) for v in basis), len(basis))
 
 
-class LiftResult(namedtuple("LiftResult", "kind realisation",
-                            defaults=(None,))):
-    __slots__ = ()
+LiftResult = namedtuple("LiftResult", "kind realisation", defaults=(None,))
 
 
 def classify_lift(c, r):
@@ -257,32 +255,22 @@ def epsilon_scale(l, eps):
         [(col[0], col[1], col[2] * f) for col in cols]))
 
 
-class ChartMap(namedtuple("ChartMap", "basis")):
-    """Affine chart of a projective line with basis (A, B): the point
-    at abscissa t is t*A + B."""
-
-    __slots__ = ()
-
-    def to_point(self, t):
-        a, b = self.basis
-        return tuple(t * u + v for u, v in zip(a, b))
-
-
-class ProjectionResult(namedtuple("ProjectionResult",
-                                  "abscissas chart distinct")):
-    __slots__ = ()
+ProjectionResult = namedtuple("ProjectionResult", "abscissas images distinct")
 
 
 def project(r, center=CONVENTIONAL_CENTER, target_line=CONVENTIONAL_LINE):
     """Central projection of the columns of r onto a target line.
 
-    Returns the abscissas of the images in a fixed affine chart of the
-    line, together with the chart map (so w = t*A + B reconstructs the
-    image points).  Coincident images are reported via the `distinct`
-    flag rather than as an error.  The default center (0,0,1) and line
-    z = 0 invert lift(): projecting a lift recovers its abscissas.  The
-    crosses read r.int_columns(): scaling a column by a nonzero factor
-    does not move its image, so the abscissas are the columns' own.
+    images[k] is the image w = (center x column) x target_line of point
+    k + 1, computed from r.int_columns(): integers when the center and
+    the line are integers, as at the defaults, and otherwise in the ring
+    of their entries.  abscissas[k] is w_i / w_j, where i < j are the
+    two coordinates other than the line's largest coefficient.
+    Coincident images are reported via the `distinct` flag rather than
+    as an error.  The default center (0,0,1) and line z = 0 invert
+    lift(): projecting a lift recovers its abscissas.  Scaling a column
+    by a nonzero factor does not move its image, so the abscissas are
+    the columns' own.
     """
     ln = _exact(target_line)
     cen = _exact(center)
@@ -298,14 +286,8 @@ def project(r, center=CONVENTIONAL_CENTER, target_line=CONVENTIONAL_LINE):
         raise ValueError("projection center lies on the target line")
     m = max(range(3), key=lambda k: abs(ln[k]))
     i, j = (k for k in range(3) if k != m)
-    a = [0] * 3
-    a[i] = 1
-    a[m] = Fraction(-ln[i], ln[m])
-    b = [0] * 3
-    b[j] = 1
-    b[m] = Fraction(-ln[j], ln[m])
-    chart = ChartMap((tuple(a), tuple(b)))
     out = []
+    images = []
     for idx, col in enumerate(r.int_columns(), start=1):
         through = cross(cen, col)
         if not any(through):
@@ -316,16 +298,15 @@ def project(r, center=CONVENTIONAL_CENTER, target_line=CONVENTIONAL_LINE):
             raise ValueError("point %d projects to the chart's infinity"
                              % idx)
         out.append(Fraction(w[i], w[j]))
-    return ProjectionResult(tuple(out), chart,
+        images.append(tuple(w))
+    return ProjectionResult(tuple(out), tuple(images),
                             len(set(out)) == len(out))
 
 
 # --- liftability decisions ---------------------------------------------------
 
-class ComponentVerdict(namedtuple(
-        "ComponentVerdict", "points verdict witness_rank threshold "
-        "is_forest")):
-    __slots__ = ()
+ComponentVerdict = namedtuple(
+    "ComponentVerdict", "points verdict witness_rank threshold is_forest")
 
 
 class LiftabilityVerdict(namedtuple(
@@ -468,9 +449,7 @@ def is_liftable_generic(c, seed=0):
                               tuple(verdicts))
 
 
-class QuasiLiftability(namedtuple("QuasiLiftability",
-                                  "is_quasi base deletions")):
-    __slots__ = ()
+QuasiLiftability = namedtuple("QuasiLiftability", "is_quasi base deletions")
 
 
 def is_quasi_liftable(c, seed=0):

@@ -47,11 +47,6 @@ def _rand_line(rng, bound):
             return v
 
 
-def _meet(l1, l2):
-    w = cross(l1, l2)
-    return w if any(w) else None
-
-
 def sample_quadset(rng):
     """Four random lines in general position and their six intersection
     points, labelled so that the configuration is exactly qs_config().
@@ -59,16 +54,14 @@ def sample_quadset(rng):
     Point 1 lies on lines A and B, 2 on A and C, 3 on A and D, 4 on C
     and D, 5 on B and D, 6 on B and C; then A, B, C, D recover the
     lines 123, 156, 246 and 345.  A draw is kept when it realises
-    qs_config() (lifting.classify_lift).
+    qs_config() (lifting.classify_lift), which rejects the zero meet of
+    two equal lines as a loop.
     """
     target = qs_config()
     for _ in range(RETRY_BUDGET):
         a, b, c, d = (_rand_line(rng, COEFF_RANGE) for _ in range(4))
-        pts = [_meet(a, b), _meet(a, c), _meet(a, d),
-               _meet(c, d), _meet(b, d), _meet(b, c)]
-        if any(p is None for p in pts):
-            continue
-        r = Realisation.from_columns(pts)
+        r = Realisation.from_columns([cross(a, b), cross(a, c), cross(a, d),
+                                      cross(c, d), cross(b, d), cross(b, c)])
         if classify_lift(target, r) == "realising":
             return r
     raise SampleError("retry budget exhausted sampling a quadrilateral set")
@@ -80,7 +73,8 @@ def sample_grid(rng, rows=3, cols=4):
     One pencil of `cols` lines through a random apex plays the columns,
     one of `rows` lines through a second apex the rows; the point on
     column i and row j gets label rows*(i-1)+j, matching grid_config.
-    A draw is kept when it realises grid_config(rows, cols).
+    A draw is kept when it realises grid_config(rows, cols)
+    (lifting.classify_lift, which rejects a zero meet as a loop).
     """
     target = grid_config(rows, cols)
     for _ in range(RETRY_BUDGET):
@@ -92,10 +86,8 @@ def sample_grid(rng, rows=3, cols=4):
                      for _ in range(cols)]
         row_lines = [cross(apex_r, _rand_vec(rng, COEFF_RANGE))
                      for _ in range(rows)]
-        pts = [_meet(cl, rl) for cl in col_lines for rl in row_lines]
-        if any(p is None for p in pts):
-            continue
-        r = Realisation.from_columns(pts)
+        r = Realisation.from_columns(
+            [cross(cl, rl) for cl in col_lines for rl in row_lines])
         if classify_lift(target, r) == "realising":
             return r
     raise SampleError("retry budget exhausted sampling a grid")
@@ -212,10 +204,13 @@ def _probe_tfae(suite, trials, seed, conf, sample, matrix, noun, formulas,
     with minors_on_first_trial, every (bound+1)-minor must be zero),
     every formula of formulas, and of draw(rng) when draw is given, must
     vanish at the image, and lift() must realise conf and project back
-    to the same abscissas.  Negative branch: a random collinear tuple
-    should generically show rank bound+1 and a nonzero value of one of
-    formulas; the report counts how often it did.  All formulas at one
-    point set read one CrossTable.
+    to the same abscissas.  The image is one CrossTable over the
+    projection's integer image points; each differs from the point at
+    its abscissa by a nonzero factor, which no vanishing depends on.
+    Negative branch: a random collinear tuple should generically show
+    rank bound+1 and a nonzero value of one of formulas; the report
+    counts how often it did.  All formulas at one point set read one
+    CrossTable.
     """
     report = ProbeReport(suite, trials)
     for t in range(trials):
@@ -237,8 +232,7 @@ def _probe_tfae(suite, trials, seed, conf, sample, matrix, noun, formulas,
                          "trial 0 ten-minors",
                          "%d minors, allzero=%s" % (count, allzero))
             report.bump("ten-minors-enumerated", count)
-        image = Realisation.from_columns(
-            [res.chart.to_point(x) for x in xs]).crosses
+        image = CrossTable(res.images)
         vals = [generator_value(image, f)
                 for f in formulas + (draw(rng) if draw else ())]
         report.check(not any(vals), "trial %d vanishing" % t,

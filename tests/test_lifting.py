@@ -348,15 +348,27 @@ def test_epsilon_scale():
         epsilon_scale(flat, 1)
 
 
+def _check_images(res, cols, center, line):
+    """Each image is an int point on line and on the line through
+    center and its column, with its abscissa as w_x / w_y (line's
+    largest coefficient is at z), and the images project to themselves."""
+    assert len(res.images) == len(cols)
+    for t, col, w in zip(res.abscissas, cols, res.images):
+        assert len(w) == 3 and all(type(e) is int for e in w)
+        assert sum(a * b for a, b in zip(w, line)) == 0
+        assert det3(center, col, w) == 0
+        assert t == Fraction(w[0], w[1])
+    again = project(Realisation.from_columns(res.images), center, line)
+    assert again.abscissas == res.abscissas
+
+
 def test_project_default_recovers_abscissas():
     cols = [(Fraction(i), Fraction(1), Fraction(i * i)) for i in range(4)]
     res = project(Realisation.from_columns(cols))
     assert res.abscissas == (0, 1, 2, 3)
     assert res.distinct
-    for t, col in zip(res.abscissas, cols):
-        # The image lies on z = 0 and on the line through the centre.
-        w = res.chart.to_point(t)
-        assert w[2] == 0 and det3((0, 0, 1), col, w) == 0
+    # The images lie on z = 0 and on the lines through the centre.
+    _check_images(res, cols, (0, 0, 1), (0, 0, 1))
 
 
 def test_project_reports_coincidences():
@@ -396,9 +408,7 @@ def test_project_generic_line():
     cols = [(1, 2, 3), (4, 5, 6), (7, 8, 10)]
     r = Realisation.from_columns(cols)
     res = project(r, center=(1, 1, 1), target_line=(2, 3, 5))
-    for t in res.abscissas:
-        w = res.chart.to_point(t)
-        assert sum(Fraction(a) * b for a, b in zip(w, (2, 3, 5))) == 0
+    _check_images(res, cols, (1, 1, 1), (2, 3, 5))
 
 
 def test_liftable_qs():

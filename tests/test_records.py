@@ -40,12 +40,13 @@ CASES = [
      "(Fraction(0, 1), Fraction(1, 1), Fraction(2, 1))), dimension=2)"),
     (lambda: LiftResult("no-nontrivial-lift"), "kind",
      "LiftResult(kind='no-nontrivial-lift', realisation=None)"),
+    (lambda: LiftResult("trivial", Realisation.from_columns(
+        [(1, 1, 5), (2, 1, 7)])), "realisation",
+     "LiftResult(kind='trivial', "
+     "realisation=Realisation(((1, 1, 5), (2, 1, 7))))"),
     (lambda: project(SEGMENT), "distinct",
      "ProjectionResult(abscissas=(Fraction(1, 1), Fraction(2, 1)), "
-     "chart=ChartMap(basis=((1, 0, Fraction(0, 1)), "
-     "(0, 1, Fraction(0, 1)))), distinct=True)"),
-    (lambda: project(SEGMENT).chart, "basis",
-     "ChartMap(basis=((1, 0, Fraction(0, 1)), (0, 1, Fraction(0, 1))))"),
+     "images=((1, 1, 0), (2, 1, 0)), distinct=True)"),
     (lambda: is_liftable_generic(TWO_LINES), "verdict",
      "LiftabilityVerdict(verdict='liftable', witness_rank=2, threshold=2, "
      "omega=1, trials=1, components=(ComponentVerdict(points=(1, 2, 3, 4, "
@@ -76,8 +77,17 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("make, field, text", CASES,
-                         ids=[text.split("(")[0] for _, _, text in CASES])
+def _case_ids(cases):
+    """Each case's record name, with the case's field appended when an
+    earlier case already took the name."""
+    ids = []
+    for _, field, text in cases:
+        name = text.split("(")[0]
+        ids.append(name + "-" + field if name in ids else name)
+    return ids
+
+
+@pytest.mark.parametrize("make, field, text", CASES, ids=_case_ids(CASES))
 def test_record_repr_value_semantics_and_immutability(make, field, text):
     a, b = make(), make()
     assert repr(a) == text

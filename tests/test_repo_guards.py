@@ -125,6 +125,21 @@ def test_poly_imports_no_package_module():
         assert not any(name.split(".")[0] == "planelift" for name in names)
 
 
+def test_classes_with_eq_define_hash():
+    """Every class under src/planelift that defines __eq__ also defines
+    __hash__: defining __eq__ alone sets __hash__ to None, so its
+    instances, and every record holding one, could not be hashed."""
+    missing = []
+    for path in sorted((ROOT / "src" / "planelift").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                defined = {item.name for item in node.body
+                           if isinstance(item, ast.FunctionDef)}
+                if "__eq__" in defined and "__hash__" not in defined:
+                    missing.append("%s:%d" % (path.name, node.lineno))
+    assert missing == []
+
+
 def test_only_lifting_reads_the_line_basis():
     """The rank test at a tuple has one owner, lifting.rank_test: no
     other module reads a collinearity matrix's line_basis or writes the

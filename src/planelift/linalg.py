@@ -305,10 +305,9 @@ def minor(m, row_idx, col_idx):
     return Fraction(_det(a), prod(m._scales[i - 1] for i in row_idx))
 
 
-def _full_rank_minors(ints, denom, col_sets):
-    """Yield (C, the minor of the integer rows ints on C, divided by
-    denom) for each 1-based column set C of col_sets; the rows must
-    have full rank.
+def _full_rank_minors(ints, col_sets):
+    """Yield the minor of the integer rows ints on each 1-based column
+    set C of col_sets, in order, as an int; the rows must have full rank.
 
     One bareiss(reduce=True) pass turns the rows, permuted with sign s,
     into d*R, where R is their reduced echelon form and d the last pivot,
@@ -337,7 +336,7 @@ def _full_rank_minors(ints, denom, col_sets):
         block = [[row[c] for c in free]
                  for i, row in enumerate(a) if i not in unit_rows]
         num = sign * _det(block) * d // d ** len(free)
-        yield cols_sel, Fraction(-num if parity % 2 else num, denom)
+        yield -num if parity % 2 else num
 
 
 def all_minors(m, k):
@@ -347,15 +346,32 @@ def all_minors(m, k):
     set), with 1-based index tuples, so output is reproducible no
     matter how the work is scheduled.
 
-    The row sets of m's integer rows are walked in order as a
-    depth-first search over their prefixes: a prefix keeps the
-    fraction-free echelon form of its rows, and each next row is
-    reduced against it by bareiss()'s update, _eliminate().  A row that
-    reduces to zero makes the prefix with it dependent, so every row
-    set that contains that prefix is emitted as zeros, each certified
-    by a dependent subset of its own rows.  A row set of full rank k has
-    all its column minors read off one reduced elimination of its rows
-    (_full_rank_minors).
+    One bareiss() of m's integer rows gives the rank r and the pivot
+    columns J0, and r decides how the minors are found:
+
+    - r < k: every k rows of m are dependent, so every minor is zero,
+      and all are emitted as zeros with no further elimination.
+    - r == k: the k-th compound of m has rank one.  Write m = B C with
+      B of k columns (Cauchy-Binet): minor(I, J) = det B[I] det C[J],
+      so minor(I, J) * d = minor(I, J0) * minor(I0, J) for any I0, J0
+      with d = minor(I0, J0).  J0 are m's pivot columns and I0 the
+      first row set with minor(I0, J0) != 0, which is a row basis, so
+      d != 0.  _full_rank_minors gives both factor vectors exactly:
+      minor(I, J0) for every I from the transposed columns J0, and
+      minor(I0, J) for every J from the rows I0.
+    - r > k: the row sets are walked in order as a depth-first search
+      over their prefixes: a prefix keeps the fraction-free echelon
+      form of its rows, and each next row is reduced against it by
+      bareiss()'s update, _eliminate().  A row that reduces to zero
+      makes the prefix with it dependent, so every row set that
+      contains that prefix is emitted as zeros, each certified by a
+      dependent subset of its own rows.  A row set of full rank k has
+      all its column minors read off one reduced elimination of its
+      rows (_full_rank_minors).
+
+    Each case works on the integer rows, whose minors are exact
+    integers; a minor of m is that of the integer rows divided by the
+    product of the rows' scales.
     """
     if k < 0 or k > min(m.rows, m.cols):
         raise ValueError("minor size %d out of range for %d x %d"
@@ -364,6 +380,27 @@ def all_minors(m, k):
     col_sets = list(combinations(range(1, m.cols + 1), k))
     zero = Fraction(0)
     n = m.rows
+    pivots, _ = bareiss([row[:] for row in ints])
+    if len(pivots) <= k:
+        row_sets = list(combinations(range(1, n + 1), k))
+        # minor(I, J0) for each row set I; all zero below the rank.
+        at_j0 = [0] * len(row_sets)
+        if len(pivots) == k:
+            at_j0 = list(_full_rank_minors(
+                [[row[c] for row in ints] for c in pivots], row_sets))
+            i0 = next(i for i, u in enumerate(at_j0) if u)
+            d = at_j0[i0]
+            at_i0 = list(_full_rank_minors(
+                [ints[i - 1] for i in row_sets[i0]], col_sets))
+        for rows_sel, u in zip(row_sets, at_j0):
+            if not u:
+                for cols_sel in col_sets:
+                    yield rows_sel, cols_sel, zero
+                continue
+            den = d * prod(scales[i - 1] for i in rows_sel)
+            for cols_sel, v in zip(col_sets, at_i0):
+                yield rows_sel, cols_sel, Fraction(u * v, den) if v else zero
+        return
     sel = []      # the prefix, as 0-based increasing row indices
     echelon = []  # (pivot column, reduced row) of each prefix row
     i = 0         # the next row to try after the prefix
@@ -372,10 +409,10 @@ def all_minors(m, k):
         if depth == k or i > n - k + depth:
             if depth == k:
                 head = tuple(r + 1 for r in sel)
-                for cols_sel, value in _full_rank_minors(
-                        [ints[r] for r in sel],
-                        prod(scales[r] for r in sel), col_sets):
-                    yield head, cols_sel, value
+                den = prod(scales[r] for r in sel)
+                for cols_sel, num in zip(col_sets, _full_rank_minors(
+                        [ints[r] for r in sel], col_sets)):
+                    yield head, cols_sel, Fraction(num, den)
             if not sel:
                 return
             i = sel.pop() + 1

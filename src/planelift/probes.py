@@ -211,6 +211,11 @@ def _probe_tfae(suite, trials, seed, conf, sample, matrix, noun, formulas,
     rank bound+1 and a nonzero value of one of formulas; the report
     counts how often it did.  All formulas at one point set read one
     CrossTable.
+
+    The trial-0 minors are certified by the rank of the whole matrix:
+    all_minors eliminates it once, and a rank below bound+1 proves that
+    every (bound+1)-minor is 0, so each is emitted as an exact zero
+    without a determinant of its own, and all are still counted.
     """
     report = ProbeReport(suite, trials)
     for t in range(trials):

@@ -96,6 +96,9 @@ GOLDEN = (
      "4f5467146107182500247b8bbb507a6c76b2cf4b483bbb00baec8198901727a2"),
     ("verify tfae-qs --trials 2", 0,
      "822b1c6237b6bc9229657b63485ee0204ad3f34f49c387526f0290281968f44a"),
+    # Trial 0 enumerates all 528,528 ten-minors of the grid matrix.
+    ("verify tfae-grid --trials 1 --seed 0", 0,
+     "36811a5971572acb1da5a2418869c7d7f7a01fb9ea5a5c1d29e5556e99488e1e"),
     ("verify decomp-qs --trials 1", 0,
      "a0d1551225d1aec29b31d5a05853fa1f9419a16732d1f2273dc2cd774e9548f0"),
     # The integer grid sampler, a generic projection, the lift of the

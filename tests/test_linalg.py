@@ -363,6 +363,59 @@ def test_all_minors_low_rank_fast_path():
     assert all(v == 0 for v in values)
 
 
+def _rank_r_without_leading_basis(rng, r, dependent_first_column):
+    """A 6 x 5 Fraction matrix of rank exactly r whose row 1 is zero and
+    whose column 1 is zero or twice column 2, so that neither rows
+    1..r nor columns 1..r are a basis; row i is scaled by 1/(i + 1), so
+    the rows' denominators differ."""
+    while True:
+        left = rand_matrix(rng, 6, r, bound=5)
+        right = rand_matrix(rng, r, 5, bound=5)
+        left[0] = [Fraction(0)] * r
+        for row in right:
+            row[0] = 2 * row[1] if dependent_first_column else Fraction(0)
+        rows = [[Fraction(1, i + 1) * sum((left[i][t] * right[t][j]
+                                            for t in range(r)), Fraction(0))
+                 for j in range(5)] for i in range(6)]
+        if rank(QMatrix(rows)) == r:
+            return rows
+
+
+def test_all_minors_at_and_below_the_rank():
+    """k-minors of matrices of rank k (the rank-one compound) and of
+    rank k - 1 (all zeros), for k = 1..4, against the permutation
+    expansion, with value, type, order and count."""
+    rng = random.Random(30)
+    for k in range(1, 5):
+        for dependent_first_column in (False, True):
+            for r in (k, k - 1):
+                rows = _rank_r_without_leading_basis(
+                    rng, r, dependent_first_column)
+                # A zero matrix (k = 1, r = 0) has no denominators.
+                assert r == 0 or len(set(QMatrix(rows)._scales)) > 1
+                _check_all_minors(rows, k)
+
+
+def test_all_minors_of_the_grid_matrix_at_a_fraction_abscissa():
+    """The numeric 3x4-grid matrix at an integer tuple with one Fraction
+    abscissa has 16 rows of rank 10 and unequal row scales; a seeded
+    sample of its 10-minors, zero and nonzero, matches minor()."""
+    from planelift.config import grid_config
+    from planelift.lifting import build_collin
+    xs = [-7, 3, 12, -1, 5, Fraction(9, 4), 2, -11, 4, 8, -3, 6]
+    m = build_collin(grid_config(3, 4), xs).numeric
+    assert (m.rows, m.cols, rank(m)) == (16, 12, 10)
+    assert len(set(m._scales)) > 1
+    got = list(all_minors(m, 10))
+    assert len(got) == comb(16, 10) * comb(12, 10)
+    nonzero = [entry for entry in got if entry[2]]
+    assert nonzero
+    rng = random.Random(10)
+    for rs, cs, value in rng.sample(got, 150) + rng.sample(nonzero, 150):
+        assert type(value) is Fraction
+        assert value == minor(m, rs, cs)
+
+
 def test_matmul_matvec():
     # The plain-list helpers the kernel checks rest on.
     a = [[1, 2], [3, 4]]

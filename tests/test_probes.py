@@ -252,6 +252,15 @@ def test_probe_tfae_grid_small():
                                 "cd7113688fbf1619abaf953")
 
 
+def test_probe_tfae_grid_enumerates_every_ten_minor():
+    """Trial 0, at the default minors_on_first_trial=True, counts all
+    C(16, 10) * C(12, 10) ten-minors of the grid matrix, and each is 0."""
+    rep = probe_tfae_grid(1, 0)
+    assert rep.counts["ten-minors-enumerated"] == 528528
+    assert rep.failed == 0
+    assert rep.passed == 4
+
+
 def test_probe_decomposition_small():
     rep = probe_decomposition("qs", 2, 0)
     assert rep.failed == 0
